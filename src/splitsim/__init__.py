@@ -11,10 +11,10 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .data import Dataset, PartitionSpec, dirichlet_partition, iid_partition, make_classification_blobs, make_regression_quadratic
 from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, latency_sweep, max_overlapped_perturbations, round_timeline, transformer_layer_flops
 from .model import Batch, SplitModelConfig, analytic_client_gradient, client_forward, full_loss, server_forward_backward
-from .prng import SeedSpec, axpy, derive_seed, derive_stream, dot, gaussian_block, gaussian_vector
-from .protocol import ClientState, HyperParams, RoundRecord, ServerState, Simulation, client_sync, run_round_hosfl, run_round_sfl, run_round_zosfl, run_training, sample_clients
+from .prng import SeedSpec, axpy, derive_seed, derive_stream, gaussian_block, gaussian_vector
+from .protocol import ClientState, HyperParams, RoundRecord, ServerState, Simulation, client_sync, run_round, sample_clients
 from .runner import RunResult, build_simulation, run_experiment, write_outputs
 from .traffic import MessageKind, TrafficLedger, breakdown_report, closed_form_traffic
-from .zo import ScalarProjections, TheoryBounds, TheoryConstants, ZoConfig, estimator_diagnostics, reconstruct_gradient, spsa_estimate, theory_bounds, zo_scalars
+from .zo import TheoryBounds, ZoConfig, estimator_diagnostics, reconstruct_gradient, theory_bounds, zo_scalars
 
 __version__ = "0.1.0"

@@ -37,28 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _load(path: str, parse, what: str):
+    """Read and parse one YAML document; any failure is a usage error."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+        raise _UsageError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return parse_config(text)
+        return parse(text)
     except ConfigError as exc:
-        raise _UsageError(f"invalid config {path}: {exc}") from exc
-
-
-def _load_profile(path: str | None) -> LatencyProfileConfig:
-    if path is None:
-        return LatencyProfileConfig()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read profile {path}: {exc}") from exc
-    try:
-        return parse_latency_profile(text)
-    except ConfigError as exc:
-        raise _UsageError(f"invalid profile {path}: {exc}") from exc
+        raise _UsageError(f"invalid {what} {path}: {exc}") from exc
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -75,7 +63,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
     result = runner.run_experiment(cfg)
     paths = runner.write_outputs(result, cfg.output_dir)
     if result.records:
@@ -91,7 +79,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep_latency(args) -> int:
-    prof = _load_profile(args.config)
+    prof = (LatencyProfileConfig() if args.config is None
+            else _load(args.config, parse_latency_profile, "profile"))
     rows = latency.latency_sweep(
         prof.network, prof.device, prof.workload,
         range(prof.layer_min, prof.layer_max + 1),
@@ -117,7 +106,7 @@ def _cmd_sweep_latency(args) -> int:
 
 
 def _cmd_diagnose_estimator(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
     sim = runner.build_simulation(cfg)
     from .protocol import draw_batch
     batch = draw_batch(sim.dataset, sim.clients[1].shard, cfg.hp.batch_size,
@@ -156,7 +145,7 @@ def _cmd_diagnose_estimator(args) -> int:
 
 
 def _cmd_report_traffic(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
     protocols = PROTOCOLS if args.all_protocols else (cfg.protocol,)
     lines = ["protocol,kind,direction,bytes_per_round"]
     for proto in protocols:
@@ -210,15 +199,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

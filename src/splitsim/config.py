@@ -68,14 +68,18 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate one experiment configuration document."""
+def _load_yaml(text: str):
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"parse error{where}: {exc}") from exc
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and fully validate one experiment configuration document."""
+    raw = _load_yaml(text)
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a mapping")
     _take(raw, "top level", {"protocol", "model", "hp", "partition", "data",
@@ -158,6 +162,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _cross_validate(cfg: ExperimentConfig):
+    if cfg.hp.optimizer != "sgd" and cfg.protocol != "hosfl":
+        raise ConfigError(
+            f"hp.optimizer {cfg.hp.optimizer!r} is supported by hosfl only; "
+            f"{cfg.protocol} steps with sgd"
+        )
     if cfg.data.dim != cfg.model.n_in:
         raise ConfigError(
             f"data.dim ({cfg.data.dim}) must equal the model input width "
@@ -238,12 +247,7 @@ class LatencyProfileConfig:
 
 
 def parse_latency_profile(text: str) -> LatencyProfileConfig:
-    try:
-        raw = yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"parse error{where}: {exc}") from exc
+    raw = _load_yaml(text) or {}
     _take(raw, "top level", {"network", "device", "workload", "sweep"})
     nsec = _take(raw.get("network") or {}, "network",
                  {"uplink_bps", "downlink_bps", "rtt_seconds"})

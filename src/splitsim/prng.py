@@ -141,17 +141,6 @@ def _check_pair(a: np.ndarray, b: np.ndarray, op: str):
         )
 
 
-def dot(a, b) -> float:
-    """Inner product with exact left-to-right IEEE-754 accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_pair(a, b, "dot")
-    s = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        s += x * y
-    return s
-
-
 def axpy(alpha: float, x, y) -> np.ndarray:
     """alpha * x + y, elementwise, returning a new vector."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,9 @@
 """Round orchestration for the three training protocols.
 
-The hybrid protocol runs four phases per round: synchronized clients upload
+run_round is the one round skeleton: it samples clients, draws their
+batches and advances the round; a small per-protocol function does the
+rest, from shared phases (activation upload, server first-order step,
+model pull, local step and ordered average). The hybrid protocol runs four phases per round: synchronized clients upload
 cut activations, the server backpropagates and returns per-client activation
 feedback, clients project P seeded perturbations into scalars, and the
 server broadcasts the aggregated scalars from which every client (and a
@@ -207,67 +210,88 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
 # Protocol rounds
 # -----------------------------------------------------------------------------
 
-def _client_batches(sim: Simulation, selected, t: int):
-    batches = {}
+def _upload(sim: Simulation, cid: int, n_floats: int):
+    """Client cid sends n_floats cut activations and its batch labels."""
+    sim.ledger.record(MessageKind.ACTIVATION_UP, n_floats * FLOAT_BYTES,
+                      f"client:{cid}", "server")
+    sim.ledger.record(MessageKind.LABEL_UP,
+                      label_payload_bytes(sim.hp.batch_size, sim.model_cfg),
+                      f"client:{cid}", "server")
+
+
+def _server_step(sim: Simulation, grad: np.ndarray):
+    server = sim.server
+    server.theta_s, server.opt_state_s = _opt_step(
+        sim.hp.optimizer, server.opt_state_s, server.theta_s, grad, sim.hp.eta
+    )
+
+
+def _server_first_order(sim: Simulation, selected, activations, batches):
+    """Server backward per client, feedback downlink, one averaged server step."""
+    losses, lams, server_grads = [], {}, []
     for cid in selected:
-        seed = derive_stream(sim.root_seed, prng.STREAM_BATCH, t, cid)
-        batches[cid] = draw_batch(sim.dataset, sim.clients[cid].shard,
-                                  sim.hp.batch_size, seed)
-    return batches
+        loss, g_s, lam = model.server_forward_backward(
+            sim.server.theta_s, activations[cid], batches[cid].labels, sim.model_cfg
+        )
+        losses.append(loss)
+        lams[cid] = lam
+        server_grads.append(g_s)
+        sim.ledger.record(MessageKind.GRAD_DOWN, lam.size * FLOAT_BYTES,
+                          "server", f"client:{cid}")
+    _server_step(sim, ordered_mean(server_grads))
+    return losses, lams
 
 
-def run_round_hosfl(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
-    """One hybrid round: server first-order, clients seeded zeroth-order."""
+def _pull_model(sim: Simulation, cid: int) -> np.ndarray:
+    """Client cid downloads the current global client model."""
+    client = sim.clients[cid]
+    client.theta_c = sim.server.theta_c_global.copy()
+    sim.ledger.record(MessageKind.MODEL_DOWN, sim.model_cfg.d_c * FLOAT_BYTES,
+                      "server", f"client:{cid}")
+    return client.theta_c
+
+
+def _local_steps_and_average(sim: Simulation, selected, t: int, grad_fn) -> float:
+    """Each client steps along grad_fn(cid, theta_c) and uploads; returns |mean grad|."""
+    grads, updated = [], []
+    for cid in selected:
+        client = sim.clients[cid]
+        g = grad_fn(cid, client.theta_c)
+        grads.append(g)
+        client.theta_c, client.opt_state = _opt_step(
+            sim.hp.optimizer, client.opt_state, client.theta_c, g, sim.hp.eta
+        )
+        client.t_sync = t + 1
+        updated.append(client.theta_c)
+        sim.ledger.record(MessageKind.MODEL_UP, sim.model_cfg.d_c * FLOAT_BYTES,
+                          f"client:{cid}", "server")
+    sim.server.theta_c_global = ordered_mean(updated)
+    return float(np.linalg.norm(ordered_mean(grads)))
+
+
+def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
+    """Hybrid: server first-order, clients seeded zeroth-order from broadcast scalars."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    t = server.round
-    selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
     seeds = tuple(derive_seed(SeedSpec(sim.root_seed, t, p)) for p in range(1, hp.zo.P + 1))
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
-    # Phase 1: catch-up, then forward and upload
-    batches = _client_batches(sim, selected, t)
     activations = {}
     for cid in selected:
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
         if client.t_sync != t:
             raise ProtocolViolationError(f"client {cid} entered round {t} unsynchronized")
-        z = model.client_forward(client.theta_c, batches[cid], cfg)
-        activations[cid] = z
-        ledger.record(MessageKind.ACTIVATION_UP, z.size * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-        ledger.record(MessageKind.LABEL_UP, label_payload_bytes(hp.batch_size, cfg),
-                      f"client:{cid}", "server")
+        activations[cid] = model.client_forward(client.theta_c, batches[cid], cfg)
+        _upload(sim, cid, activations[cid].size)
+    losses, lams = _server_first_order(sim, selected, activations, batches)
 
-    # Phase 2: server backward, parameter update, feedback downlink
-    losses, lams, server_grads = {}, {}, []
+    projections = []
     for cid in selected:
-        loss, g_s, lam = model.server_forward_backward(
-            server.theta_s, activations[cid], batches[cid].labels, cfg
-        )
-        losses[cid], lams[cid] = loss, lam
-        server_grads.append(g_s)
-        ledger.record(MessageKind.GRAD_DOWN, lam.size * FLOAT_BYTES,
-                      "server", f"client:{cid}")
-    server.theta_s, server.opt_state_s = _opt_step(
-        hp.optimizer, server.opt_state_s, server.theta_s,
-        ordered_mean(server_grads), hp.eta,
-    )
+        projections.append(zo_scalars(sim.clients[cid].theta_c, lams[cid], activations[cid],
+                                      batches[cid], seeds, hp.zo, cfg, perturb_fn))
+        ledger.record(MessageKind.SCALAR_UP, hp.zo.P * FLOAT_BYTES, f"client:{cid}", "server")
 
-    # Phase 3: seeded perturbation projections
-    projections = {}
-    for cid in selected:
-        proj = zo_scalars(sim.clients[cid].theta_c, lams[cid], activations[cid],
-                          batches[cid], seeds, hp.zo, cfg, perturb_fn,
-                          round=t, client_id=cid)
-        projections[cid] = proj.values
-        ledger.record(MessageKind.SCALAR_UP, hp.zo.P * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-
-    # Phase 4: aggregate, broadcast, and apply the shared update
-    v_bar = tuple(
-        ordered_mean_scalar(projections[cid][p] for cid in selected)
-        for p in range(hp.zo.P)
-    )
+    # per perturbation, the scalars of all clients in ascending client id
+    v_bar = tuple(ordered_mean_scalar(column) for column in zip(*projections))
     if not all(np.isfinite(v_bar)):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
@@ -282,65 +306,26 @@ def run_round_hosfl(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics
     server.theta_c_global, server.opt_state_c, g_hat = _apply_round_update(
         server.theta_c_global, server.opt_state_c, rec, hp, cfg.d_c, perturb_fn
     )
-    server.round = t + 1
-    return RoundMetrics(t, "hosfl", ordered_mean_scalar(losses.values()),
-                        float(np.linalg.norm(g_hat)), hp.K * hp.batch_size)
+    return losses, float(np.linalg.norm(g_hat))
 
 
-def run_round_sfl(sim: Simulation) -> RoundMetrics:
+def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """First-order baseline: client backprop via feedback, then model averaging."""
-    hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    t = server.round
-    selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
-    batches = _client_batches(sim, selected, t)
-
+    cfg = sim.model_cfg
     activations = {}
     for cid in selected:
-        # each sampled client pulls the current global client model
-        sim.clients[cid].theta_c = server.theta_c_global.copy()
-        ledger.record(MessageKind.MODEL_DOWN, cfg.d_c * FLOAT_BYTES,
-                      "server", f"client:{cid}")
-        z = model.client_forward(sim.clients[cid].theta_c, batches[cid], cfg)
-        activations[cid] = z
-        ledger.record(MessageKind.ACTIVATION_UP, z.size * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-        ledger.record(MessageKind.LABEL_UP, label_payload_bytes(hp.batch_size, cfg),
-                      f"client:{cid}", "server")
-
-    losses, lams, server_grads = {}, {}, []
-    for cid in selected:
-        loss, g_s, lam = model.server_forward_backward(
-            server.theta_s, activations[cid], batches[cid].labels, cfg
-        )
-        losses[cid], lams[cid] = loss, lam
-        server_grads.append(g_s)
-        ledger.record(MessageKind.GRAD_DOWN, lam.size * FLOAT_BYTES,
-                      "server", f"client:{cid}")
-    server.theta_s, server.opt_state_s = _opt_step(
-        hp.optimizer, server.opt_state_s, server.theta_s,
-        ordered_mean(server_grads), hp.eta,
+        activations[cid] = model.client_forward(_pull_model(sim, cid), batches[cid], cfg)
+        _upload(sim, cid, activations[cid].size)
+    losses, lams = _server_first_order(sim, selected, activations, batches)
+    grad_norm = _local_steps_and_average(
+        sim, selected, t,
+        lambda cid, theta_c: model.client_backward_from_lambda(theta_c, batches[cid],
+                                                               lams[cid], cfg),
     )
-
-    # exact client gradients, one local step, full-model upload, average
-    client_grads = []
-    updated = []
-    for cid in selected:
-        client = sim.clients[cid]
-        g_c = model.client_backward_from_lambda(client.theta_c, batches[cid], lams[cid], cfg)
-        client_grads.append(g_c)
-        client.theta_c = client.theta_c - np.float64(hp.eta) * g_c
-        client.t_sync = t + 1
-        updated.append(client.theta_c)
-        ledger.record(MessageKind.MODEL_UP, cfg.d_c * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-    server.theta_c_global = ordered_mean(updated)
-    server.round = t + 1
-    mean_g = ordered_mean(client_grads)
-    return RoundMetrics(t, "sfl", ordered_mean_scalar(losses.values()),
-                        float(np.linalg.norm(mean_g)), hp.K * hp.batch_size)
+    return losses, grad_norm
 
 
-def run_round_zosfl(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
+def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """Backprop-free baseline: full-model two-point estimation per client.
 
     Client m perturbs its half along u_c and uploads both perturbed
@@ -350,64 +335,51 @@ def run_round_zosfl(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics
     their own perturbation scaled by that shared scalar, and client models
     are averaged as in the first-order baseline.
     """
-    hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    t = server.round
-    mu = hp.zo.mu
-    selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
-    batches = _client_batches(sim, selected, t)
-
-    dir_c, dir_s, z_plus, z_minus = {}, {}, {}, {}
+    cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
+    dir_c, dir_s, z_pairs = {}, {}, {}
     for cid in selected:
-        sim.clients[cid].theta_c = server.theta_c_global.copy()
-        ledger.record(MessageKind.MODEL_DOWN, cfg.d_c * FLOAT_BYTES,
-                      "server", f"client:{cid}")
+        theta_c = _pull_model(sim, cid)
         dir_c[cid] = perturb_fn(derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 1), cfg.d_c)
         dir_s[cid] = perturb_fn(derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 2), cfg.d_s)
-        theta_c = sim.clients[cid].theta_c
-        z_plus[cid] = model.client_forward(theta_c + mu * dir_c[cid], batches[cid], cfg)
-        z_minus[cid] = model.client_forward(theta_c - mu * dir_c[cid], batches[cid], cfg)
-        ledger.record(MessageKind.ACTIVATION_UP, 2 * z_plus[cid].size * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-        ledger.record(MessageKind.LABEL_UP, label_payload_bytes(hp.batch_size, cfg),
-                      f"client:{cid}", "server")
+        z_pairs[cid] = (model.client_forward(theta_c + mu * dir_c[cid], batches[cid], cfg),
+                        model.client_forward(theta_c - mu * dir_c[cid], batches[cid], cfg))
+        _upload(sim, cid, 2 * z_pairs[cid][0].size)
 
-    losses, diffs, server_steps = {}, {}, []
+    losses, diffs, server_grads = [], {}, []
     for cid in selected:
-        loss_plus = model.server_loss(server.theta_s + mu * dir_s[cid],
-                                      z_plus[cid], batches[cid].labels, cfg)
-        loss_minus = model.server_loss(server.theta_s - mu * dir_s[cid],
-                                       z_minus[cid], batches[cid].labels, cfg)
-        losses[cid] = 0.5 * (loss_plus + loss_minus)
+        z_plus, z_minus = z_pairs[cid]
+        labels = batches[cid].labels
+        loss_plus = model.server_loss(server.theta_s + mu * dir_s[cid], z_plus, labels, cfg)
+        loss_minus = model.server_loss(server.theta_s - mu * dir_s[cid], z_minus, labels, cfg)
+        losses.append(0.5 * (loss_plus + loss_minus))
         diffs[cid] = (loss_plus - loss_minus) / (2.0 * mu)
-        server_steps.append(diffs[cid] * dir_s[cid])
-        ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
-    server.theta_s = server.theta_s - np.float64(hp.eta) * ordered_mean(server_steps)
+        server_grads.append(diffs[cid] * dir_s[cid])
+        sim.ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
+    _server_step(sim, ordered_mean(server_grads))
+    grad_norm = _local_steps_and_average(sim, selected, t,
+                                         lambda cid, _: diffs[cid] * dir_c[cid])
+    return losses, grad_norm
 
-    updated, grads = [], []
-    for cid in selected:
-        client = sim.clients[cid]
-        g_hat = diffs[cid] * dir_c[cid]
-        grads.append(g_hat)
-        client.theta_c = client.theta_c - np.float64(hp.eta) * g_hat
-        client.t_sync = t + 1
-        updated.append(client.theta_c)
-        ledger.record(MessageKind.MODEL_UP, cfg.d_c * FLOAT_BYTES,
-                      f"client:{cid}", "server")
-    server.theta_c_global = ordered_mean(updated)
-    server.round = t + 1
-    return RoundMetrics(t, "zosfl", ordered_mean_scalar(losses.values()),
-                        float(np.linalg.norm(ordered_mean(grads))),
-                        hp.K * hp.batch_size)
+
+_ROUNDS = {"hosfl": _hosfl_round, "sfl": _sfl_round, "zosfl": _zosfl_round}
 
 
 def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
-    if sim.protocol == "hosfl":
-        return run_round_hosfl(sim, perturb_fn)
-    if sim.protocol == "sfl":
-        return run_round_sfl(sim)
-    if sim.protocol == "zosfl":
-        return run_round_zosfl(sim, perturb_fn)
-    raise ValueError(f"unknown protocol {sim.protocol!r}")
+    """One round of sim.protocol; the protocols differ only in their phases after batching."""
+    protocol_round = _ROUNDS.get(sim.protocol)
+    if protocol_round is None:
+        raise ValueError(f"unknown protocol {sim.protocol!r}")
+    hp, t = sim.hp, sim.server.round
+    selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
+    batches = {
+        cid: draw_batch(sim.dataset, sim.clients[cid].shard, hp.batch_size,
+                        derive_stream(sim.root_seed, prng.STREAM_BATCH, t, cid))
+        for cid in selected
+    }
+    losses, grad_norm = protocol_round(sim, t, selected, batches, perturb_fn)
+    sim.server.round = t + 1
+    return RoundMetrics(t, sim.protocol, ordered_mean_scalar(losses), grad_norm,
+                        hp.K * hp.batch_size)
 
 
 def planned_rounds(hp: HyperParams, sample_budget: int | None) -> int:
@@ -417,12 +389,3 @@ def planned_rounds(hp: HyperParams, sample_budget: int | None) -> int:
     per_round = hp.K * hp.batch_size
     return -(-sample_budget // per_round)  # ceil
 
-
-def run_training(sim: Simulation, sample_budget: int | None = None,
-                 perturb_fn=gaussian_vector) -> list:
-    """Drive rounds to completion and return the per-round metrics log."""
-    log = []
-    for _ in range(planned_rounds(sim.hp, sample_budget)):
-        log.append(run_round(sim, perturb_fn))
-        sim.ledger.close_round()
-    return log

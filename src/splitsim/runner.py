@@ -18,6 +18,7 @@ import numpy as np
 from . import model, prng, protocol
 from .config import DataConfig, ExperimentConfig, config_to_dict
 from .data import Dataset, PartitionSpec, make_classification_blobs, make_regression_quadratic, partition_dataset
+from .errors import ConfigError
 from .traffic import TrafficLedger, breakdown_report, format_breakdown_csv
 
 METRICS_FILE = "metrics.jsonl"
@@ -73,6 +74,13 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     spec = PartitionSpec(cfg.partition.mode, cfg.partition.alpha, cfg.hp.M,
                          prng.derive_stream(root, prng.STREAM_PARTITION))
     shards = partition_dataset(train, spec)
+    empty = [cid for cid, shard in enumerate(shards, start=1) if len(shard) == 0]
+    if empty:
+        raise ConfigError(
+            f"partition leaves client {empty[0]} with an empty data shard "
+            f"({len(empty)} of {cfg.hp.M} empty); raise partition.alpha or data.n, "
+            f"or lower hp.M"
+        )
 
     theta = model.init_params(cfg.model, root)
     theta_c, theta_s = theta[: cfg.model.d_c], theta[cfg.model.d_c:]

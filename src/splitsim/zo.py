@@ -1,8 +1,8 @@
 """Client-side zeroth-order machinery.
 
 Scalar projections from seeded perturbed forwards, gradient reconstruction
-from aggregated scalars, the two-point full-model baseline estimator, and
-the closed-form second-moment/bias constants with their empirical checks.
+from aggregated scalars, and the closed-form second-moment/bias constants
+with their empirical checks.
 """
 
 from __future__ import annotations
@@ -30,29 +30,15 @@ class ZoConfig:
             raise ValueError("mu must lie in (0, 1)")
 
 
-@dataclass
-class ScalarProjections:
-    """The P finite-difference scalars one client reports for one round."""
-
-    values: tuple
-    round: int = -1
-    client_id: int = -1
-
-    def __post_init__(self):
-        self.values = tuple(float(v) for v in self.values)
-        if not all(np.isfinite(self.values)):
-            raise NumericalError("scalar projections must be finite")
-
-
 def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch,
                seeds, zo: ZoConfig, cfg: model.SplitModelConfig,
-               perturb_fn=gaussian_vector, round: int = -1,
-               client_id: int = -1) -> ScalarProjections:
+               perturb_fn=gaussian_vector) -> tuple:
     """Finite-difference projections along P seeded Gaussian directions.
 
     v_p = <lam, f_c(theta_c + mu * u_p) - z_anchor> with u_p regenerated
     from seeds[p]. The caller supplies z_anchor = f_c(theta_c); exactly P
-    extra forward passes run here and theta_c is never modified.
+    extra forward passes run here and theta_c is never modified. Returns
+    the P scalars as floats; a non-finite one raises NumericalError.
     """
     seeds = list(seeds)
     if len(seeds) != zo.P:
@@ -72,7 +58,7 @@ def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch
         if not np.isfinite(v):
             raise NumericalError("non-finite scalar projection")
         values.append(v)
-    return ScalarProjections(tuple(values), round=round, client_id=client_id)
+    return tuple(values)
 
 
 def reconstruct_gradient(aggregated_scalars, seeds, zo: ZoConfig, d_c: int,
@@ -95,24 +81,6 @@ def reconstruct_gradient(aggregated_scalars, seeds, zo: ZoConfig, d_c: int,
     return acc / np.float64(zo.P * zo.mu)
 
 
-def spsa_estimate(theta: np.ndarray, batch: model.Batch, mu: float, seed: int,
-                  cfg: model.SplitModelConfig, perturb_fn=gaussian_vector) -> np.ndarray:
-    """Two-point central-difference estimate of the full-model gradient.
-
-    g = [L(theta + mu*z) - L(theta - mu*z)] / (2*mu) * z, two forward passes
-    of the composite model and no backward pass.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    theta = np.asarray(theta, dtype=np.float64)
-    z = perturb_fn(seed, cfg.d)
-    plus = model.full_loss(theta + mu * z, batch, cfg)
-    minus = model.full_loss(theta - mu * z, batch, cfg)
-    if not (np.isfinite(plus) and np.isfinite(minus)):
-        raise NumericalError("non-finite loss in two-point estimate")
-    return ((plus - minus) / (2.0 * mu)) * z
-
-
 # -----------------------------------------------------------------------------
 # Closed-form constants and empirical diagnostics
 # -----------------------------------------------------------------------------
@@ -128,21 +96,6 @@ class TheoryBounds:
     P: int
     mu: float
     gamma: float
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """User-supplied analysis-side constants; not consumed at runtime."""
-
-    gamma: float = 0.0
-    sigma_sq: float = 0.0
-    kappa_sq: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        for name in ("gamma", "sigma_sq", "kappa_sq", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 def theory_bounds(d_c: int, P: int, mu: float, gamma: float) -> TheoryBounds:

@@ -15,7 +15,7 @@ from splitsim.config import parse_config
 from splitsim.data import Dataset
 from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile, max_overlapped_perturbations
 from splitsim.model import Batch, SplitModelConfig
-from splitsim.protocol import ClientState, HyperParams, ServerState, Simulation, client_sync, run_round_hosfl, run_training
+from splitsim.protocol import ClientState, HyperParams, ServerState, Simulation, client_sync, run_round
 from splitsim.traffic import MessageKind, TrafficLedger
 from splitsim.zo import ZoConfig, estimator_diagnostics, measure_regularity_bound, theory_bounds
 
@@ -117,8 +117,7 @@ def test_criterion_4_catchup_bit_exactness():
     stale_seen = 0
     for mask_seed in range(50):
         cfg = parse_config(CATCHUP_CONFIG.replace("root_seed: 0", f"root_seed: {mask_seed}"))
-        sim = runner.build_simulation(cfg)
-        run_training(sim)
+        sim = runner.run_experiment(cfg).sim
         stale_seen += sum(c.t_sync < sim.server.round for c in sim.clients.values())
         for client in sim.clients.values():
             client_sync(client, sim.server.history, cfg.hp, cfg.model.d_c, sim.server.round)
@@ -141,9 +140,7 @@ data: {task: classification_blobs, n: 60, dim: 5, classes: 2, separation: 3.0}
 
 def _run_totals(text):
     cfg = parse_config(text)
-    sim = runner.build_simulation(cfg)
-    run_training(sim)
-    return cfg, dict(sim.ledger.totals)
+    return cfg, dict(runner.run_experiment(cfg).sim.ledger.totals)
 
 
 def test_criterion_5_dimension_free_aggregation():
@@ -249,7 +246,7 @@ def _quad_rounds_to_eps(n_in, P, eta, seed, t_max, reps=8, eps_rel=0.01):
             l0, _ = m.evaluate_model(theta0, batch, cfg)
         losses = np.empty(t_max)
         for t in range(t_max):
-            run_round_hosfl(sim)
+            run_round(sim)
             theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
             losses[t], _ = m.evaluate_model(theta, batch, cfg)
         curves.append(losses)

@@ -1,6 +1,7 @@
 """Configuration schema and the command-line surface."""
 
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,12 @@ class TestParsing:
             parse_config(GOOD.replace("classes: 2", "classes: 3"))
         with pytest.raises(ConfigError, match="dim"):
             parse_config(GOOD.replace("n: 200,", "n: 200, dim: 5,"))
+
+    @pytest.mark.parametrize("proto", ["sfl", "zosfl"])
+    def test_adam_rejected_for_baselines(self, proto):
+        text = GOOD.replace("protocol: hosfl", f"protocol: {proto}")
+        with pytest.raises(ConfigError, match="optimizer"):
+            parse_config(text.replace("batch_size: 8", "batch_size: 8\n  optimizer: adam"))
 
     def test_round_trip(self):
         cfg = parse_config(GOOD)
@@ -157,6 +164,22 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text(GOOD.replace("K: 2", "K: 99"))
         assert cli.main(["run", "--config", str(path)]) == 1
+
+    def test_adam_for_baseline_is_usage_error(self, tmp_path):
+        path = tmp_path / "adam.yaml"
+        text = GOOD.replace("protocol: hosfl", "protocol: sfl")
+        path.write_text(text.replace("batch_size: 8", "batch_size: 8\n  optimizer: adam"))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("sub", ["run", "diagnose-estimator"])
+    def test_empty_shard_is_usage_error(self, sub, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text(GOOD.replace("M: 4", "M: 40").replace(
+            "partition: {mode: iid}", "partition: {mode: dirichlet, alpha: 0.01}"))
+        with pytest.warns(UserWarning):
+            rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert re.search(r"client \d+ with an empty data shard", capsys.readouterr().err)
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.main(["fly"]) == 1

@@ -1,0 +1,32 @@
+"""Bit stability of the shipped configuration across code changes.
+
+Every emitted byte is a pure function of (config, root seed), so the final
+parameter checksum of the shipped config is pinned per protocol. A change
+that moves one of these values changes the simulator's numbers and must
+say so.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from splitsim import runner
+from splitsim.config import parse_config
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "blobs_hosfl.yaml"
+
+GOLDEN = {
+    "hosfl": "741a3c1ad609e153af4715ffd993e8e2636d87217166a42557dd496391aeecbe",
+    "sfl": "0dd8a38777e64beac8d36e258f5f827ad68dd7f230a18f3b12106fec283812be",
+    "zosfl": "38af915bb9074238740aeb61c4a0ba49adb259d9107396978179ac463542827e",
+}
+
+
+@pytest.mark.parametrize("proto", sorted(GOLDEN))
+def test_shipped_config_combined_checksum(proto):
+    text = SHIPPED.read_text().replace("protocol: hosfl", f"protocol: {proto}")
+    cfg = parse_config(text)
+    assert cfg.protocol == proto
+    result = runner.run_experiment(cfg)
+    assert len(result.records) == 100
+    assert runner.checksum_lines(result)[2] == f"combined_sha256={GOLDEN[proto]}"

@@ -16,10 +16,7 @@ from splitsim.protocol import (
     client_sync,
     draw_batch,
     planned_rounds,
-    run_round_hosfl,
-    run_round_sfl,
-    run_round_zosfl,
-    run_training,
+    run_round,
     sample_clients,
 )
 from splitsim.traffic import MessageKind, TrafficLedger, closed_form_traffic
@@ -77,7 +74,7 @@ class TestSampling:
 class TestWorkedRound:
     def test_hybrid_round_hand_values(self):
         sim, cfg, hp = _worked_instance()
-        metrics = run_round_hosfl(sim, perturb_fn=_forced_ones)
+        metrics = run_round(sim, perturb_fn=_forced_ones)
         # lambda = 2*(2-0.5)*1 = 3; v = 3*mu*u = 0.3; ghat = 3; step = 0.01*3
         assert sim.server.history[0].v_bar[0] == pytest.approx(0.3, rel=1e-12)
         assert sim.clients[1].theta_c.item() == pytest.approx(1.97, rel=1e-12)
@@ -89,7 +86,7 @@ class TestWorkedRound:
     def test_first_order_round_matches_hybrid_step(self):
         sim, cfg, hp = _worked_instance()
         sim.protocol = "sfl"
-        run_round_sfl(sim)
+        run_round(sim)
         # exact g_c = lambda * x = 3 gives the same 0.03 step
         assert sim.server.theta_c_global.item() == pytest.approx(1.97, rel=1e-12)
 
@@ -100,7 +97,7 @@ class TestWorkedRound:
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
         clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
         sim = Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 3)
-        run_round_hosfl(sim)
+        run_round(sim)
         assert sim.clients[1].theta_c.item() == 2.0
         assert sim.server.theta_s.item() == 1.0
 
@@ -119,7 +116,7 @@ class TestWorkedRound:
             # perturb the client only: u_c = 1, u_s = 0
             return np.ones(dim) if len(calls) % 2 == 1 else np.zeros(dim)
 
-        run_round_zosfl(sim, perturb_fn=forced)
+        run_round(sim, perturb_fn=forced)
         # dL/dtheta_c = 2*(theta_c*1 - 2)*1 = 2 at theta_c=3; central diff is exact
         assert sim.server.theta_c_global.item() == pytest.approx(3.0 - 0.01 * 2.0, rel=1e-9)
         assert sim.server.theta_s.item() == 1.0
@@ -131,7 +128,7 @@ class TestWorkedRound:
         server = ServerState(theta_s=np.array([1.5]), theta_c_global=np.array([2.5]))
         clients = {1: ClientState(1, np.array([2.5]), np.arange(1))}
         sim = Simulation("zosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 5)
-        run_round_zosfl(sim)
+        run_round(sim)
         assert sim.server.theta_c_global.item() == 2.5
         assert sim.server.theta_s.item() == 1.5
 
@@ -157,8 +154,7 @@ class TestDeterminismAndReplay:
         text = BASE_CONFIG.replace("optimizer: sgd", "").replace(
             "batch_size: 4,", f"batch_size: 4, optimizer: {optimizer},")
         cfg = parse_config(text)
-        sim = runner.build_simulation(cfg)
-        run_training(sim)
+        sim = runner.run_experiment(cfg).sim
         stale = [c for c in sim.clients.values() if c.t_sync < sim.server.round]
         assert stale, "sampling never skipped anyone; config cannot exercise catch-up"
         for client in sim.clients.values():
@@ -168,8 +164,7 @@ class TestDeterminismAndReplay:
 
     def test_sync_is_noop_when_current(self):
         cfg = parse_config(BASE_CONFIG)
-        sim = runner.build_simulation(cfg)
-        run_training(sim)
+        sim = runner.run_experiment(cfg).sim
         client = sim.clients[1]
         client_sync(client, sim.server.history, cfg.hp, cfg.model.d_c, sim.server.round)
         before = client.theta_c.tobytes()
@@ -186,8 +181,7 @@ class TestDeterminismAndReplay:
 
     def test_missing_history_raises_staleness(self):
         cfg = parse_config(BASE_CONFIG)
-        sim = runner.build_simulation(cfg)
-        run_training(sim)
+        sim = runner.run_experiment(cfg).sim
         lagger = next(c for c in sim.clients.values() if c.t_sync < sim.server.round)
         del sim.server.history[lagger.t_sync]
         with pytest.raises(StalenessError):
@@ -196,8 +190,7 @@ class TestDeterminismAndReplay:
 
     def test_client_ahead_of_target_rejected(self):
         cfg = parse_config(BASE_CONFIG)
-        sim = runner.build_simulation(cfg)
-        run_training(sim)
+        sim = runner.run_experiment(cfg).sim
         client = sim.clients[1]
         client.t_sync = sim.server.round + 5
         with pytest.raises(ProtocolViolationError):
@@ -234,31 +227,27 @@ class TestBatchingAndBudget:
 
     def test_zero_rounds_returns_initial_state(self):
         cfg = parse_config(BASE_CONFIG.replace("T: 40", "T: 0"))
-        sim = runner.build_simulation(cfg)
-        theta0 = sim.server.theta_c_global.tobytes()
-        log = run_training(sim)
-        assert log == []
-        assert sim.server.theta_c_global.tobytes() == theta0
+        theta0 = runner.build_simulation(cfg).server.theta_c_global.tobytes()
+        result = runner.run_experiment(cfg)
+        assert result.records == []
+        assert result.final_theta_c.tobytes() == theta0
 
 
 class TestTrafficLaws:
     @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
     def test_ledger_matches_closed_form_exactly(self, proto):
         cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
-        sim = runner.build_simulation(cfg)
-        log = run_training(sim)
+        result = runner.run_experiment(cfg)
         per_round = closed_form_traffic(cfg.hp, cfg.model, proto)
         for kind in MessageKind:
-            assert sim.ledger.totals[kind] == len(log) * per_round[kind]
+            assert result.sim.ledger.totals[kind] == len(result.records) * per_round[kind]
 
     def test_scalar_uplink_independent_of_client_dimension(self):
         def scalar_up(dim_hidden):
             text = BASE_CONFIG.replace("layer_dims: [6, 4, 2]",
                                        f"layer_dims: [6, {dim_hidden}, 2]")
             cfg = parse_config(text.replace("T: 40", "T: 5"))
-            sim = runner.build_simulation(cfg)
-            run_training(sim)
-            return sim.ledger.totals[MessageKind.SCALAR_UP]
+            return runner.run_experiment(cfg).sim.ledger.totals[MessageKind.SCALAR_UP]
 
         assert scalar_up(4) == scalar_up(400)
 
@@ -288,6 +277,6 @@ class TestTrafficLaws:
             2: ClientState(2, theta0[: cfg.d_c].copy(), np.array([2, 3])),
         }
         sim = Simulation("sfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 9)
-        run_round_sfl(sim)
+        run_round(sim)
         assert sim.server.theta_c_global.tobytes() == sim.clients[1].theta_c.tobytes()
         assert sim.clients[1].theta_c.tobytes() == sim.clients[2].theta_c.tobytes()
