@@ -3,6 +3,10 @@
 Every random quantity in the simulator derives from a 64-bit root seed via
 the splitmix64 finalizer, so any draw can be regenerated from
 (root, stream tag, integer coordinates) alone. There is no global RNG state.
+gaussian_vector keeps a memo of its outputs: since every output is a pure
+function of (seed, dim), the memo changes no value. It is a least-recently
+used cache bounded in bytes (MEMO_BYTES), and the vectors it returns are
+read-only because callers share them.
 
 Normal variates come from a Box-Muller transform applied to 53-bit uniforms
 read off the counter stream. This transform is part of the on-disk/replay
@@ -12,6 +16,8 @@ bit-for-bit from seeds alone.
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +90,46 @@ def derive_seed(spec: SeedSpec) -> int:
 # Counter stream -> uniforms -> Gaussians
 # -----------------------------------------------------------------------------
 
-def _finalize_u64(x: np.ndarray) -> np.ndarray:
-    # Vectorized splitmix64 finalizer. uint64 arithmetic wraps mod 2**64.
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX_A)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX_B)
-    return x ^ (x >> np.uint64(31))
+# Bytes of Gaussian output gaussian_vector keeps. The hybrid protocol asks
+# for the same P directions again and again: K projections and K+1
+# reconstructions in the live round, then once more for every round a
+# straggler replays. 512 KiB holds about 90 rounds of P=5 directions at
+# d_c=144. The bound is on bytes, not entries, so memory stays bounded at
+# any d_c (512 entries at d_c=200k would be about 800 MB).
+MEMO_BYTES = 512 * 1024
 
 
-def _uniform_block(seeds: np.ndarray, n: int) -> np.ndarray:
-    """(len(seeds), n) uniforms in open (0, 1); entry j comes from counter j+1."""
-    idx = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    state = seeds[:, None] + idx[None, :]
-    bits = _finalize_u64(state) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
+@functools.lru_cache(maxsize=8)  # a run uses a handful of stream lengths
+def _counters(n: int) -> np.ndarray:
+    """Counter offsets (1..n) * golden ratio, built once per stream length."""
+    table = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    table.setflags(write=False)
+    return table
+
+
+def _uniforms_from_state(x: np.ndarray) -> np.ndarray:
+    """Open-(0, 1) uniforms from counter states; x is overwritten."""
+    # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
+
+
+def _box_muller(u: np.ndarray, dim: int) -> np.ndarray:
+    """Normals from uniform pairs along the last axis: (2k+1, 2k+2) -> (2k, 2k+1)."""
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    ang = (2.0 * np.pi) * u[..., 1::2]
+    out = np.empty(u.shape, dtype=np.float64)
+    out[..., 0::2] = r * np.cos(ang)
+    out[..., 1::2] = r * np.sin(ang)
+    return out[..., :dim]
 
 
 def gaussian_block(seeds, dim: int) -> np.ndarray:
@@ -108,26 +141,51 @@ def gaussian_block(seeds, dim: int) -> np.ndarray:
     if dim < 0:
         raise ValueError("dim must be non-negative")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if dim == 0:
-        return np.empty((len(seeds), 0), dtype=np.float64)
-    pairs = (dim + 1) // 2
-    u = _uniform_block(seeds, 2 * pairs)
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    ang = (2.0 * np.pi) * u[:, 1::2]
-    out = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(ang)
-    out[:, 1::2] = r * np.sin(ang)
-    return out[:, :dim]
+    state = seeds[:, None] + _counters(2 * ((dim + 1) // 2))[None, :]
+    return _box_muller(_uniforms_from_state(state), dim)
+
+
+class _GaussianMemo:
+    """LRU of read-only Gaussian vectors keyed by (seed, dim), bounded in bytes."""
+
+    def __init__(self):
+        self.held = 0
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, seed: int, dim: int) -> np.ndarray:
+        key = (seed, dim)
+        vec = self.entries.get(key)
+        if vec is not None:
+            self.entries.move_to_end(key)
+            return vec
+        if dim < 0:
+            raise ValueError("dim must be non-negative")
+        vec = _box_muller(uniform_stream(seed, 2 * ((dim + 1) // 2)), dim)
+        vec.setflags(write=False)
+        size = vec.base.nbytes  # an odd dim keeps one extra draw alive
+        if size <= MEMO_BYTES:
+            while self.held + size > MEMO_BYTES:
+                self.held -= self.entries.popitem(last=False)[1].base.nbytes
+            self.entries[key] = vec
+            self.held += size
+        return vec
+
+
+_MEMO = _GaussianMemo()
 
 
 def gaussian_vector(seed: int, dim: int) -> np.ndarray:
-    """dim i.i.d. N(0, 1) draws, bit-identical for identical (seed, dim)."""
-    return gaussian_block([seed & _MASK], dim)[0]
+    """dim i.i.d. N(0, 1) draws, bit-identical for identical (seed, dim).
+
+    The result is read-only: it may be the memo's copy, shared by every
+    caller that asks for the same (seed, dim).
+    """
+    return _MEMO.get(seed & _MASK, dim)
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from the counter stream of one seed."""
-    return _uniform_block(np.asarray([seed & _MASK], dtype=np.uint64), n)[0]
+    return _uniforms_from_state(_counters(n) + np.uint64(seed & _MASK))
 
 
 # -----------------------------------------------------------------------------

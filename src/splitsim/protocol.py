@@ -83,7 +83,6 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grad: np.ndarray, eta: f
 class RoundRecord:
     """Broadcast history for one round; the unit catch-up replay consumes."""
 
-    round: int
     seeds: tuple
     v_bar: tuple
     eta_used: float
@@ -295,7 +294,7 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     if not all(np.isfinite(v_bar)):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
-    rec = RoundRecord(t, seeds, v_bar, hp.eta)
+    rec = RoundRecord(seeds, v_bar, hp.eta)
     server.history[t] = rec
     for cid in selected:
         client = sim.clients[cid]

@@ -9,6 +9,7 @@ say so.
 from pathlib import Path
 
 import pytest
+import yaml
 
 from splitsim import runner
 from splitsim.config import parse_config
@@ -30,3 +31,14 @@ def test_shipped_config_combined_checksum(proto):
     result = runner.run_experiment(cfg)
     assert len(result.records) == 100
     assert runner.checksum_lines(result)[2] == f"combined_sha256={GOLDEN[proto]}"
+
+
+def test_stragglers_adam_combined_checksum():
+    # M=32 with K=2: most rounds replay a long catch-up under adam state
+    cfg = yaml.safe_load(SHIPPED.read_text())
+    cfg["hp"].update(M=32, K=2, optimizer="adam", eta=0.01)
+    cfg["partition"] = {"mode": "iid"}
+    result = runner.run_experiment(parse_config(yaml.safe_dump(cfg)))
+    assert len(result.records) == 100
+    assert runner.checksum_lines(result)[2] == (
+        "combined_sha256=886b2bc02a4da0d04d217622efa4781a5f4cd7fa7ca45d247d4c57139ca38317")

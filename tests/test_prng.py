@@ -117,6 +117,65 @@ class TestGaussian:
         assert abs(sixth - expected) / expected < 0.05
 
 
+def _uncached(seed, dim):
+    return gaussian_block([seed & MASK], dim)[0]
+
+
+class TestGaussianMemo:
+    SEEDS = [0, MASK] + [derive_stream(21, i) for i in range(1100)]
+    DIMS = [0, 1, 7, 34, 143, 144]
+
+    def test_matches_uncached_generation(self):
+        for dim in self.DIMS:
+            for seed in self.SEEDS:
+                assert gaussian_vector(seed, dim).tobytes() == _uncached(seed, dim).tobytes()
+                # the second request is served from the memo
+                assert gaussian_vector(seed, dim).tobytes() == _uncached(seed, dim).tobytes()
+
+    def test_matches_uncached_after_eviction(self):
+        dim = 144
+        first = self.SEEDS[:50]
+        for seed in first:
+            gaussian_vector(seed, dim)
+        # far more vectors than the budget holds push the first ones out
+        overflow = 3 * prng.MEMO_BYTES // (dim * 8)
+        for i in range(overflow):
+            gaussian_vector(derive_stream(22, i), dim)
+        assert all((seed, dim) not in prng._MEMO.entries for seed in first)
+        for seed in first:
+            assert gaussian_vector(seed, dim).tobytes() == _uncached(seed, dim).tobytes()
+
+    def test_returned_vector_is_read_only(self):
+        u = gaussian_vector(5, 8)
+        with pytest.raises(ValueError):
+            u[0] = 1.0
+        with pytest.raises(ValueError):
+            u += 1.0
+        assert gaussian_vector(5, 8).tobytes() == _uncached(5, 8).tobytes()
+
+    def test_retained_bytes_within_budget(self):
+        memo = prng._MEMO
+        for i in range(2000):
+            gaussian_vector(derive_stream(23, i), 7 + i % 300)
+            assert memo.held <= prng.MEMO_BYTES
+        assert memo.held == sum(v.base.nbytes for v in memo.entries.values())
+
+    def test_oversized_vector_is_not_retained(self):
+        dim = prng.MEMO_BYTES // 8 + 1
+        held = prng._MEMO.held
+        u = gaussian_vector(24, dim)
+        assert u.shape == (dim,)
+        assert u.tobytes() == _uncached(24, dim).tobytes()
+        assert (24, dim) not in prng._MEMO.entries
+        assert prng._MEMO.held == held
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_vector(1, -1)
+        with pytest.raises(ValueError):
+            gaussian_block([1], -1)
+
+
 class TestVectorOps:
     def test_axpy_zero_scale_is_identity(self):
         y = np.array([2.0, -3.5, 0.0])

@@ -233,6 +233,44 @@ class TestBatchingAndBudget:
         assert result.final_theta_c.tobytes() == theta0
 
 
+class TestCallCounts:
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_forward_and_gaussian_calls_per_round(self, proto, monkeypatch):
+        # every direction is still requested and every forward still runs
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")
+                           .replace("T: 40", "T: 12"))
+        hp = cfg.hp
+        forwards, gaussians = [], []
+        real_forward = m.client_forward
+
+        def counting_forward(*args, **kwargs):
+            forwards.append(1)
+            return real_forward(*args, **kwargs)
+
+        def counting_perturb(seed, dim):
+            gaussians.append(seed)
+            return prng.gaussian_vector(seed, dim)
+
+        monkeypatch.setattr(m, "client_forward", counting_forward)
+        runner.run_experiment(cfg, counting_perturb)
+        # rounds a sampled client missed since it last took part
+        replayed, synced = 0, {}
+        for t in range(hp.T):
+            for cid in sample_clients(hp.M, hp.K,
+                                      prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t)):
+                replayed += t - synced.get(cid, 0)
+                synced[cid] = t + 1
+        k, p, rounds = hp.K, hp.zo.P, hp.T
+        want = {
+            "hosfl": (rounds * (k * (1 + p) + 1), rounds * (2 * k + 1) * p + p * replayed),
+            "sfl": (rounds * (k + 1), 0),
+            "zosfl": (rounds * (2 * k + 1), rounds * 2 * k),
+        }[proto]
+        assert (len(forwards), len(gaussians)) == want
+        if proto == "hosfl":
+            assert replayed > 0
+
+
 class TestTrafficLaws:
     @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
     def test_ledger_matches_closed_form_exactly(self, proto):
