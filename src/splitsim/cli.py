@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: anything below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load(path: str, parse, what: str):
     """Read and parse one YAML document; any failure is a usage error."""
     try:
@@ -182,7 +190,7 @@ def _build_parser() -> _Parser:
     p_diag = sub.add_parser("diagnose-estimator",
                             help="Monte Carlo estimator diagnostics vs closed-form bounds")
     p_diag.add_argument("--config", required=True, help="experiment YAML path")
-    p_diag.add_argument("--trials", type=int, default=20000)
+    p_diag.add_argument("--trials", type=_positive_int, default=20000)
     p_diag.add_argument("--seed", type=int, default=None)
     p_diag.add_argument("--out", default=None)
     p_diag.set_defaults(func=_cmd_diagnose_estimator)

@@ -91,13 +91,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
     msec = _take(_require(raw, "model", "top level"), "model",
                  {"layer_dims", "activation", "cut_index", "loss", "bias"})
+    bias = msec.get("bias", True)
+    if not isinstance(bias, bool):
+        raise ConfigError(f"model.bias must be true or false, got {bias!r}")
     try:
         model_cfg = SplitModelConfig(
             layer_dims=tuple(_require(msec, "layer_dims", "model")),
             activation=msec.get("activation", "tanh"),
             cut_index=int(msec.get("cut_index", 1)),
             loss=msec.get("loss", "squared_error"),
-            bias=bool(msec.get("bias", True)),
+            bias=bias,
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -262,15 +265,21 @@ def parse_latency_profile(text: str) -> LatencyProfileConfig:
         net = NetworkProfile(**{k: float(v) for k, v in nsec.items()})
         dev = DeviceProfile(**{k: float(v) for k, v in dsec.items()})
         work = WorkloadProfile(**{k: int(v) for k, v in wsec.items()})
+        prof = LatencyProfileConfig(
+            network=net, device=dev, workload=work,
+            layer_min=int(ssec.get("layer_min", 2)),
+            layer_max=int(ssec.get("layer_max", 8)),
+            noise_trials=int(ssec.get("noise_trials", 0)),
+            noise_frac=float(ssec.get("noise_frac", 0.1)),
+            noise_seed=int(ssec.get("noise_seed", 0)),
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"latency profile: {exc}") from exc
-    lo = int(ssec.get("layer_min", 2))
-    hi = int(ssec.get("layer_max", 8))
-    if not 1 <= lo <= hi < work.total_layers:
+    if not 1 <= prof.layer_min <= prof.layer_max < work.total_layers:
         raise ConfigError("sweep layer range must satisfy 1 <= min <= max < total_layers")
-    return LatencyProfileConfig(
-        network=net, device=dev, workload=work, layer_min=lo, layer_max=hi,
-        noise_trials=int(ssec.get("noise_trials", 0)),
-        noise_frac=float(ssec.get("noise_frac", 0.1)),
-        noise_seed=int(ssec.get("noise_seed", 0)),
-    )
+    if prof.noise_trials < 0:
+        raise ConfigError(f"sweep.noise_trials must be non-negative, got {prof.noise_trials}")
+    # the jitter factors 1 +- noise_frac must keep every speed positive
+    if not 0.0 <= prof.noise_frac <= 1.0:
+        raise ConfigError(f"sweep.noise_frac must lie in [0, 1], got {prof.noise_frac}")
+    return prof

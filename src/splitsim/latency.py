@@ -87,12 +87,11 @@ class RoundTimeline:
     t_uplink: float
     t_server: float
     t_downlink: float
-    t_perturb_total: float
     idle_window: float
 
 
-def round_timeline(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
-                   perturbations: int = 0) -> RoundTimeline:
+def round_timeline(net: NetworkProfile, dev: DeviceProfile,
+                   work: WorkloadProfile) -> RoundTimeline:
     """Phase times for one round and the client idle window.
 
     Half the RTT is attributed to each direction. The idle window covers
@@ -108,7 +107,7 @@ def round_timeline(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfil
     t_down = payload_bits / net.downlink_bps + net.rtt_seconds / 2
     t_server = 3.0 * (work.total_layers - work.client_layers) * layer / server_speed
     idle = t_up + t_server + t_down
-    return RoundTimeline(t_fwd, t_up, t_server, t_down, perturbations * t_fwd, idle)
+    return RoundTimeline(t_fwd, t_up, t_server, t_down, idle)
 
 
 def max_overlapped_perturbations(net: NetworkProfile, dev: DeviceProfile,

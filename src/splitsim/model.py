@@ -2,7 +2,11 @@
 
 No autodiff framework: each layer is a linear map plus an elementwise
 activation, and gradients are computed by explicit chain rule. This keeps
-every operation bitwise deterministic and dependency-free.
+every operation bitwise deterministic and dependency-free. One layer stack
+does all the arithmetic: _forward runs any run of layers (the client half,
+the server half, or a stack of client parameter vectors at once) and
+_backward runs the chain rule back through it, so every public pass is a
+thin wrapper and the stacked forward matches the single one byte for byte.
 
 Parameter layout: layers are packed in order into one flat float64 vector,
 each layer as row-major weights (in_dim x out_dim) followed by the bias
@@ -122,10 +126,6 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def _inputs_of(batch) -> np.ndarray:
-    return batch.inputs if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
-
-
 def _act(name: str, x: np.ndarray) -> np.ndarray:
     if name == "identity":
         return x
@@ -145,33 +145,82 @@ def _act_deriv(name: str, pre: np.ndarray) -> np.ndarray:
 
 
 def _unpack(theta: np.ndarray, cfg: SplitModelConfig, lo: int, hi: int):
-    """Views of (W, b) for layers lo..hi-1 out of a flat vector."""
+    """Views of (W, b) for layers lo..hi-1 out of a flat vector.
+
+    A stack of vectors, theta of shape (..., n), gives W of shape
+    (..., in, out) and b of shape (..., 1, out).
+    """
     expected = sum(cfg.layer_param_count(i) for i in range(lo, hi))
-    if theta.ndim != 1 or theta.shape[0] != expected:
+    if theta.ndim < 1 or theta.shape[-1] != expected:
         raise DimensionMismatchError(
             f"parameter vector has length {theta.shape}, expected ({expected},)"
         )
+    lead = theta.shape[:-1]
     params = []
     off = 0
     for i in range(lo, hi):
         ni, no = cfg.layer_dims[i], cfg.layer_dims[i + 1]
-        w = theta[off:off + ni * no].reshape(ni, no)
+        w = theta[..., off:off + ni * no].reshape(lead + (ni, no))
         off += ni * no
-        b = None
-        if cfg.bias:
-            b = theta[off:off + no]
-            off += no
+        b = theta[..., None, off:off + no] if cfg.bias else None
+        off += no if cfg.bias else 0
         params.append((w, b))
     return params
 
 
-def _pack_grads(grads) -> np.ndarray:
-    flat = []
-    for gw, gb in grads:
-        flat.append(gw.ravel())
-        if gb is not None:
-            flat.append(gb)
-    return np.concatenate(flat) if flat else np.zeros(0)
+# -----------------------------------------------------------------------------
+# The layer stack: one forward and one backward serve every pass
+# -----------------------------------------------------------------------------
+
+def _forward(params, x, cfg, linear_last):
+    """(hs, pres): hs[k] is the input of layer k, hs[-1] the stack output,
+    pres[k] the pre-activation of layer k. The last layer skips the
+    activation when linear_last is set."""
+    hs, pres = [x], []
+    last = len(params) - 1
+    for k, (w, b) in enumerate(params):
+        pre = hs[-1] @ w
+        if b is not None:
+            pre = pre + b
+        pres.append(pre)
+        hs.append(pre if linear_last and k == last else _act(cfg.activation, pre))
+    return hs, pres
+
+
+def _backward(params, hs, pres, delta, cfg, linear_last):
+    """Chain rule from delta = gradient w.r.t. the output back through what
+    _forward ran on one parameter vector (not a stack). Returns the flat
+    parameter gradient (layout as in _unpack) and the gradient w.r.t. x."""
+    pieces = []
+    last = len(params) - 1
+    for k in range(last, -1, -1):
+        w, b = params[k]
+        if not (linear_last and k == last):
+            delta = delta * _act_deriv(cfg.activation, pres[k])
+        if b is not None:
+            pieces.append(delta.sum(axis=0))
+        pieces.append((hs[k].T @ delta).ravel())
+        delta = delta @ w.T
+    return np.concatenate(pieces[::-1]), delta
+
+
+def _client_forward_cached(theta_c, batch, cfg):
+    x = batch.inputs if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
+    if x.shape[1] != cfg.n_in:
+        raise DimensionMismatchError(
+            f"inputs have width {x.shape[1]}, model expects {cfg.n_in}"
+        )
+    params = _unpack(np.asarray(theta_c, dtype=np.float64), cfg, 0, cfg.cut_index)
+    return (params, *_forward(params, x, cfg, linear_last=False))
+
+
+def _server_forward_cached(theta_s, z, cfg):
+    params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, cfg.cut_index, cfg.n_layers)
+    hs, pres = _forward(params, np.asarray(z, dtype=np.float64), cfg, linear_last=True)
+    for k, pre in enumerate(pres):
+        if not np.all(np.isfinite(pre)):
+            raise NumericalError(f"non-finite values after server layer {cfg.cut_index + k}")
+    return params, hs, pres
 
 
 # -----------------------------------------------------------------------------
@@ -180,63 +229,20 @@ def _pack_grads(grads) -> np.ndarray:
 
 def client_forward(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
     """Cut-layer activation (B x D) for the client half. Pure and deterministic."""
-    x = _inputs_of(batch)
-    if x.shape[1] != cfg.n_in:
-        raise DimensionMismatchError(
-            f"inputs have width {x.shape[1]}, model expects {cfg.n_in}"
-        )
-    theta_c = np.asarray(theta_c, dtype=np.float64)
-    h = x
-    for w, b in _unpack(theta_c, cfg, 0, cfg.cut_index):
-        h = h @ w
-        if b is not None:
-            h = h + b
-        h = _act(cfg.activation, h)
-    return h
+    return _client_forward_cached(theta_c, batch, cfg)[1][-1]
 
 
 def client_forward_multi(thetas: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
     """Client forward over a stack of parameter vectors.
 
-    thetas is (n, d_c); returns (n, B, D). Used by Monte Carlo diagnostics
-    where thousands of perturbed forwards are needed at once.
+    thetas is (n, d_c); returns (n, B, D) whose row i is byte-identical to
+    client_forward(thetas[i]). Used by Monte Carlo diagnostics where
+    thousands of perturbed forwards are needed at once.
     """
-    x = _inputs_of(batch)
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != cfg.d_c:
         raise DimensionMismatchError(f"thetas must be (n, {cfg.d_c})")
-    n = thetas.shape[0]
-    h = None
-    off = 0
-    for i in range(cfg.cut_index):
-        ni, no = cfg.layer_dims[i], cfg.layer_dims[i + 1]
-        w = thetas[:, off:off + ni * no].reshape(n, ni, no)
-        off += ni * no
-        if h is None:
-            h = np.einsum("bi,nio->nbo", x, w)
-        else:
-            h = np.einsum("nbi,nio->nbo", h, w)
-        if cfg.bias:
-            h = h + thetas[:, off:off + no][:, None, :]
-            off += no
-        h = _act(cfg.activation, h)
-    return h
-
-
-def _server_forward_cached(theta_s, z, cfg):
-    params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, cfg.cut_index, cfg.n_layers)
-    hs = [np.asarray(z, dtype=np.float64)]
-    pres = []
-    for k, (w, b) in enumerate(params):
-        pre = hs[-1] @ w
-        if b is not None:
-            pre = pre + b
-        if not np.all(np.isfinite(pre)):
-            raise NumericalError(f"non-finite values after server layer {cfg.cut_index + k}")
-        pres.append(pre)
-        last = k == len(params) - 1
-        hs.append(pre if last else _act(cfg.activation, pre))
-    return params, hs, pres
+    return _client_forward_cached(thetas, batch, cfg)[1][-1]
 
 
 def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig):
@@ -290,17 +296,8 @@ def server_forward_backward(theta_s: np.ndarray, z: np.ndarray, labels, cfg: Spl
     loss, delta = _loss_and_grad(hs[-1], labels, cfg)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss at the output layer")
-    grads = [None] * len(params)
-    for k in range(len(params) - 1, -1, -1):
-        w, b = params[k]
-        gw = hs[k].T @ delta
-        gb = delta.sum(axis=0) if b is not None else None
-        grads[k] = (gw, gb)
-        delta = delta @ w.T
-        if k > 0:
-            delta = delta * _act_deriv(cfg.activation, pres[k - 1])
-    lam = delta
-    return loss, _pack_grads(grads), lam
+    g_s, lam = _backward(params, hs, pres, delta, cfg, linear_last=True)
+    return loss, g_s, lam
 
 
 def full_loss(theta: np.ndarray, batch, cfg: SplitModelConfig) -> float:
@@ -308,11 +305,10 @@ def full_loss(theta: np.ndarray, batch, cfg: SplitModelConfig) -> float:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (cfg.d,):
         raise DimensionMismatchError(f"theta has shape {theta.shape}, expected ({cfg.d},)")
-    z = client_forward(theta[: cfg.d_c], batch, cfg)
-    labels = batch.labels if isinstance(batch, Batch) else None
-    if labels is None:
+    if not isinstance(batch, Batch):
         raise DimensionMismatchError("full_loss requires a Batch with labels")
-    return server_loss(theta[cfg.d_c:], z, labels, cfg)
+    z = client_forward(theta[: cfg.d_c], batch, cfg)
+    return server_loss(theta[cfg.d_c:], z, batch.labels, cfg)
 
 
 # -----------------------------------------------------------------------------
@@ -326,32 +322,13 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
     Backpropagates lam (B x D) through the client layers, returning the
     gradient w.r.t. the flat client parameters.
     """
-    x = _inputs_of(batch)
-    theta_c = np.asarray(theta_c, dtype=np.float64)
-    params = _unpack(theta_c, cfg, 0, cfg.cut_index)
-    hs = [x]
-    pres = []
-    for w, b in params:
-        pre = hs[-1] @ w
-        if b is not None:
-            pre = pre + b
-        pres.append(pre)
-        hs.append(_act(cfg.activation, pre))
+    params, hs, pres = _client_forward_cached(theta_c, batch, cfg)
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != hs[-1].shape:
         raise DimensionMismatchError(
             f"lambda has shape {lam.shape}, expected {hs[-1].shape}"
         )
-    delta = lam
-    grads = [None] * len(params)
-    for k in range(len(params) - 1, -1, -1):
-        w, b = params[k]
-        delta = delta * _act_deriv(cfg.activation, pres[k])
-        gw = hs[k].T @ delta
-        gb = delta.sum(axis=0) if b is not None else None
-        grads[k] = (gw, gb)
-        delta = delta @ w.T
-    return _pack_grads(grads)
+    return _backward(params, hs, pres, lam, cfg, linear_last=False)[0]
 
 
 def analytic_client_gradient(theta: np.ndarray, batch: Batch, cfg: SplitModelConfig) -> np.ndarray:
@@ -370,19 +347,15 @@ def analytic_client_gradient(theta: np.ndarray, batch: Batch, cfg: SplitModelCon
 def client_jacobian(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
     """Dense Jacobian of the stacked cut activation w.r.t. client parameters.
 
-    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]. Desk-scale
-    only, used to measure regularity constants.
+    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]: one forward,
+    then one backward per unit feedback. Desk-scale only, used to measure
+    regularity constants.
     """
-    x = _inputs_of(batch)
-    b_sz = x.shape[0]
-    d = cfg.cut_width
-    jac = np.zeros((b_sz, d, cfg.d_c))
-    for b in range(b_sz):
-        for k in range(d):
-            unit = np.zeros((b_sz, d))
-            unit[b, k] = 1.0
-            jac[b, k] = client_backward_from_lambda(theta_c, x, unit, cfg)
-    return jac
+    params, hs, pres = _client_forward_cached(theta_c, batch, cfg)
+    b_sz, d = hs[-1].shape
+    units = np.eye(b_sz * d).reshape(b_sz * d, b_sz, d)
+    rows = [_backward(params, hs, pres, unit, cfg, linear_last=False)[0] for unit in units]
+    return np.stack(rows).reshape(b_sz, d, cfg.d_c)
 
 
 # -----------------------------------------------------------------------------

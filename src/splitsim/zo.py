@@ -113,6 +113,16 @@ def theory_bounds(d_c: int, P: int, mu: float, gamma: float) -> TheoryBounds:
     return TheoryBounds(c1, sigma_zo_sq, bias_bound_sq, d_c, P, mu, gamma)
 
 
+def _anchor(theta, batch: model.Batch, cfg: model.SplitModelConfig):
+    """(theta_c, z, lambda, g_c) at theta: the client half, its cut activation,
+    the server's activation feedback and the exact client gradient."""
+    theta = np.asarray(theta, dtype=np.float64)
+    theta_c = theta[: cfg.d_c]
+    z = model.client_forward(theta_c, batch, cfg)
+    _, _, lam = model.server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
+    return theta_c, z, lam, model.client_backward_from_lambda(theta_c, batch, lam, cfg)
+
+
 def measure_regularity_bound(theta: np.ndarray, batch: model.Batch,
                              cfg: model.SplitModelConfig, n_probe: int = 32,
                              step: float = 1e-4, seed: int = 0) -> float:
@@ -122,10 +132,7 @@ def measure_regularity_bound(theta: np.ndarray, batch: model.Batch,
     finite-difference probe of the client Hessian operator norm along
     random directions.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_c = theta[: cfg.d_c]
-    z = model.client_forward(theta_c, batch, cfg)
-    _, _, lam = model.server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
+    theta_c, z, lam, _ = _anchor(theta, batch, cfg)
     lam_norm = float(np.linalg.norm(lam))
     jac = model.client_jacobian(theta_c, batch, cfg).reshape(-1, cfg.d_c)
     jac_norm = float(np.linalg.norm(jac, 2))
@@ -166,11 +173,7 @@ def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_c = theta[: cfg.d_c]
-    z = model.client_forward(theta_c, batch, cfg)
-    _, _, lam = model.server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
-    g_true = model.client_backward_from_lambda(theta_c, batch, lam, cfg)
+    theta_c, z, lam, g_true = _anchor(theta, batch, cfg)
 
     sum_g = np.zeros(cfg.d_c)
     sum_sq = 0.0
@@ -205,11 +208,7 @@ def bias_curve(cfg: model.SplitModelConfig, theta: np.ndarray, batch: model.Batc
     and subtracts the known linear term (standard variance reduction; the
     estimate of E[g_hat] - g_c stays unbiased). Returns one bias norm per mu.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    theta_c = theta[: cfg.d_c]
-    z = model.client_forward(theta_c, batch, cfg)
-    _, _, lam = model.server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
-    g_true = model.client_backward_from_lambda(theta_c, batch, lam, cfg)
+    theta_c, z, lam, g_true = _anchor(theta, batch, cfg)
     seeds = [prng.derive_stream(seed, prng.STREAM_DIAG, i) for i in range(n_pairs)]
     u = gaussian_block(seeds, cfg.d_c)
     lin = u @ g_true

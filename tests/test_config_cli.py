@@ -77,6 +77,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="optimizer"):
             parse_config(text.replace("batch_size: 8", "batch_size: 8\n  optimizer: adam"))
 
+    def test_bias_parses_yaml_booleans(self):
+        text = GOOD.replace("cut_index: 1", "cut_index: 1\n  bias: false")
+        assert parse_config(text).model.bias is False
+        assert parse_config(GOOD).model.bias is True
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null", "[true]"])
+    def test_bias_rejects_non_booleans(self, value):
+        text = GOOD.replace("cut_index: 1", f"cut_index: 1\n  bias: {value}")
+        with pytest.raises(ConfigError, match="model.bias"):
+            parse_config(text)
+
     def test_round_trip(self):
         cfg = parse_config(GOOD)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -96,6 +107,23 @@ class TestParsing:
     def test_latency_profile_bad_range(self):
         with pytest.raises(ConfigError):
             parse_latency_profile("sweep: {layer_min: 9, layer_max: 2}\n")
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_latency_noise_frac_bounds_accepted(self, frac):
+        prof = parse_latency_profile(f"sweep: {{noise_trials: 5, noise_frac: {frac}}}\n")
+        assert (prof.noise_trials, prof.noise_frac) == (5, frac)
+
+    @pytest.mark.parametrize("sweep", ["{noise_trials: 5, noise_frac: 1.5}",
+                                       "{noise_trials: 5, noise_frac: -0.1}",
+                                       "{noise_frac: .nan}",
+                                       "{noise_trials: -3}"])
+    def test_latency_noise_settings_rejected(self, sweep):
+        with pytest.raises(ConfigError, match="noise_"):
+            parse_latency_profile(f"sweep: {sweep}\n")
+
+    def test_latency_non_numeric_sweep_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_latency_profile("sweep: {layer_min: two}\n")
 
 
 @pytest.fixture()
@@ -181,6 +209,20 @@ class TestCli:
         assert rc == 1
         assert re.search(r"client \d+ with an empty data shard", capsys.readouterr().err)
 
+    def test_string_bias_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bias.yaml"
+        path.write_text(GOOD.replace("cut_index: 1", 'cut_index: 1\n  bias: "false"'))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "model.bias" in capsys.readouterr().err
+
+    def test_bad_noise_profile_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "noise.yaml"
+        path.write_text("sweep: {noise_trials: 5, noise_frac: 1.5}\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep-latency", "--config", str(path), "--out", str(out)]) == 1
+        assert "noise_frac" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.main(["fly"]) == 1
 
@@ -227,6 +269,16 @@ class TestCli:
         report = json.loads((out / "estimator_report.json").read_text())
         assert report["empirical_second_moment"] <= report["second_moment_bound"]
         assert report["c1"] == 2 * (1 + (report["d_c"] + 1) / report["P"])
+
+    @pytest.mark.parametrize("trials", ["0", "-5", "many"])
+    def test_diagnose_estimator_bad_trials_is_usage_error(self, trials, config_file,
+                                                          tmp_path, capsys):
+        out = tmp_path / "di"
+        rc = cli.main(["diagnose-estimator", "--config", str(config_file),
+                       "--trials", trials, "--out", str(out)])
+        assert rc == 1
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMetricsEmission:

@@ -33,6 +33,24 @@ def test_shipped_config_combined_checksum(proto):
     assert runner.checksum_lines(result)[2] == f"combined_sha256={GOLDEN[proto]}"
 
 
+# layer_dims [8, 16, 8, 2] cut at 2: two tanh layers on each side of the cut
+DEEP = {
+    "hosfl": "3518c8a16eb773a792fec728ae1e144d379119a746f2e7c5923eee8bcf647c09",
+    "sfl": "fa7b58845dacb5ddc211f056a39983d9550fdb8fe2b889a62100354dd5d79855",
+    "zosfl": "0f37ad7dd60538b873d93451d71209e3f364ef7b65a180e71e131c968e1f0bb6",
+}
+
+
+@pytest.mark.parametrize("proto", sorted(DEEP))
+def test_deep_split_combined_checksum(proto):
+    cfg = yaml.safe_load(SHIPPED.read_text())
+    cfg["protocol"] = proto
+    cfg["model"].update(layer_dims=[8, 16, 8, 2], cut_index=2)
+    result = runner.run_experiment(parse_config(yaml.safe_dump(cfg)))
+    assert len(result.records) == 100
+    assert runner.checksum_lines(result)[2] == f"combined_sha256={DEEP[proto]}"
+
+
 def test_stragglers_adam_combined_checksum():
     # M=32 with K=2: most rounds replay a long catch-up under adam state
     cfg = yaml.safe_load(SHIPPED.read_text())

@@ -38,10 +38,6 @@ class TestLayerFlops:
 
 
 class TestTimeline:
-    def test_zero_perturbations_zero_overhead(self):
-        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B, perturbations=0)
-        assert tl.t_perturb_total == 0.0
-
     def test_ideal_network_and_server_has_no_idle(self):
         net = NetworkProfile(uplink_bps=1e18, downlink_bps=1e18, rtt_seconds=0.0)
         dev = DeviceProfile(server_flops_per_s=1e24)

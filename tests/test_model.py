@@ -128,11 +128,13 @@ class TestOracleSecondImplementation:
 
     def test_multi_forward_matches_single(self):
         cfg, theta, batch = _random_instance(9)
-        thetas = _rng(10).standard_normal((8, cfg.d_c))
-        stacked = client_forward_multi(thetas, batch, cfg)
-        for i in range(8):
-            single = client_forward(thetas[i], batch, cfg)
-            assert np.abs(stacked[i] - single).max() <= 1e-12
+        deep = SplitModelConfig((3, 4, 5, 2), "tanh", 2, "squared_error")
+        for cfg, x in [(cfg, batch), (deep, _rng(11).standard_normal((6, 3)))]:
+            thetas = _rng(10).standard_normal((8, cfg.d_c))
+            stacked = client_forward_multi(thetas, x, cfg)
+            for i in range(8):
+                single = client_forward(thetas[i], x, cfg)
+                assert stacked[i].tobytes() == single.tobytes()
 
 
 class TestGradientChecks:
@@ -149,6 +151,38 @@ class TestGradientChecks:
         fd_s = _fd_gradient(theta, batch, cfg, range(cfg.d_c, cfg.d))
         assert np.abs(g_c - fd_c).max() < 1e-6
         assert np.abs(g_s - fd_s).max() < 1e-6
+
+    @pytest.mark.parametrize("loss", ["squared_error", "softmax_cross_entropy"])
+    @pytest.mark.parametrize("act", ["tanh", "identity", "relu"])
+    @pytest.mark.parametrize("dims,cut", [((3, 4, 5, 2), 1), ((3, 4, 5, 2), 2),
+                                          ((2, 4, 3, 3, 2), 1), ((2, 4, 3, 3, 2), 3)],
+                             ids=["3-4-5-2_cut1", "3-4-5-2_cut2", "2-4-3-3-2_cut1",
+                                  "2-4-3-3-2_cut3"])
+    def test_deep_split_gradients_match_finite_differences(self, dims, cut, act, loss):
+        # both halves may hold several layers, so the activation derivative
+        # is applied between layers on each side of the cut
+        for seed in range(50):
+            rng = _rng(300 + seed)
+            cfg = SplitModelConfig(dims, act, cut, loss, bias=bool(seed % 2))
+            theta = rng.standard_normal(cfg.d) * 0.6
+            x = rng.standard_normal((4, cfg.n_in))
+            labels = (rng.standard_normal((4, cfg.n_out)) if loss == "squared_error"
+                      else rng.integers(0, cfg.n_out, size=4))
+            batch = Batch(x, labels)
+            _, c_hs, c_pres = model._client_forward_cached(theta[: cfg.d_c], batch, cfg)
+            z = c_hs[-1]
+            _, _, s_pres = model._server_forward_cached(theta[cfg.d_c:], z, cfg)
+            kinks = [np.abs(p).min() for p in c_pres + s_pres[:-1]]
+            if act != "relu" or min(kinks) > 1e-3:
+                break
+        else:
+            pytest.fail("no relu instance away from kinks")
+        g_c = analytic_client_gradient(theta, batch, cfg)
+        _, g_s, lam = server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
+        assert np.abs(g_c - _fd_gradient(theta, batch, cfg, range(cfg.d_c))).max() < 1e-6
+        assert np.abs(g_s - _fd_gradient(theta, batch, cfg, range(cfg.d_c, cfg.d))).max() < 1e-6
+        jac = client_jacobian(theta[: cfg.d_c], batch, cfg)
+        assert np.abs(np.einsum("bdk,bd->k", jac, lam) - g_c).max() < 1e-10
 
     def test_relu_gradient_away_from_kinks(self):
         rng = _rng(55)
