@@ -68,6 +68,27 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _int(value, where: str) -> int:
+    """value as an int. A bool or a non-integral number is a ConfigError,
+    never truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+
+
+def _float(value, where: str) -> float:
+    """value as a float. A bool is a ConfigError, never 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _load_yaml(text: str):
     try:
         return yaml.safe_load(text)
@@ -94,11 +115,16 @@ def parse_config(text: str) -> ExperimentConfig:
     bias = msec.get("bias", True)
     if not isinstance(bias, bool):
         raise ConfigError(f"model.bias must be true or false, got {bias!r}")
+    layer_dims = _require(msec, "layer_dims", "model")
+    if not isinstance(layer_dims, list):
+        raise ConfigError(f"model.layer_dims must be a list of integers, got {layer_dims!r}")
+    layer_dims = tuple(_int(d, "model.layer_dims") for d in layer_dims)
+    cut_index = _int(msec.get("cut_index", 1), "model.cut_index")
     try:
         model_cfg = SplitModelConfig(
-            layer_dims=tuple(_require(msec, "layer_dims", "model")),
+            layer_dims=layer_dims,
             activation=msec.get("activation", "tanh"),
-            cut_index=int(msec.get("cut_index", 1)),
+            cut_index=cut_index,
             loss=msec.get("loss", "squared_error"),
             bias=bias,
         )
@@ -108,50 +134,43 @@ def parse_config(text: str) -> ExperimentConfig:
     hsec = _take(_require(raw, "hp", "top level"), "hp",
                  {"eta", "T", "M", "K", "batch_size", "optimizer", "zo"})
     zsec = _take(hsec.get("zo") or {}, "hp.zo", {"P", "mu"})
+    P, mu = _int(zsec.get("P", 5), "hp.zo.P"), _float(zsec.get("mu", 1e-3), "hp.zo.mu")
+    ints = {key: _int(_require(hsec, key, "hp"), f"hp.{key}")
+            for key in ("M", "K", "batch_size")}
+    eta = _float(_require(hsec, "eta", "hp"), "hp.eta")
+    T = _int(hsec.get("T", 0), "hp.T")
     try:
-        zo_cfg = ZoConfig(P=int(zsec.get("P", 5)), mu=float(zsec.get("mu", 1e-3)))
-        hp = HyperParams(
-            eta=float(_require(hsec, "eta", "hp")),
-            T=int(hsec.get("T", 0)),
-            M=int(_require(hsec, "M", "hp")),
-            K=int(_require(hsec, "K", "hp")),
-            batch_size=int(_require(hsec, "batch_size", "hp")),
-            zo=zo_cfg,
-            optimizer=hsec.get("optimizer", "sgd"),
-        )
+        hp = HyperParams(eta=eta, T=T, zo=ZoConfig(P=P, mu=mu),
+                         optimizer=hsec.get("optimizer", "sgd"), **ints)
     except ValueError as exc:
         raise ConfigError(f"hp: {exc}") from exc
 
     psec = _take(raw.get("partition") or {}, "partition", {"mode", "alpha"})
+    alpha = _float(psec.get("alpha", 1.0), "partition.alpha")
     try:
-        partition = PartitionSpec(mode=psec.get("mode", "iid"),
-                                  alpha=float(psec.get("alpha", 1.0)), M=hp.M)
+        partition = PartitionSpec(mode=psec.get("mode", "iid"), alpha=alpha, M=hp.M)
     except ValueError as exc:
         raise ConfigError(f"partition: {exc}") from exc
 
     dsec = _take(raw.get("data") or {}, "data",
                  {"task", "n", "dim", "classes", "separation", "noise",
                   "out_dim", "eval_fraction"})
+    numbers = {key: _int(dsec.get(key, default), f"data.{key}") for key, default in
+               (("n", 1024), ("dim", model_cfg.n_in), ("classes", 2),
+                ("out_dim", model_cfg.n_out))}
+    numbers.update({key: _float(dsec.get(key, default), f"data.{key}") for key, default in
+                    (("separation", 3.0), ("noise", 0.0), ("eval_fraction", 0.2))})
     try:
-        data_cfg = DataConfig(
-            task=dsec.get("task", "classification_blobs"),
-            n=int(dsec.get("n", 1024)),
-            dim=int(dsec.get("dim", model_cfg.n_in)),
-            classes=int(dsec.get("classes", 2)),
-            separation=float(dsec.get("separation", 3.0)),
-            noise=float(dsec.get("noise", 0.0)),
-            out_dim=int(dsec.get("out_dim", model_cfg.n_out)),
-            eval_fraction=float(dsec.get("eval_fraction", 0.2)),
-        )
+        data_cfg = DataConfig(task=dsec.get("task", "classification_blobs"), **numbers)
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"data: {exc}") from exc
 
     budget = raw.get("sample_budget")
     if budget is not None:
-        budget = int(budget)
+        budget = _int(budget, "sample_budget")
         if budget < 0:
             raise ConfigError("sample_budget must be non-negative")
-    root_seed = int(raw.get("root_seed", 0))
+    root_seed = _int(raw.get("root_seed", 0), "root_seed")
     if not 0 <= root_seed <= MAX_SEED:
         raise ConfigError("root_seed must fit in 64 bits")
 
@@ -169,6 +188,12 @@ def _cross_validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"hp.optimizer {cfg.hp.optimizer!r} is supported by hosfl only; "
             f"{cfg.protocol} steps with sgd"
+        )
+    if cfg.partition.mode == "dirichlet" and cfg.data.task != "classification_blobs":
+        raise ConfigError(
+            f"partition.mode dirichlet needs class labels: Dirichlet label skew "
+            f"splits each class across clients, and {cfg.data.task} targets "
+            f"have no classes; use partition.mode iid"
         )
     if cfg.data.dim != cfg.model.n_in:
         raise ConfigError(
@@ -261,21 +286,20 @@ def parse_latency_profile(text: str) -> LatencyProfileConfig:
                   "bytes_per_activation"})
     ssec = _take(raw.get("sweep") or {}, "sweep",
                  {"layer_min", "layer_max", "noise_trials", "noise_frac", "noise_seed"})
+    net = {k: _float(v, f"network.{k}") for k, v in nsec.items()}
+    dev = {k: _float(v, f"device.{k}") for k, v in dsec.items()}
+    work = {k: _int(v, f"workload.{k}") for k, v in wsec.items()}
+    sweep = {key: _int(ssec.get(key, default), f"sweep.{key}") for key, default in
+             (("layer_min", 2), ("layer_max", 8), ("noise_trials", 0), ("noise_seed", 0))}
+    noise_frac = _float(ssec.get("noise_frac", 0.1), "sweep.noise_frac")
     try:
-        net = NetworkProfile(**{k: float(v) for k, v in nsec.items()})
-        dev = DeviceProfile(**{k: float(v) for k, v in dsec.items()})
-        work = WorkloadProfile(**{k: int(v) for k, v in wsec.items()})
         prof = LatencyProfileConfig(
-            network=net, device=dev, workload=work,
-            layer_min=int(ssec.get("layer_min", 2)),
-            layer_max=int(ssec.get("layer_max", 8)),
-            noise_trials=int(ssec.get("noise_trials", 0)),
-            noise_frac=float(ssec.get("noise_frac", 0.1)),
-            noise_seed=int(ssec.get("noise_seed", 0)),
+            network=NetworkProfile(**net), device=DeviceProfile(**dev),
+            workload=WorkloadProfile(**work), noise_frac=noise_frac, **sweep,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"latency profile: {exc}") from exc
-    if not 1 <= prof.layer_min <= prof.layer_max < work.total_layers:
+    if not 1 <= prof.layer_min <= prof.layer_max < prof.workload.total_layers:
         raise ConfigError("sweep layer range must satisfy 1 <= min <= max < total_layers")
     if prof.noise_trials < 0:
         raise ConfigError(f"sweep.noise_trials must be non-negative, got {prof.noise_trials}")

@@ -101,18 +101,22 @@ def iid_partition(n: int, m: int, seed: int) -> list:
 def dirichlet_partition(labels, m: int, alpha: float, seed: int) -> list:
     """Label-skewed split: per-class client proportions drawn Dirichlet(alpha).
 
-    Every index is assigned exactly once. If some shard comes out empty the
-    draw is retried up to DIRICHLET_RETRIES times, then the skewed partition
-    is kept with a warning.
+    labels is a vector of non-negative class indices. Every index is
+    assigned exactly once. If some shard comes out empty the draw is retried
+    up to DIRICHLET_RETRIES times, then the skewed partition is kept with a
+    warning.
     """
     if m < 1 or alpha <= 0:
         raise ValueError("need m >= 1 and alpha > 0")
     labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("dirichlet partition needs a vector of class indices")
     shards = None
     for attempt in range(DIRICHLET_RETRIES + 1):
         rng = _rng(seed + attempt)
         parts = [[] for _ in range(m)]
-        for cls in np.unique(labels):
+        # the classes present, ascending; np.unique would import numpy.ma
+        for cls in np.flatnonzero(np.bincount(labels)):
             idx = np.flatnonzero(labels == cls)
             idx = rng.permutation(idx)
             props = rng.dirichlet(np.full(m, alpha))

@@ -19,7 +19,7 @@ is the gradient of the mean loss with respect to the cut activation matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class SplitModelConfig:
     n + 1 entries. Layers [0, cut_index) live on the client; the cut
     activation has width layer_dims[cut_index]. The final layer is always
     linear; every other layer applies the configured activation.
+    d_c and d_s, the client and server parameter counts, are computed once.
     """
 
     layer_dims: tuple
@@ -45,6 +46,8 @@ class SplitModelConfig:
     cut_index: int = 1
     loss: str = "squared_error"
     bias: bool = True
+    d_c: int = field(init=False, repr=False, compare=False)
+    d_s: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
@@ -60,6 +63,9 @@ class SplitModelConfig:
             raise ValueError(
                 f"cut_index must lie strictly inside [0, {self.n_layers}]"
             )
+        counts = [self.layer_param_count(i) for i in range(self.n_layers)]
+        object.__setattr__(self, "d_c", sum(counts[:self.cut_index]))
+        object.__setattr__(self, "d_s", sum(counts[self.cut_index:]))
 
     @property
     def n_layers(self) -> int:
@@ -82,14 +88,6 @@ class SplitModelConfig:
         if self.bias:
             n += self.layer_dims[i + 1]
         return n
-
-    @property
-    def d_c(self) -> int:
-        return sum(self.layer_param_count(i) for i in range(self.cut_index))
-
-    @property
-    def d_s(self) -> int:
-        return sum(self.layer_param_count(i) for i in range(self.cut_index, self.n_layers))
 
     @property
     def d(self) -> int:
@@ -144,13 +142,15 @@ def _act_deriv(name: str, pre: np.ndarray) -> np.ndarray:
     return (pre > 0.0).astype(np.float64)
 
 
-def _unpack(theta: np.ndarray, cfg: SplitModelConfig, lo: int, hi: int):
-    """Views of (W, b) for layers lo..hi-1 out of a flat vector.
+def _unpack(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
+    """Views of (W, b) for the client layers (or the server layers) out of a
+    flat vector.
 
     A stack of vectors, theta of shape (..., n), gives W of shape
     (..., in, out) and b of shape (..., 1, out).
     """
-    expected = sum(cfg.layer_param_count(i) for i in range(lo, hi))
+    lo, hi, expected = ((0, cfg.cut_index, cfg.d_c) if client
+                        else (cfg.cut_index, cfg.n_layers, cfg.d_s))
     if theta.ndim < 1 or theta.shape[-1] != expected:
         raise DimensionMismatchError(
             f"parameter vector has length {theta.shape}, expected ({expected},)"
@@ -210,12 +210,12 @@ def _client_forward_cached(theta_c, batch, cfg):
         raise DimensionMismatchError(
             f"inputs have width {x.shape[1]}, model expects {cfg.n_in}"
         )
-    params = _unpack(np.asarray(theta_c, dtype=np.float64), cfg, 0, cfg.cut_index)
+    params = _unpack(np.asarray(theta_c, dtype=np.float64), cfg, client=True)
     return (params, *_forward(params, x, cfg, linear_last=False))
 
 
 def _server_forward_cached(theta_s, z, cfg):
-    params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, cfg.cut_index, cfg.n_layers)
+    params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, client=False)
     hs, pres = _forward(params, np.asarray(z, dtype=np.float64), cfg, linear_last=True)
     for k, pre in enumerate(pres):
         if not np.all(np.isfinite(pre)):
@@ -245,8 +245,9 @@ def client_forward_multi(thetas: np.ndarray, batch, cfg: SplitModelConfig) -> np
     return _client_forward_cached(thetas, batch, cfg)[1][-1]
 
 
-def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig):
-    """Batch-mean loss and its gradient w.r.t. the network output."""
+def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig, with_grad: bool = True):
+    """Batch-mean loss and its gradient w.r.t. the network output (None
+    unless with_grad is set)."""
     b = y_hat.shape[0]
     if cfg.loss == "squared_error":
         y = np.asarray(labels, dtype=np.float64)
@@ -258,13 +259,15 @@ def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig):
             )
         diff = y_hat - y
         loss = float(np.sum(diff * diff) / b)
-        return loss, 2.0 * diff / b
+        return loss, 2.0 * diff / b if with_grad else None
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != b:
         raise DimensionMismatchError("class labels must be a (B,) index vector")
     shifted = y_hat - y_hat.max(axis=1, keepdims=True)
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(log_z - shifted[np.arange(b), y]))
+    if not with_grad:
+        return loss, None
     probs = np.exp(shifted - log_z[:, None])
     grad = probs
     grad[np.arange(b), y] -= 1.0
@@ -274,7 +277,7 @@ def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig):
 def server_loss(theta_s: np.ndarray, z: np.ndarray, labels, cfg: SplitModelConfig) -> float:
     """Forward-only batch-mean loss of the server half on a given activation."""
     _, hs, _ = _server_forward_cached(theta_s, z, cfg)
-    loss, _ = _loss_and_grad(hs[-1], labels, cfg)
+    loss, _ = _loss_and_grad(hs[-1], labels, cfg, with_grad=False)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss at the output layer")
     return loss
@@ -379,7 +382,7 @@ def evaluate_model(theta: np.ndarray, batch: Batch, cfg: SplitModelConfig):
     theta = np.asarray(theta, dtype=np.float64)
     z = client_forward(theta[: cfg.d_c], batch, cfg)
     _, hs, _ = _server_forward_cached(theta[cfg.d_c:], z, cfg)
-    loss, _ = _loss_and_grad(hs[-1], batch.labels, cfg)
+    loss, _ = _loss_and_grad(hs[-1], batch.labels, cfg, with_grad=False)
     acc = None
     if cfg.loss == "softmax_cross_entropy":
         acc = float(np.mean(hs[-1].argmax(axis=1) == batch.labels))

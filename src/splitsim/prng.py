@@ -3,10 +3,13 @@
 Every random quantity in the simulator derives from a 64-bit root seed via
 the splitmix64 finalizer, so any draw can be regenerated from
 (root, stream tag, integer coordinates) alone. There is no global RNG state.
-gaussian_vector keeps a memo of its outputs: since every output is a pure
-function of (seed, dim), the memo changes no value. It is a least-recently
-used cache bounded in bytes (MEMO_BYTES), and the vectors it returns are
-read-only because callers share them.
+
+gaussian_block is the one Gaussian generator. gaussian_vector reads a memo
+of its rows: a round fills the memo with one block for all the directions
+it will ask for (prefetch_gaussians), and a miss is filled with a one-row
+block. Since every row is a pure function of (seed, dim), the memo changes
+no value. It is a least-recently used cache bounded in bytes (MEMO_BYTES),
+and the vectors it returns are read-only because callers share them.
 
 Normal variates come from a Box-Muller transform applied to 53-bit uniforms
 read off the counter stream. This transform is part of the on-disk/replay
@@ -90,12 +93,13 @@ def derive_seed(spec: SeedSpec) -> int:
 # Counter stream -> uniforms -> Gaussians
 # -----------------------------------------------------------------------------
 
-# Bytes of Gaussian output gaussian_vector keeps. The hybrid protocol asks
-# for the same P directions again and again: K projections and K+1
-# reconstructions in the live round, then once more for every round a
-# straggler replays. 512 KiB holds about 90 rounds of P=5 directions at
-# d_c=144. The bound is on bytes, not entries, so memory stays bounded at
-# any d_c (512 entries at d_c=200k would be about 800 MB).
+# Bytes of Gaussian output the memo keeps. The hybrid protocol fills it
+# with one block of P directions per round, then asks for the same P
+# directions again and again: K projections and K+1 reconstructions in the
+# live round, then once more for every round a straggler replays. 512 KiB
+# holds about 90 rounds of P=5 directions at d_c=144. The bound is on
+# bytes, not entries, so memory stays bounded at any d_c (512 entries at
+# d_c=200k would be about 800 MB).
 MEMO_BYTES = 512 * 1024
 
 
@@ -146,7 +150,10 @@ def gaussian_block(seeds, dim: int) -> np.ndarray:
 
 
 class _GaussianMemo:
-    """LRU of read-only Gaussian vectors keyed by (seed, dim), bounded in bytes."""
+    """LRU of read-only Gaussian vectors keyed by (seed, dim), bounded in bytes.
+
+    Every entry owns its buffer, so held is exactly the bytes kept alive.
+    """
 
     def __init__(self):
         self.held = 0
@@ -155,20 +162,30 @@ class _GaussianMemo:
     def get(self, seed: int, dim: int) -> np.ndarray:
         key = (seed, dim)
         vec = self.entries.get(key)
-        if vec is not None:
-            self.entries.move_to_end(key)
-            return vec
-        if dim < 0:
-            raise ValueError("dim must be non-negative")
-        vec = _box_muller(uniform_stream(seed, 2 * ((dim + 1) // 2)), dim)
-        vec.setflags(write=False)
-        size = vec.base.nbytes  # an odd dim keeps one extra draw alive
-        if size <= MEMO_BYTES:
-            while self.held + size > MEMO_BYTES:
-                self.held -= self.entries.popitem(last=False)[1].base.nbytes
-            self.entries[key] = vec
-            self.held += size
+        if vec is None:
+            return self._generate([seed], dim)[0]
+        self.entries.move_to_end(key)
         return vec
+
+    def fill(self, seeds, dim: int):
+        """Generate, as one block, the (seed, dim) entries not yet held."""
+        missing = [s for s in dict.fromkeys(seeds) if (s, dim) not in self.entries]
+        if missing:
+            self._generate(missing, dim)
+
+    def _generate(self, seeds: list, dim: int) -> list:
+        """Rows of gaussian_block(seeds, dim), each kept if it fits the budget."""
+        rows = []
+        for seed, row in zip(seeds, gaussian_block(seeds, dim)):
+            vec = row.copy()
+            vec.setflags(write=False)
+            rows.append(vec)
+            if vec.nbytes <= MEMO_BYTES:
+                while self.held + vec.nbytes > MEMO_BYTES:
+                    self.held -= self.entries.popitem(last=False)[1].nbytes
+                self.entries[(seed, dim)] = vec
+                self.held += vec.nbytes
+        return rows
 
 
 _MEMO = _GaussianMemo()
@@ -181,6 +198,15 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
     caller that asks for the same (seed, dim).
     """
     return _MEMO.get(seed & _MASK, dim)
+
+
+def prefetch_gaussians(seeds, dim: int):
+    """Fill the gaussian_vector memo for every seed with one gaussian_block.
+
+    Changes no value: later gaussian_vector calls return the same bits,
+    served from the memo while it still holds them.
+    """
+    _MEMO.fill([s & _MASK for s in seeds], dim)
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:

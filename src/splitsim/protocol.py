@@ -9,6 +9,11 @@ feedback, clients project P seeded perturbations into scalars, and the
 server broadcasts the aggregated scalars from which every client (and a
 canonical server-held copy) reconstructs the identical update.
 
+The hybrid and zeroth-order rounds fill the Gaussian memo with one block
+of their directions the moment they derive the seeds (prefetch_gaussians),
+so each later perturb_fn call for them is served from the memo; every call
+still happens and every value is unchanged.
+
 Stragglers never download parameters: they replay missed rounds from the
 stored (seeds, scalars, learning rate) history, applying the exact same
 update code path as live rounds, which is what makes catch-up bit-exact.
@@ -26,7 +31,8 @@ import numpy as np
 from . import model, prng
 from .data import Dataset
 from .errors import NumericalError, ProtocolViolationError, StalenessError
-from .prng import SeedSpec, derive_seed, derive_stream, gaussian_vector, ordered_mean, ordered_mean_scalar
+from .prng import (SeedSpec, derive_seed, derive_stream, gaussian_vector, ordered_mean,
+                   ordered_mean_scalar, prefetch_gaussians)
 from .traffic import FLOAT_BYTES, SEED_BYTES, MessageKind, TrafficLedger, label_payload_bytes
 from .zo import ZoConfig, reconstruct_gradient, zo_scalars
 
@@ -272,6 +278,7 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """Hybrid: server first-order, clients seeded zeroth-order from broadcast scalars."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
     seeds = tuple(derive_seed(SeedSpec(sim.root_seed, t, p)) for p in range(1, hp.zo.P + 1))
+    prefetch_gaussians(seeds, cfg.d_c)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
     activations = {}
@@ -335,11 +342,15 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     are averaged as in the first-order baseline.
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
+    seeds_c = [derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 1) for cid in selected]
+    seeds_s = [derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 2) for cid in selected]
+    prefetch_gaussians(seeds_c, cfg.d_c)
+    prefetch_gaussians(seeds_s, cfg.d_s)
     dir_c, dir_s, z_pairs = {}, {}, {}
-    for cid in selected:
+    for cid, seed_c, seed_s in zip(selected, seeds_c, seeds_s):
         theta_c = _pull_model(sim, cid)
-        dir_c[cid] = perturb_fn(derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 1), cfg.d_c)
-        dir_s[cid] = perturb_fn(derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 2), cfg.d_s)
+        dir_c[cid] = perturb_fn(seed_c, cfg.d_c)
+        dir_s[cid] = perturb_fn(seed_s, cfg.d_s)
         z_pairs[cid] = (model.client_forward(theta_c + mu * dir_c[cid], batches[cid], cfg),
                         model.client_forward(theta_c - mu * dir_c[cid], batches[cid], cfg))
         _upload(sim, cid, 2 * z_pairs[cid][0].size)

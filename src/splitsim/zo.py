@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model, prng
 from .errors import DimensionMismatchError, NumericalError
-from .prng import axpy, gaussian_block, gaussian_vector
+from .prng import gaussian_block, gaussian_vector
 
 
 @dataclass(frozen=True)
@@ -50,24 +50,23 @@ def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch
         raise DimensionMismatchError(
             f"lambda {lam.shape} and anchor {z_anchor.shape} disagree"
         )
-    values = []
-    for seed in seeds:
-        u = perturb_fn(seed, cfg.d_c)
-        z_tilde = model.client_forward(theta_c + zo.mu * u, batch, cfg)
-        v = float(np.einsum("bd,bd->", lam, z_tilde - z_anchor))
-        if not np.isfinite(v):
-            raise NumericalError("non-finite scalar projection")
-        values.append(v)
-    return tuple(values)
+    directions = np.array([perturb_fn(seed, cfg.d_c) for seed in seeds])
+    thetas = theta_c + zo.mu * directions
+    z_tilde = np.array([model.client_forward(theta, batch, cfg) for theta in thetas])
+    values = np.einsum("nbd,bd->n", z_tilde - z_anchor, lam)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite scalar projection")
+    return tuple(values.tolist())
 
 
 def reconstruct_gradient(aggregated_scalars, seeds, zo: ZoConfig, d_c: int,
                          perturb_fn=gaussian_vector) -> np.ndarray:
     """Rebuild the client update direction from broadcast (scalar, seed) pairs.
 
-    g = (1 / (P * mu)) * sum_p v_p * u_p, accumulated in perturbation order
-    and scaled once at the end. This exact order is the replay contract:
-    live rounds and catch-up replay both go through here.
+    g = (1 / (P * mu)) * sum_p v_p * u_p, scaled once at the end. The P
+    rows v_p * u_p are reduced in perturbation order, starting from 0.0.
+    This exact order is the replay contract: live rounds and catch-up
+    replay both go through here.
     """
     scalars = [float(v) for v in aggregated_scalars]
     seeds = list(seeds)
@@ -75,9 +74,11 @@ def reconstruct_gradient(aggregated_scalars, seeds, zo: ZoConfig, d_c: int,
         raise DimensionMismatchError(
             f"need {zo.P} scalars and seeds, got {len(scalars)} and {len(seeds)}"
         )
+    # in place, one row at a time: np.add.reduce over the stacked rows sums
+    # a lone column (d_c = 1) pairwise once P >= 8, which changes the bits
     acc = np.zeros(d_c)
     for v, seed in zip(scalars, seeds):
-        acc = axpy(v, perturb_fn(seed, d_c), acc)
+        acc += v * perturb_fn(seed, d_c)
     return acc / np.float64(zo.P * zo.mu)
 
 

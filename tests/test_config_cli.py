@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+import yaml
 
 from splitsim import cli, runner
 from splitsim.config import parse_config, parse_latency_profile, serialize_config
@@ -28,6 +29,22 @@ partition: {mode: iid}
 data: {task: classification_blobs, n: 200, classes: 2, separation: 3.0}
 sample_budget: 160
 """
+
+
+REGRESSION = (GOOD.replace("loss: softmax_cross_entropy", "loss: squared_error")
+              .replace("task: classification_blobs, n: 200, classes: 2, separation: 3.0",
+                       "task: regression_quadratic, n: 200"))
+
+
+def _with(text, path, value):
+    """text with the YAML field at dotted path set to value."""
+    raw = yaml.safe_load(text) or {}
+    *parents, leaf = path.split(".")
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return yaml.safe_dump(raw)
 
 
 class TestParsing:
@@ -87,6 +104,51 @@ class TestParsing:
         text = GOOD.replace("cut_index: 1", f"cut_index: 1\n  bias: {value}")
         with pytest.raises(ConfigError, match="model.bias"):
             parse_config(text)
+
+    @pytest.mark.parametrize("path,value", [
+        ("hp.M", 8.9), ("hp.K", True), ("hp.T", 2.5), ("hp.batch_size", 16.7),
+        ("hp.zo.P", 5.5), ("model.cut_index", 1.5), ("data.n", 1200.5),
+        ("data.classes", True), ("data.dim", False), ("data.out_dim", 1.5),
+        ("root_seed", 3.7), ("root_seed", False), ("sample_budget", 160.5),
+        ("model.layer_dims", [8, 16.9, 2]), ("model.layer_dims", [8, True, 2]),
+    ])
+    def test_integer_fields_reject_bools_and_fractions(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(_with(GOOD, path, value))
+
+    @pytest.mark.parametrize("path,value", [
+        ("hp.eta", True), ("hp.zo.mu", False), ("partition.alpha", True),
+        ("data.separation", True), ("data.noise", False), ("data.eval_fraction", True),
+    ])
+    def test_float_fields_reject_bools(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(_with(GOOD, path, value))
+
+    @pytest.mark.parametrize("path,value", [
+        ("network.uplink_bps", True), ("device.flops_utilization", False),
+        ("workload.batch", 32.5), ("workload.hidden", True), ("sweep.layer_min", 2.5),
+        ("sweep.noise_trials", True), ("sweep.noise_frac", True), ("sweep.noise_seed", 7.5),
+    ])
+    def test_latency_fields_reject_bools_and_fractions(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_latency_profile(_with("", path, value))
+
+    def test_layer_dims_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="model.layer_dims"):
+            parse_config(_with(GOOD, "model.layer_dims", 8))
+
+    def test_integral_numbers_still_parse(self):
+        cfg = parse_config(_with(_with(GOOD, "hp.M", 4.0), "hp.eta", 1))
+        assert (cfg.hp.M, cfg.hp.eta) == (4, 1.0)
+        assert isinstance(cfg.hp.M, int) and isinstance(cfg.hp.eta, float)
+
+    def test_regression_parses_with_iid(self):
+        cfg = parse_config(REGRESSION)
+        assert (cfg.data.task, cfg.partition.mode) == ("regression_quadratic", "iid")
+
+    def test_dirichlet_rejected_for_regression(self):
+        with pytest.raises(ConfigError, match="dirichlet needs class labels"):
+            parse_config(_with(REGRESSION, "partition.mode", "dirichlet"))
 
     def test_round_trip(self):
         cfg = parse_config(GOOD)
@@ -214,6 +276,21 @@ class TestCli:
         path.write_text(GOOD.replace("cut_index: 1", 'cut_index: 1\n  bias: "false"'))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "model.bias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [("hp.M", 8.9), ("hp.K", True),
+                                            ("model.layer_dims", [8, 4.5, 2])])
+    def test_non_integer_field_is_usage_error(self, path, value, tmp_path, capsys):
+        cfg_path = tmp_path / "num.yaml"
+        cfg_path.write_text(_with(GOOD, path, value))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert path in capsys.readouterr().err
+
+    def test_dirichlet_regression_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "reg.yaml"
+        path.write_text(_with(REGRESSION, "partition.mode", "dirichlet"))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "class labels" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_noise_profile_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "noise.yaml"

@@ -1,8 +1,14 @@
 """Synthetic tasks and client partitions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import splitsim
 from splitsim.data import (
     PartitionSpec,
     dirichlet_partition,
@@ -13,6 +19,9 @@ from splitsim.data import (
     make_regression_quadratic,
     partition_dataset,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _is_partition(shards, n):
@@ -109,6 +118,43 @@ class TestPartitions:
         with pytest.warns(UserWarning):
             shards = dirichlet_partition(labels, 8, alpha=0.01, seed=0)
         assert _is_partition(shards, 3)
+
+    def test_dirichlet_classes_taken_in_ascending_order(self):
+        # sparse, unordered class ids: the split draws per class present,
+        # ascending, exactly as a loop over np.unique(labels) does
+        labels = np.array([7, 2, 9, 2, 7, 7, 0, 9, 2, 0] * 13)
+        for seed, alpha in [(0, 0.5), (3, 1.0), (8, 20.0)]:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            parts = [[] for _ in range(3)]
+            for cls in np.unique(labels):
+                idx = rng.permutation(np.flatnonzero(labels == cls))
+                cuts = (np.cumsum(rng.dirichlet(np.full(3, alpha)))[:-1] * len(idx)).astype(int)
+                for part, chunk in zip(parts, np.split(idx, cuts)):
+                    part.extend(chunk.tolist())
+            want = [np.sort(np.asarray(p, dtype=np.int64)) for p in parts]
+            assert all(len(p) for p in want)  # no retry, so one draw decides
+            got = dirichlet_partition(labels, 3, alpha, seed)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_dirichlet_rejects_float_labels(self):
+        with pytest.raises(ValueError, match="class indices"):
+            dirichlet_partition(np.linspace(0.0, 1.0, 12), 2, alpha=1.0, seed=0)
+
+    def test_setup_does_not_import_numpy_ma(self):
+        # np.unique imports all of numpy.ma; set-up must not pay for it
+        code = ("import sys\n"
+                "from pathlib import Path\n"
+                "from splitsim import runner\n"
+                "from splitsim.config import parse_config\n"
+                "text = Path('configs/blobs_hosfl.yaml').read_text()\n"
+                "runner.build_simulation(parse_config(text))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(splitsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_partition_spec_dispatch(self):
         ds = make_classification_blobs(60, 2, 2, 2.0, seed=4)

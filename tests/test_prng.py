@@ -13,6 +13,7 @@ from splitsim.prng import (
     gaussian_block,
     gaussian_vector,
     mix64,
+    prefetch_gaussians,
 )
 
 MASK = (1 << 64) - 1
@@ -158,7 +159,9 @@ class TestGaussianMemo:
         for i in range(2000):
             gaussian_vector(derive_stream(23, i), 7 + i % 300)
             assert memo.held <= prng.MEMO_BYTES
-        assert memo.held == sum(v.base.nbytes for v in memo.entries.values())
+        # every entry owns its buffer, so its nbytes is all it keeps alive
+        assert all(v.base is None for v in memo.entries.values())
+        assert memo.held == sum(v.nbytes for v in memo.entries.values())
 
     def test_oversized_vector_is_not_retained(self):
         dim = prng.MEMO_BYTES // 8 + 1
@@ -169,9 +172,56 @@ class TestGaussianMemo:
         assert (24, dim) not in prng._MEMO.entries
         assert prng._MEMO.held == held
 
+    @pytest.mark.parametrize("dim", [0, 1, 7, 144])
+    def test_block_fill_stores_block_rows(self, dim):
+        seeds = [derive_stream(25, dim, i) for i in range(9)]
+        prefetch_gaussians(seeds, dim)
+        block = gaussian_block(seeds, dim)
+        for seed, row in zip(seeds, block):
+            assert prng._MEMO.entries[(seed, dim)].tobytes() == row.tobytes()
+            assert gaussian_vector(seed, dim).tobytes() == row.tobytes()
+
+    def test_fill_of_held_seeds_is_a_no_op(self):
+        seeds = [derive_stream(26, i) for i in range(5)]
+        prefetch_gaussians(seeds, 144)
+        memo = prng._MEMO
+        held, entries = memo.held, list(memo.entries.items())
+        prefetch_gaussians(seeds[::-1] + seeds, 144)
+        assert memo.held == held
+        assert list(memo.entries) == [key for key, _ in entries]
+        assert all(memo.entries[key] is vec for key, vec in entries)
+
+    def test_fill_after_eviction(self):
+        dim = 144
+        seeds = [derive_stream(27, i) for i in range(5)]
+        prefetch_gaussians(seeds, dim)
+        for i in range(2 * prng.MEMO_BYTES // (dim * 8)):
+            gaussian_vector(derive_stream(28, i), dim)
+        assert all((seed, dim) not in prng._MEMO.entries for seed in seeds)
+        gaussian_vector(seeds[0], dim)
+        # one held seed, also given as its negative alias, among evicted ones
+        prefetch_gaussians([seeds[0] - (1 << 64)] + seeds, dim)
+        for seed in seeds:
+            assert prng._MEMO.entries[(seed, dim)].tobytes() == _uncached(seed, dim).tobytes()
+        assert prng._MEMO.held == sum(v.nbytes for v in prng._MEMO.entries.values())
+
+    def test_fills_stay_within_budget(self):
+        memo = prng._MEMO
+        for i in range(300):
+            prefetch_gaussians([derive_stream(29, i, p) for p in range(1 + i % 40)],
+                               7 + i % 300)
+            assert memo.held <= prng.MEMO_BYTES
+        # a block larger than the budget keeps only what fits
+        prefetch_gaussians([derive_stream(30, p) for p in range(400)], 300)
+        assert memo.held <= prng.MEMO_BYTES
+        assert all(v.base is None for v in memo.entries.values())
+        assert memo.held == sum(v.nbytes for v in memo.entries.values())
+
     def test_negative_dim_rejected(self):
         with pytest.raises(ValueError):
             gaussian_vector(1, -1)
+        with pytest.raises(ValueError):
+            prefetch_gaussians([1], -1)
         with pytest.raises(ValueError):
             gaussian_block([1], -1)
 

@@ -27,6 +27,37 @@ def _rng(seed):
 LINEAR_1D = SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
 
 
+def _reference_scalars(theta_c, lam, z_anchor, batch, seeds, zo_cfg, cfg):
+    # one perturbed forward and one einsum per direction, in seed order
+    values = []
+    for seed in seeds:
+        u = prng.gaussian_vector(seed, cfg.d_c)
+        z_tilde = client_forward(theta_c + zo_cfg.mu * u, batch, cfg)
+        values.append(float(np.einsum("bd,bd->", lam, z_tilde - z_anchor)))
+    return tuple(values)
+
+
+def _reference_reconstruction(scalars, seeds, zo_cfg, d_c):
+    # the sequential axpy chain from 0.0, scaled once
+    acc = np.zeros(d_c)
+    for v, seed in zip(scalars, seeds):
+        acc = prng.axpy(float(v), prng.gaussian_vector(seed, d_c), acc)
+    return acc / np.float64(zo_cfg.P * zo_cfg.mu)
+
+
+def _scalar_pattern(rng, p, case):
+    # random magnitudes, some zeros and negative zeros, or all of one zero
+    v = rng.standard_normal(p) * 10.0 ** rng.integers(-6, 6, p)
+    if case == 1:
+        v[rng.random(p) < 0.5] = 0.0
+        v[rng.random(p) < 0.5] = -0.0
+    elif case == 2:
+        v[:] = 0.0
+    elif case == 3:
+        v[:] = -0.0
+    return v.tolist()
+
+
 class TestScalarProjections:
     def test_worked_linear_example(self):
         # z = theta * x with theta=2, x=1; lambda=3, mu=0.1, u=1 -> v = 3 * 0.1 = 0.3
@@ -89,6 +120,26 @@ class TestScalarProjections:
         zo_scalars(theta_c, np.ones_like(z), z, x, list(range(7)), ZoConfig(P=7, mu=1e-3), cfg)
         assert calls["n"] == 7
 
+    @pytest.mark.parametrize("cfg", [
+        LINEAR_1D,                                                   # d_c = 1
+        SplitModelConfig((3, 3, 2), "relu", 1, "squared_error", bias=False),  # d_c = 9
+        SplitModelConfig((8, 16, 2), "tanh", 1, "softmax_cross_entropy"),   # d_c = 144
+        SplitModelConfig((2, 4, 3, 2), "tanh", 2, "squared_error"),        # two client layers
+    ])
+    def test_matches_per_direction_reference_bytewise(self, cfg):
+        rng = _rng(30 + cfg.d_c)
+        for case in range(24):
+            p, b = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            theta_c = rng.standard_normal(cfg.d_c)
+            x = rng.standard_normal((b, cfg.n_in))
+            z = client_forward(theta_c, x, cfg)
+            lam = np.array(_scalar_pattern(rng, z.size, case % 4)).reshape(z.shape)
+            seeds = [prng.derive_stream(31, case, i) for i in range(p)]
+            zcfg = ZoConfig(P=p, mu=float(10.0 ** -rng.integers(1, 5)))
+            got = zo_scalars(theta_c, lam, z, x, seeds, zcfg, cfg)
+            want = _reference_scalars(theta_c, lam, z, x, seeds, zcfg, cfg)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_non_finite_projection_raises(self):
         with pytest.raises(NumericalError):
             zo_scalars(np.array([2.0]), np.array([[3.0]]), np.array([[2.0]]),
@@ -119,6 +170,20 @@ class TestReconstruction:
         a = reconstruct_gradient(v, seeds, cfgz, 6)
         b = reconstruct_gradient([2 * x for x in v], seeds, cfgz, 6)
         assert np.array_equal(2.0 * a, b)
+
+    @pytest.mark.parametrize("d_c", [0, 1, 7, 143, 144])
+    def test_matches_axpy_chain_bytewise(self, d_c):
+        # P up to 25 covers d_c = 1 with P >= 8, where a pairwise sum of the
+        # stacked rows would differ from the sequential chain
+        rng = _rng(40 + d_c)
+        for case in range(80):
+            p = int(rng.integers(1, 26))
+            seeds = [prng.derive_stream(41, d_c, case, i) for i in range(p)]
+            scalars = _scalar_pattern(rng, p, case % 4)
+            zcfg = ZoConfig(P=p, mu=float(10.0 ** -rng.integers(1, 5)))
+            got = reconstruct_gradient(scalars, seeds, zcfg, d_c)
+            want = _reference_reconstruction(scalars, seeds, zcfg, d_c)
+            assert got.tobytes() == want.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
