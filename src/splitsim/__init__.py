@@ -7,7 +7,7 @@ upload only those scalars, and reconstruct the shared update from broadcast
 (seed, scalar) pairs. Stragglers catch up bit-exactly by replaying history.
 """
 
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config
 from .data import Dataset, PartitionSpec, dirichlet_partition, iid_partition, make_classification_blobs, make_regression_quadratic
 from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, latency_sweep, max_overlapped_perturbations, round_timeline, transformer_layer_flops
 from .model import Batch, SplitModelConfig, analytic_client_gradient, client_forward, full_loss, server_forward_backward

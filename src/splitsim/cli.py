@@ -60,8 +60,6 @@ def _load(path: str, parse, what: str):
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     from dataclasses import replace
     if args.seed is not None:
-        if not 0 <= args.seed <= (1 << 64) - 1:
-            raise _UsageError("--seed must fit in 64 bits")
         cfg = replace(cfg, root_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
@@ -89,17 +87,16 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_latency(args) -> int:
     prof = (LatencyProfileConfig() if args.config is None
             else _load(args.config, parse_latency_profile, "profile"))
-    rows = latency.latency_sweep(
-        prof.network, prof.device, prof.workload,
-        range(prof.layer_min, prof.layer_max + 1),
-    )
+    sweep = prof.sweep
+    layers = range(sweep.layer_min, sweep.layer_max + 1)
+    rows = latency.latency_sweep(prof.network, prof.device, prof.workload, layers)
     text = latency.format_sweep_csv(rows)
-    if prof.noise_trials > 0:
+    if sweep.noise_trials > 0:
         extra = ["client_layers,p_max_mean,p_max_min,p_max_max"]
-        for lc in range(prof.layer_min, prof.layer_max + 1):
+        for lc in layers:
             mean, lo, hi = latency.noisy_pmax_stats(
                 prof.network, prof.device, prof.workload.replace_layers(lc),
-                prof.noise_frac, prof.noise_trials, prof.noise_seed,
+                sweep.noise_frac, sweep.noise_trials, sweep.noise_seed,
             )
             extra.append(f"{lc},{mean!r},{lo},{hi}")
         text += "\n".join(extra) + "\n"

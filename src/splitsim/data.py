@@ -42,16 +42,12 @@ class PartitionSpec:
 
     mode: str = "iid"
     alpha: float = 1.0
-    M: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
         if self.mode == "dirichlet" and self.alpha <= 0:
             raise ValueError("dirichlet alpha must be positive")
-        if self.M < 1:
-            raise ValueError("need at least one client")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -133,49 +129,8 @@ def dirichlet_partition(labels, m: int, alpha: float, seed: int) -> list:
     return shards
 
 
-def partition_dataset(dataset: Dataset, spec: PartitionSpec) -> list:
+def partition_dataset(dataset: Dataset, spec: PartitionSpec, m: int, seed: int) -> list:
+    """dataset's indices split into m client shards as spec says."""
     if spec.mode == "iid":
-        return iid_partition(len(dataset), spec.M, spec.seed)
-    return dirichlet_partition(dataset.labels, spec.M, spec.alpha, spec.seed)
-
-
-# -----------------------------------------------------------------------------
-# Delimited dump/load
-# -----------------------------------------------------------------------------
-
-def dump_dataset(dataset: Dataset, path, seed: int = 0):
-    """Self-describing delimited text dump; floats use repr for exact round trips."""
-    is_int = np.issubdtype(dataset.labels.dtype, np.integer)
-    label_width = 1 if dataset.labels.ndim == 1 else dataset.labels.shape[1]
-    with open(path, "w") as fh:
-        fh.write(
-            f"# task={dataset.task} n={len(dataset)} dim={dataset.inputs.shape[1]} "
-            f"label_kind={'int' if is_int else 'float'} label_width={label_width} "
-            f"seed={seed}\n"
-        )
-        for x, y in zip(dataset.inputs, np.atleast_2d(dataset.labels.T).T):
-            cells = [repr(v) for v in x.tolist()]
-            cells += [str(v) for v in np.atleast_1d(y).tolist()]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError("missing dataset header row")
-        meta = dict(field.split("=", 1) for field in header[2:].split())
-        dim = int(meta["dim"])
-        width = int(meta["label_width"])
-        is_int = meta["label_kind"] == "int"
-        inputs, labels = [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            inputs.append([float(c) for c in cells[:dim]])
-            raw = cells[dim:dim + width]
-            labels.append([int(c) for c in raw] if is_int else [float(c) for c in raw])
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64 if is_int else np.float64)
-    if width == 1 and is_int:
-        labels = labels.ravel()
-    return Dataset(inputs, labels, meta["task"])
+        return iid_partition(len(dataset), m, seed)
+    return dirichlet_partition(dataset.labels, m, spec.alpha, seed)

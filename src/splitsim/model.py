@@ -41,7 +41,7 @@ class SplitModelConfig:
     d_c and d_s, the client and server parameter counts, are computed once.
     """
 
-    layer_dims: tuple
+    layer_dims: tuple[int, ...]
     activation: str = "tanh"
     cut_index: int = 1
     loss: str = "squared_error"
@@ -50,7 +50,10 @@ class SplitModelConfig:
     d_s: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        widths = tuple(self.layer_dims)
+        if any(isinstance(d, bool) or int(d) != d for d in widths):
+            raise ValueError(f"layer widths must be integers, got {widths}")
+        object.__setattr__(self, "layer_dims", tuple(int(d) for d in widths))
         if len(self.layer_dims) < 2:
             raise ValueError("layer_dims needs at least input and output widths")
         if any(d < 1 for d in self.layer_dims):

@@ -46,10 +46,10 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class HyperParams:
     eta: float
-    T: int
     M: int
     K: int
     batch_size: int
+    T: int = 0
     zo: ZoConfig = field(default_factory=ZoConfig)
     optimizer: str = "sgd"
 

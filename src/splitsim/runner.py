@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model, prng, protocol
 from .config import DataConfig, ExperimentConfig, config_to_dict
-from .data import Dataset, PartitionSpec, make_classification_blobs, make_regression_quadratic, partition_dataset
+from .data import Dataset, make_classification_blobs, make_regression_quadratic, partition_dataset
 from .errors import ConfigError
 from .traffic import TrafficLedger, breakdown_report, format_breakdown_csv
 
@@ -71,9 +71,8 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     if n_eval > 0:
         eval_batch = model.Batch(full.inputs[n_train:], full.labels[n_train:])
 
-    spec = PartitionSpec(cfg.partition.mode, cfg.partition.alpha, cfg.hp.M,
-                         prng.derive_stream(root, prng.STREAM_PARTITION))
-    shards = partition_dataset(train, spec)
+    shards = partition_dataset(train, cfg.partition, cfg.hp.M,
+                               prng.derive_stream(root, prng.STREAM_PARTITION))
     empty = [cid for cid, shard in enumerate(shards, start=1) if len(shard) == 0]
     if empty:
         raise ConfigError(

@@ -1,15 +1,27 @@
 """Configuration schema and the command-line surface."""
 
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from splitsim import cli, runner
-from splitsim.config import parse_config, parse_latency_profile, serialize_config
+from splitsim.config import (
+    LatencyProfileConfig,
+    SweepConfig,
+    config_to_dict,
+    parse_config,
+    parse_latency_profile,
+)
+from splitsim.data import PartitionSpec
 from splitsim.errors import ConfigError
+from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile
 from splitsim.traffic import MessageKind
+
+LATENCY_EDGE = Path(__file__).resolve().parent.parent / "configs" / "latency_edge.yaml"
 
 GOOD = """
 protocol: hosfl
@@ -133,6 +145,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=re.escape(path)):
             parse_latency_profile(_with("", path, value))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf"])
+    @pytest.mark.parametrize("path", ["hp.eta", "hp.zo.mu", "partition.alpha",
+                                      "data.separation", "data.noise", "network.uplink_bps"])
+    def test_float_fields_reject_non_finite(self, path, value):
+        latency = path.startswith("network.")
+        parse = parse_latency_profile if latency else parse_config
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be a finite number")):
+            parse(_with("" if latency else GOOD, path, value))
+
     def test_layer_dims_must_be_a_list(self):
         with pytest.raises(ConfigError, match="model.layer_dims"):
             parse_config(_with(GOOD, "model.layer_dims", 8))
@@ -152,7 +173,37 @@ class TestParsing:
 
     def test_round_trip(self):
         cfg = parse_config(GOOD)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(yaml.safe_dump(config_to_dict(cfg))) == cfg
+
+    def test_shipped_latency_profile(self):
+        prof = parse_latency_profile(LATENCY_EDGE.read_text())
+        assert prof.network == NetworkProfile(uplink_bps=30e6, downlink_bps=200e6,
+                                              rtt_seconds=0.030)
+        assert prof.device == DeviceProfile(client_flops_per_s=2e12,
+                                            server_flops_per_s=312e12,
+                                            flops_utilization=0.7)
+        assert prof.workload == WorkloadProfile(batch=32, seq_len=256, hidden=2048,
+                                                total_layers=18, client_layers=4,
+                                                bytes_per_activation=2)
+        assert prof.sweep == SweepConfig(layer_min=2, layer_max=8, noise_trials=100,
+                                         noise_frac=0.1, noise_seed=7)
+
+    def test_null_sections_take_defaults(self):
+        prof = parse_latency_profile("network: null\nsweep:\n")
+        assert prof == LatencyProfileConfig()
+        cfg = parse_config(GOOD.replace("partition: {mode: iid}", "partition: null"))
+        assert cfg.partition == PartitionSpec()
+
+    @pytest.mark.parametrize("path", ["hp.T", "root_seed", "model.activation", "data.n"])
+    def test_null_rejected_for_plain_fields(self, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(_with(GOOD, path, None))
+
+    @pytest.mark.parametrize("path,value", [("partition", 0), ("hp.zo", False),
+                                            ("data", []), ("output_dir", 0)])
+    def test_non_mapping_sections_and_non_string_text_rejected(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(_with(GOOD, path, value))
 
     def test_latency_profile_defaults(self):
         prof = parse_latency_profile("")
@@ -164,7 +215,7 @@ class TestParsing:
             "network: {uplink_bps: 1.0e6}\nsweep: {layer_min: 3, layer_max: 5}\n"
         )
         assert prof.network.uplink_bps == 1e6
-        assert (prof.layer_min, prof.layer_max) == (3, 5)
+        assert (prof.sweep.layer_min, prof.sweep.layer_max) == (3, 5)
 
     def test_latency_profile_bad_range(self):
         with pytest.raises(ConfigError):
@@ -173,7 +224,7 @@ class TestParsing:
     @pytest.mark.parametrize("frac", [0.0, 1.0])
     def test_latency_noise_frac_bounds_accepted(self, frac):
         prof = parse_latency_profile(f"sweep: {{noise_trials: 5, noise_frac: {frac}}}\n")
-        assert (prof.noise_trials, prof.noise_frac) == (5, frac)
+        assert (prof.sweep.noise_trials, prof.sweep.noise_frac) == (5, frac)
 
     @pytest.mark.parametrize("sweep", ["{noise_trials: 5, noise_frac: 1.5}",
                                        "{noise_trials: 5, noise_frac: -0.1}",
@@ -245,6 +296,15 @@ class TestCli:
             ups[proto] = cells["ScalarUp"]
         assert ups["hosfl"] > 0
         assert ups["sfl"] == 0 and ups["zosfl"] == 0
+
+    @pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
+    def test_seed_override_outside_64_bits_is_usage_error(self, seed, config_file,
+                                                          tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(config_file), "--out", str(out), "--seed", seed])
+        assert rc == 1
+        assert "root_seed must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.yaml")])

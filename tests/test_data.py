@@ -12,9 +12,7 @@ import splitsim
 from splitsim.data import (
     PartitionSpec,
     dirichlet_partition,
-    dump_dataset,
     iid_partition,
-    load_dataset,
     make_classification_blobs,
     make_regression_quadratic,
     partition_dataset,
@@ -158,7 +156,7 @@ class TestPartitions:
 
     def test_partition_spec_dispatch(self):
         ds = make_classification_blobs(60, 2, 2, 2.0, seed=4)
-        shards = partition_dataset(ds, PartitionSpec("dirichlet", 1.0, 3, 7))
+        shards = partition_dataset(ds, PartitionSpec("dirichlet", 1.0), 3, 7)
         assert _is_partition(shards, 60)
 
     def test_partition_spec_validation(self):
@@ -167,35 +165,3 @@ class TestPartitions:
         with pytest.raises(ValueError):
             PartitionSpec("striped")
 
-
-class TestDumpLoad:
-    def test_round_trip_classification(self, tmp_path):
-        ds = make_classification_blobs(40, 3, 2, 2.0, seed=6)
-        path = tmp_path / "blobs.csv"
-        dump_dataset(ds, path, seed=6)
-        back = load_dataset(path)
-        assert back.task == ds.task
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
-
-    def test_round_trip_regression(self, tmp_path):
-        ds = make_regression_quadratic(25, 2, 2, seed=7)
-        path = tmp_path / "reg.csv"
-        dump_dataset(ds, path, seed=7)
-        back = load_dataset(path)
-        assert back.labels.shape == ds.labels.shape
-        assert back.labels.tobytes() == ds.labels.tobytes()
-
-    def test_header_is_self_describing(self, tmp_path):
-        ds = make_classification_blobs(10, 2, 2, 1.0, seed=8)
-        path = tmp_path / "d.csv"
-        dump_dataset(ds, path, seed=8)
-        header = path.read_text().splitlines()[0]
-        for token in ("task=classification_blobs", "dim=2", "seed=8"):
-            assert token in header
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0,0\n")
-        with pytest.raises(ValueError):
-            load_dataset(path)

@@ -60,3 +60,18 @@ def test_stragglers_adam_combined_checksum():
     assert len(result.records) == 100
     assert runner.checksum_lines(result)[2] == (
         "combined_sha256=886b2bc02a4da0d04d217622efa4781a5f4cd7fa7ca45d247d4c57139ca38317")
+
+
+# config_sha256 in every metrics.jsonl header; sample_budget unset falls back to hp.T
+CONFIG_DIGEST = {
+    "shipped": "db9a150fbf8501b6d5e7a418065a24542bfc389db6d28ec7620809d45c58afce",
+    "no_budget": "3823e574fb540c97ca428021b033b3af29871ea9e26a0288c74afafcf0469192",
+}
+
+
+def test_shipped_config_digest():
+    text = SHIPPED.read_text()
+    assert "sample_budget: 3200\n" in text
+    assert runner._config_digest(parse_config(text)) == CONFIG_DIGEST["shipped"]
+    no_budget = parse_config(text.replace("sample_budget: 3200\n", ""))
+    assert runner._config_digest(no_budget) == CONFIG_DIGEST["no_budget"]

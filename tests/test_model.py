@@ -261,6 +261,16 @@ class TestErrorsAndDeterminism:
         with pytest.raises(ValueError):
             SplitModelConfig((2, 2, 1), "tanh", 2)
 
+    @pytest.mark.parametrize("dims", [(8, 16.9, 2), (8, True, 2)])
+    def test_layer_widths_never_truncated(self, dims):
+        with pytest.raises(ValueError, match="layer widths must be integers"):
+            SplitModelConfig(dims)
+
+    def test_integral_layer_widths_become_ints(self):
+        cfg = SplitModelConfig((8, 16.0, np.int64(2)))
+        assert cfg.layer_dims == (8, 16, 2)
+        assert all(type(d) is int for d in cfg.layer_dims)
+
     def test_deterministic_outputs(self):
         cfg, theta, batch = _random_instance(4)
         a = analytic_client_gradient(theta, batch, cfg)
