@@ -10,8 +10,8 @@ upload only those scalars, and reconstruct the shared update from broadcast
 from .config import ExperimentConfig, parse_config
 from .data import Dataset, PartitionSpec, dirichlet_partition, iid_partition, make_classification_blobs, make_regression_quadratic
 from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, latency_sweep, max_overlapped_perturbations, round_timeline, transformer_layer_flops
-from .model import Batch, SplitModelConfig, analytic_client_gradient, client_forward, full_loss, server_forward_backward
-from .prng import SeedSpec, axpy, derive_seed, derive_stream, gaussian_block, gaussian_vector
+from .model import Batch, SplitModelConfig, client_forward, server_forward_backward
+from .prng import derive_stream, gaussian_block, gaussian_vector
 from .protocol import ClientState, HyperParams, RoundRecord, ServerState, Simulation, client_sync, run_round, sample_clients
 from .runner import RunResult, build_simulation, run_experiment, write_outputs
 from .traffic import MessageKind, TrafficLedger, breakdown_report, closed_form_traffic

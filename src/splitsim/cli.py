@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import latency, prng, runner, zo
+from . import latency, prng, protocol, runner, zo
 from .config import (
     ExperimentConfig,
     LatencyProfileConfig,
@@ -58,7 +59,6 @@ def _load(path: str, parse, what: str):
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
     if args.seed is not None:
         cfg = replace(cfg, root_seed=args.seed)
     if args.out is not None:
@@ -66,6 +66,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if cfg.output_dir is None:
         cfg = replace(cfg, output_dir="out")
     return cfg
+
+
+def _write(out_dir, name: str, text: str) -> Path:
+    """Write text to out_dir/name (out_dir "out" when unset), making the
+    directory first; return the path."""
+    out = Path(out_dir or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text)
+    return path
 
 
 def _cmd_run(args) -> int:
@@ -95,15 +105,12 @@ def _cmd_sweep_latency(args) -> int:
         extra = ["client_layers,p_max_mean,p_max_min,p_max_max"]
         for lc in layers:
             mean, lo, hi = latency.noisy_pmax_stats(
-                prof.network, prof.device, prof.workload.replace_layers(lc),
+                prof.network, prof.device, replace(prof.workload, client_layers=lc),
                 sweep.noise_frac, sweep.noise_trials, sweep.noise_seed,
             )
             extra.append(f"{lc},{mean!r},{lo},{hi}")
         text += "\n".join(extra) + "\n"
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "latency_sweep.csv"
-    path.write_text(text)
+    path = _write(args.out, "latency_sweep.csv", text)
     print(f"wrote sweep: {path}")
     for row in rows:
         print(f"client_layers={row.client_layers} p_max={row.p_max}")
@@ -113,9 +120,8 @@ def _cmd_sweep_latency(args) -> int:
 def _cmd_diagnose_estimator(args) -> int:
     cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
     sim = runner.build_simulation(cfg)
-    from .protocol import draw_batch
-    batch = draw_batch(sim.dataset, sim.clients[1].shard, cfg.hp.batch_size,
-                       prng.derive_stream(cfg.root_seed, prng.STREAM_BATCH, 0, 1))
+    batch = protocol.draw_batch(sim.dataset, sim.clients[1].shard, cfg.hp.batch_size,
+                                prng.derive_stream(cfg.root_seed, prng.STREAM_BATCH, 0, 1))
     theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
     diag = zo.estimator_diagnostics(cfg.model, theta, batch, cfg.hp.zo,
                                     n_trials=args.trials, seed=cfg.root_seed)
@@ -135,10 +141,7 @@ def _cmd_diagnose_estimator(args) -> int:
         "bias_bound_sq": bounds.bias_bound_sq,
         "second_moment_bound": bounds.c1 * diag.true_g_c_norm_sq + bounds.sigma_zo_sq,
     }
-    out = Path(cfg.output_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "estimator_report.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    path = _write(cfg.output_dir, "estimator_report.json", json.dumps(report, indent=2) + "\n")
     ok = report["empirical_second_moment"] <= report["second_moment_bound"]
     print(f"bias_sq={report['empirical_bias_sq']:.3e} "
           f"bound={report['bias_bound_sq']:.3e}")
@@ -158,10 +161,7 @@ def _cmd_report_traffic(args) -> int:
         for kind in MessageKind:
             lines.append(f"{proto},{kind.value},{kind.direction},{per_round[kind]}")
     text = "\n".join(lines) + "\n"
-    out = Path(cfg.output_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "traffic_closed_form.csv"
-    path.write_text(text)
+    path = _write(cfg.output_dir, "traffic_closed_form.csv", text)
     print(text, end="")
     print(f"wrote table: {path}")
     return 0

@@ -111,6 +111,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.noise_trials < 0:
             raise ValueError(f"noise_trials must be non-negative, got {self.noise_trials}")
+        if not 0 <= self.noise_seed <= MAX_SEED:
+            raise ValueError(f"noise_seed must fit in 64 bits, got {self.noise_seed}")
         # the jitter factors 1 +- noise_frac must keep every speed positive
         if not 0.0 <= self.noise_frac <= 1.0:
             raise ValueError(f"noise_frac must lie in [0, 1], got {self.noise_frac}")
@@ -133,14 +135,12 @@ class LatencyProfileConfig:
 # -----------------------------------------------------------------------------
 
 def _int(value, where: str) -> int:
-    """value as an int. A bool or a non-integral number is a ConfigError,
-    never truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int. Only an int or an integral float is one: a bool, a
+    string or a fraction is a ConfigError, never parsed or truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+    return int(value)
 
 
 def _float(value, where: str) -> float:

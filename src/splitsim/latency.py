@@ -16,7 +16,7 @@ peak for transformer inference on accelerators).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import prng
 
@@ -66,11 +66,6 @@ class WorkloadProfile:
         if min(self.batch, self.seq_len, self.hidden, self.bytes_per_activation) < 1:
             raise ValueError("workload dimensions must be positive")
 
-    def replace_layers(self, client_layers: int) -> "WorkloadProfile":
-        return WorkloadProfile(self.batch, self.seq_len, self.hidden,
-                               self.total_layers, client_layers,
-                               self.bytes_per_activation)
-
 
 def transformer_layer_flops(batch: int, seq_len: int, hidden: int) -> float:
     """Forward FLOPs of one transformer layer: dense blocks plus attention."""
@@ -83,11 +78,19 @@ def activation_payload_bytes(work: WorkloadProfile) -> int:
 
 @dataclass(frozen=True)
 class RoundTimeline:
+    client_layers: int
     t_client_fwd: float
     t_uplink: float
     t_server: float
     t_downlink: float
     idle_window: float
+
+    @property
+    def p_max(self) -> int:
+        """How many perturbation passes fit inside the client idle window."""
+        if not math.isfinite(self.t_client_fwd) or self.t_client_fwd <= 0:
+            return 0
+        return int(self.idle_window // self.t_client_fwd)
 
 
 def round_timeline(net: NetworkProfile, dev: DeviceProfile,
@@ -107,16 +110,13 @@ def round_timeline(net: NetworkProfile, dev: DeviceProfile,
     t_down = payload_bits / net.downlink_bps + net.rtt_seconds / 2
     t_server = 3.0 * (work.total_layers - work.client_layers) * layer / server_speed
     idle = t_up + t_server + t_down
-    return RoundTimeline(t_fwd, t_up, t_server, t_down, idle)
+    return RoundTimeline(work.client_layers, t_fwd, t_up, t_server, t_down, idle)
 
 
 def max_overlapped_perturbations(net: NetworkProfile, dev: DeviceProfile,
                                  work: WorkloadProfile) -> int:
     """How many perturbation passes fit inside the client idle window."""
-    tl = round_timeline(net, dev, work)
-    if not math.isfinite(tl.t_client_fwd) or tl.t_client_fwd <= 0:
-        return 0
-    return int(tl.idle_window // tl.t_client_fwd)
+    return round_timeline(net, dev, work).p_max
 
 
 def noisy_pmax_stats(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
@@ -137,28 +137,10 @@ def noisy_pmax_stats(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProf
     return sum(values) / len(values), min(values), max(values)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    client_layers: int
-    t_client_fwd: float
-    t_uplink: float
-    t_server: float
-    t_downlink: float
-    idle_window: float
-    p_max: int
-
-
 def latency_sweep(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
                   layer_range) -> list:
-    """One row per client depth: phase times and the overlap count."""
-    rows = []
-    for lc in layer_range:
-        w = work.replace_layers(lc)
-        tl = round_timeline(net, dev, w)
-        rows.append(SweepRow(lc, tl.t_client_fwd, tl.t_uplink, tl.t_server,
-                             tl.t_downlink, tl.idle_window,
-                             max_overlapped_perturbations(net, dev, w)))
-    return rows
+    """One timeline per client depth: phase times and the overlap count."""
+    return [round_timeline(net, dev, replace(work, client_layers=lc)) for lc in layer_range]
 
 
 def format_sweep_csv(rows) -> str:

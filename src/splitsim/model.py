@@ -231,21 +231,13 @@ def _server_forward_cached(theta_s, z, cfg):
 # -----------------------------------------------------------------------------
 
 def client_forward(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
-    """Cut-layer activation (B x D) for the client half. Pure and deterministic."""
-    return _client_forward_cached(theta_c, batch, cfg)[1][-1]
+    """Cut-layer activation (B x D) for the client half. Pure and deterministic.
 
-
-def client_forward_multi(thetas: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
-    """Client forward over a stack of parameter vectors.
-
-    thetas is (n, d_c); returns (n, B, D) whose row i is byte-identical to
-    client_forward(thetas[i]). Used by Monte Carlo diagnostics where
-    thousands of perturbed forwards are needed at once.
+    theta_c may also be an (n, d_c) stack of parameter vectors: the result
+    is then (n, B, D), and row i is byte-identical to the forward of
+    theta_c[i] alone.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2 or thetas.shape[1] != cfg.d_c:
-        raise DimensionMismatchError(f"thetas must be (n, {cfg.d_c})")
-    return _client_forward_cached(thetas, batch, cfg)[1][-1]
+    return _client_forward_cached(theta_c, batch, cfg)[1][-1]
 
 
 def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig, with_grad: bool = True):
@@ -306,17 +298,6 @@ def server_forward_backward(theta_s: np.ndarray, z: np.ndarray, labels, cfg: Spl
     return loss, g_s, lam
 
 
-def full_loss(theta: np.ndarray, batch, cfg: SplitModelConfig) -> float:
-    """Composite batch-mean loss of client forward followed by server forward."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (cfg.d,):
-        raise DimensionMismatchError(f"theta has shape {theta.shape}, expected ({cfg.d},)")
-    if not isinstance(batch, Batch):
-        raise DimensionMismatchError("full_loss requires a Batch with labels")
-    z = client_forward(theta[: cfg.d_c], batch, cfg)
-    return server_loss(theta[cfg.d_c:], z, batch.labels, cfg)
-
-
 # -----------------------------------------------------------------------------
 # Client-side backward (diagnostics and the first-order baseline)
 # -----------------------------------------------------------------------------
@@ -335,19 +316,6 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
             f"lambda has shape {lam.shape}, expected {hs[-1].shape}"
         )
     return _backward(params, hs, pres, lam, cfg, linear_last=False)[0]
-
-
-def analytic_client_gradient(theta: np.ndarray, batch: Batch, cfg: SplitModelConfig) -> np.ndarray:
-    """Exact gradient of the composite loss w.r.t. client parameters.
-
-    Diagnostics-only oracle: the zeroth-order client path never calls this.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (cfg.d,):
-        raise DimensionMismatchError(f"theta has shape {theta.shape}, expected ({cfg.d},)")
-    z = client_forward(theta[: cfg.d_c], batch, cfg)
-    _, _, lam = server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
-    return client_backward_from_lambda(theta[: cfg.d_c], batch, lam, cfg)
 
 
 def client_jacobian(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,30 +62,6 @@ def derive_stream(root: int, *parts: int) -> int:
     for v in parts:
         h = mix64((h + _GOLDEN + (v & _MASK)) & _MASK)
     return h
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Coordinates of one broadcast perturbation stream."""
-
-    root_seed: int
-    round: int
-    perturbation_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.root_seed <= _MASK:
-            raise ValueError("root_seed must fit in 64 bits")
-        if self.round < 0:
-            raise ValueError("round must be non-negative")
-        if self.perturbation_index < 1:
-            raise ValueError("perturbation_index starts at 1")
-
-
-def derive_seed(spec: SeedSpec) -> int:
-    """Seed for perturbation p of round t under a given root. Pure."""
-    return derive_stream(
-        spec.root_seed, STREAM_PERTURBATION, spec.round, spec.perturbation_index
-    )
 
 
 # -----------------------------------------------------------------------------
@@ -218,21 +193,6 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 # Fixed-order vector arithmetic
 # -----------------------------------------------------------------------------
 
-def _check_pair(a: np.ndarray, b: np.ndarray, op: str):
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"{op}: shape mismatch {a.shape} vs {b.shape}"
-        )
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """alpha * x + y, elementwise, returning a new vector."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pair(x, y, "axpy")
-    return np.float64(alpha) * x + y
-
-
 def ordered_mean(vectors) -> np.ndarray:
     """Mean of equal-length vectors, accumulated left-to-right then scaled once."""
     vectors = list(vectors)
@@ -240,7 +200,11 @@ def ordered_mean(vectors) -> np.ndarray:
         raise ValueError("ordered_mean of empty sequence")
     acc = np.zeros_like(np.asarray(vectors[0], dtype=np.float64))
     for v in vectors:
-        acc = axpy(1.0, v, acc)
+        if np.shape(v) != acc.shape:
+            raise DimensionMismatchError(
+                f"ordered_mean: shape mismatch {np.shape(v)} vs {acc.shape}"
+            )
+        acc += v
     return acc / np.float64(len(vectors))
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from . import model, prng
 from .data import Dataset
 from .errors import NumericalError, ProtocolViolationError, StalenessError
-from .prng import (SeedSpec, derive_seed, derive_stream, gaussian_vector, ordered_mean,
-                   ordered_mean_scalar, prefetch_gaussians)
+from .prng import (derive_stream, gaussian_vector, ordered_mean, ordered_mean_scalar,
+                   prefetch_gaussians)
 from .traffic import FLOAT_BYTES, SEED_BYTES, MessageKind, TrafficLedger, label_payload_bytes
 from .zo import ZoConfig, reconstruct_gradient, zo_scalars
 
@@ -130,7 +130,7 @@ class Simulation:
     model_cfg: model.SplitModelConfig
     hp: HyperParams
     dataset: Dataset
-    eval_batch: model.Batch | None
+    eval_batch: model.Batch
     server: ServerState
     clients: dict
     ledger: TrafficLedger
@@ -277,7 +277,8 @@ def _local_steps_and_average(sim: Simulation, selected, t: int, grad_fn) -> floa
 def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """Hybrid: server first-order, clients seeded zeroth-order from broadcast scalars."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    seeds = tuple(derive_seed(SeedSpec(sim.root_seed, t, p)) for p in range(1, hp.zo.P + 1))
+    seeds = tuple(derive_stream(sim.root_seed, prng.STREAM_PERTURBATION, t, p)
+                  for p in range(1, hp.zo.P + 1))
     prefetch_gaussians(seeds, cfg.d_c)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +43,6 @@ class RunResult:
     records: list
     sim: protocol.Simulation
 
-    @property
-    def final_theta_c(self) -> np.ndarray:
-        return self.sim.server.theta_c_global
-
-    @property
-    def final_theta_s(self) -> np.ndarray:
-        return self.sim.server.theta_s
-
 
 def _build_dataset(data_cfg: DataConfig, seed: int) -> Dataset:
     if data_cfg.task == "classification_blobs":
@@ -67,9 +59,9 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     n_eval = int(len(full) * cfg.data.eval_fraction)
     n_train = len(full) - n_eval
     train = Dataset(full.inputs[:n_train], full.labels[:n_train], full.task)
-    eval_batch = None
-    if n_eval > 0:
-        eval_batch = model.Batch(full.inputs[n_train:], full.labels[n_train:])
+    # with no held-out split, evaluation runs on the training set
+    start = n_train if n_eval > 0 else 0
+    eval_batch = model.Batch(full.inputs[start:], full.labels[start:])
 
     shards = partition_dataset(train, cfg.partition, cfg.hp.M,
                                prng.derive_stream(root, prng.STREAM_PARTITION))
@@ -95,14 +87,6 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     )
 
 
-def _evaluate(sim: protocol.Simulation):
-    batch = sim.eval_batch
-    if batch is None:
-        batch = model.Batch(sim.dataset.inputs, sim.dataset.labels)
-    theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
-    return model.evaluate_model(theta, batch, sim.model_cfg)
-
-
 def run_experiment(cfg: ExperimentConfig,
                    perturb_fn=prng.gaussian_vector) -> RunResult:
     """Run one configured experiment and return the full metrics log."""
@@ -113,7 +97,8 @@ def run_experiment(cfg: ExperimentConfig,
         rm = protocol.run_round(sim, perturb_fn)
         sim.ledger.close_round()
         samples += rm.samples
-        eval_loss, eval_acc = _evaluate(sim)
+        theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
+        eval_loss, eval_acc = model.evaluate_model(theta, sim.eval_batch, sim.model_cfg)
         records.append(MetricsRecord(
             round=rm.round, train_loss=rm.train_loss, eval_loss=eval_loss,
             eval_accuracy=eval_acc, grad_norm=rm.grad_norm,
@@ -139,27 +124,16 @@ def metrics_lines(result: RunResult) -> list:
         "protocol": result.config.protocol,
         "root_seed": result.config.root_seed,
         "config_sha256": _config_digest(result.config),
-        "fields": ["round", "train_loss", "eval_loss", "eval_accuracy",
-                   "grad_norm", "samples_processed", "traffic"],
+        "fields": [f.name for f in fields(MetricsRecord)],
     }
-    lines = [json.dumps(header)]
-    for r in result.records:
-        lines.append(json.dumps({
-            "record": "round",
-            "round": r.round,
-            "train_loss": r.train_loss,
-            "eval_loss": r.eval_loss,
-            "eval_accuracy": r.eval_accuracy,
-            "grad_norm": r.grad_norm,
-            "samples_processed": r.samples_processed,
-            "traffic": r.traffic,
-        }))
-    return lines
+    # vars, not dataclasses.asdict: asdict deep-copies every traffic dict
+    return [json.dumps(header)] + [json.dumps({"record": "round", **vars(r)})
+                                   for r in result.records]
 
 
 def checksum_lines(result: RunResult) -> list:
-    theta_c = result.final_theta_c.tobytes()
-    theta_s = result.final_theta_s.tobytes()
+    theta_c = result.sim.server.theta_c_global.tobytes()
+    theta_s = result.sim.server.theta_s.tobytes()
     return [
         f"theta_c_sha256={hashlib.sha256(theta_c).hexdigest()}",
         f"theta_s_sha256={hashlib.sha256(theta_s).hexdigest()}",

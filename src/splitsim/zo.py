@@ -131,26 +131,26 @@ def measure_regularity_bound(theta: np.ndarray, batch: model.Batch,
 
     Max of the feedback norm, the client Jacobian operator norm, and a
     finite-difference probe of the client Hessian operator norm along
-    random directions.
+    n_probe random unit directions, all probed in one stacked forward.
     """
     theta_c, z, lam, _ = _anchor(theta, batch, cfg)
     lam_norm = float(np.linalg.norm(lam))
     jac = model.client_jacobian(theta_c, batch, cfg).reshape(-1, cfg.d_c)
     jac_norm = float(np.linalg.norm(jac, 2))
-    hess = 0.0
-    for i in range(n_probe):
-        v = gaussian_vector(prng.derive_stream(seed, prng.STREAM_PROBE, i), cfg.d_c)
-        v = v / np.linalg.norm(v)
-        zp = model.client_forward(theta_c + step * v, batch, cfg)
-        zm = model.client_forward(theta_c - step * v, batch, cfg)
-        hvv = (zp - 2.0 * z + zm) / step ** 2
-        hess = max(hess, float(np.linalg.norm(hvv)))
+    seeds = [prng.derive_stream(seed, prng.STREAM_PROBE, i) for i in range(n_probe)]
+    u = gaussian_block(seeds, cfg.d_c)
+    # one 1-D norm per row: norm(u, axis=1) sums in another order
+    u /= np.array([np.linalg.norm(row) for row in u])[:, None]
+    z_pm = model.client_forward(np.concatenate([theta_c + step * u, theta_c - step * u]),
+                                batch, cfg)
+    hvv = (z_pm[:n_probe] - 2.0 * z + z_pm[n_probe:]) / step ** 2
+    hess = max([0.0] + [float(np.linalg.norm(h)) for h in hvv])
     return max(lam_norm, jac_norm, hess)
 
 
 def _projection_block(theta_c, lam, z_anchor, batch, directions, mu, cfg):
     """v_i = <lam, f_c(theta_c + mu * U_i) - z_anchor> for a stack of directions."""
-    z_tilde = model.client_forward_multi(theta_c[None, :] + mu * directions, batch, cfg)
+    z_tilde = model.client_forward(theta_c[None, :] + mu * directions, batch, cfg)
     return np.einsum("nbd,bd->n", z_tilde - z_anchor[None], lam)
 
 

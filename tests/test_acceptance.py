@@ -6,6 +6,7 @@ so failures still report their measurements.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -276,8 +277,8 @@ def test_criterion_9_latency_hiding():
     """Reference edge profile hides about four passes at four client layers."""
     t0 = time.time()
     net, dev, work = NetworkProfile(), DeviceProfile(), WorkloadProfile()
-    at_four = max_overlapped_perturbations(net, dev, work.replace_layers(4))
-    counts = [max_overlapped_perturbations(net, dev, work.replace_layers(lc))
+    at_four = max_overlapped_perturbations(net, dev, replace(work, client_layers=4))
+    counts = [max_overlapped_perturbations(net, dev, replace(work, client_layers=lc))
               for lc in range(2, 9)]
     mono = all(a >= b for a, b in zip(counts, counts[1:]))
     _verdict(9, at_four in (3, 4, 5) and mono,

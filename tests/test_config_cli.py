@@ -123,10 +123,18 @@ class TestParsing:
         ("data.classes", True), ("data.dim", False), ("data.out_dim", 1.5),
         ("root_seed", 3.7), ("root_seed", False), ("sample_budget", 160.5),
         ("model.layer_dims", [8, 16.9, 2]), ("model.layer_dims", [8, True, 2]),
+        ("hp.M", "8"), ("root_seed", "12"), ("data.n", "1200"),
     ])
     def test_integer_fields_reject_bools_and_fractions(self, path, value):
         with pytest.raises(ConfigError, match=re.escape(path)):
             parse_config(_with(GOOD, path, value))
+
+    def test_float_fields_accept_numeric_strings(self):
+        # PyYAML reads 1e-3 (no dot) as the string "1e-3", so a float field
+        # must keep parsing strings
+        assert yaml.safe_load("mu: 1e-3") == {"mu": "1e-3"}
+        cfg = parse_config(_with(GOOD.replace("mu: 1.0e-3", "mu: 1e-3"), "hp.eta", "0.05"))
+        assert (cfg.hp.zo.mu, cfg.hp.eta) == (1e-3, 0.05)
 
     @pytest.mark.parametrize("path,value", [
         ("hp.eta", True), ("hp.zo.mu", False), ("partition.alpha", True),
@@ -140,6 +148,7 @@ class TestParsing:
         ("network.uplink_bps", True), ("device.flops_utilization", False),
         ("workload.batch", 32.5), ("workload.hidden", True), ("sweep.layer_min", 2.5),
         ("sweep.noise_trials", True), ("sweep.noise_frac", True), ("sweep.noise_seed", 7.5),
+        ("sweep.noise_seed", "7"),
     ])
     def test_latency_fields_reject_bools_and_fractions(self, path, value):
         with pytest.raises(ConfigError, match=re.escape(path)):
@@ -229,10 +238,17 @@ class TestParsing:
     @pytest.mark.parametrize("sweep", ["{noise_trials: 5, noise_frac: 1.5}",
                                        "{noise_trials: 5, noise_frac: -0.1}",
                                        "{noise_frac: .nan}",
-                                       "{noise_trials: -3}"])
+                                       "{noise_trials: -3}",
+                                       # derive_stream masks to 64 bits: -1 would alias 2**64-1
+                                       "{noise_seed: -1}",
+                                       f"{{noise_seed: {2**64}}}"])
     def test_latency_noise_settings_rejected(self, sweep):
         with pytest.raises(ConfigError, match="noise_"):
             parse_latency_profile(f"sweep: {sweep}\n")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_latency_noise_seed_edges_accepted(self, seed):
+        assert parse_latency_profile(f"sweep: {{noise_seed: {seed}}}\n").sweep.noise_seed == seed
 
     def test_latency_non_numeric_sweep_rejected(self):
         with pytest.raises(ConfigError):
@@ -338,7 +354,7 @@ class TestCli:
         assert "model.bias" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path,value", [("hp.M", 8.9), ("hp.K", True),
-                                            ("model.layer_dims", [8, 4.5, 2])])
+                                            ("model.layer_dims", [8, 4.5, 2]), ("hp.M", "4")])
     def test_non_integer_field_is_usage_error(self, path, value, tmp_path, capsys):
         cfg_path = tmp_path / "num.yaml"
         cfg_path.write_text(_with(GOOD, path, value))
@@ -358,6 +374,14 @@ class TestCli:
         out = tmp_path / "sw"
         assert cli.main(["sweep-latency", "--config", str(path), "--out", str(out)]) == 1
         assert "noise_frac" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "seed.yaml"
+        path.write_text("sweep: {noise_trials: 5, noise_seed: -1}\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep-latency", "--config", str(path), "--out", str(out)]) == 1
+        assert "noise_seed must fit in 64 bits" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):

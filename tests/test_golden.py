@@ -1,20 +1,33 @@
 """Bit stability of the shipped configuration across code changes.
 
 Every emitted byte is a pure function of (config, root seed), so the final
-parameter checksum of the shipped config is pinned per protocol. A change
-that moves one of these values changes the simulator's numbers and must
-say so.
+parameter checksum and the output files of the shipped configs are pinned
+per protocol. A change that moves one of these values changes the
+simulator's numbers and must say so.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from splitsim import runner
+from splitsim import cli, model, runner
 from splitsim.config import parse_config
 
-SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "blobs_hosfl.yaml"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = CONFIGS / "blobs_hosfl.yaml"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _shipped(proto: str) -> str:
+    return SHIPPED.read_text().replace("protocol: hosfl", f"protocol: {proto}")
+
 
 GOLDEN = {
     "hosfl": "741a3c1ad609e153af4715ffd993e8e2636d87217166a42557dd496391aeecbe",
@@ -23,14 +36,70 @@ GOLDEN = {
 }
 
 
+# sha256 of the other files `run` writes for the shipped config
+OUTPUT_FILES = {
+    "hosfl": {
+        "metrics.jsonl": "445c91a3adef3a55064536a6c167b518f3910601b9b045caf08e6bfba777cb50",
+        "traffic.csv": "415b44b8207d536a8b2a14d23596f105f1c064fabcd5c6949eee78a3e736ed8b",
+    },
+    "sfl": {
+        "metrics.jsonl": "7ae8571482c7a981b52d272d84e66c96cf93e000b82623d82261eeddb7dc16be",
+        "traffic.csv": "81ce09fdc8fe0f185840c03ebac9affe78dcda983908c631e8e4cce6d2108523",
+    },
+    "zosfl": {
+        "metrics.jsonl": "6c9fa987bfa408c9ca7b8cbee27e9f3cae1b24fa438dcc7b57b6752573cb951c",
+        "traffic.csv": "f1ef7862bb5e3e4302e44c123c9f7fbfa702fdef408ec4b5fdc9e19bec931250",
+    },
+}
+
+
 @pytest.mark.parametrize("proto", sorted(GOLDEN))
-def test_shipped_config_combined_checksum(proto):
-    text = SHIPPED.read_text().replace("protocol: hosfl", f"protocol: {proto}")
-    cfg = parse_config(text)
+def test_shipped_config_combined_checksum(proto, tmp_path):
+    cfg = parse_config(_shipped(proto))
     assert cfg.protocol == proto
     result = runner.run_experiment(cfg)
     assert len(result.records) == 100
     assert runner.checksum_lines(result)[2] == f"combined_sha256={GOLDEN[proto]}"
+    runner.write_outputs(result, tmp_path)
+    for name, digest in OUTPUT_FILES[proto].items():
+        assert _sha256(tmp_path / name) == digest, name
+
+
+def test_metrics_rows_carry_exactly_the_header_fields(tmp_path):
+    runner.write_outputs(runner.run_experiment(parse_config(SHIPPED.read_text())), tmp_path)
+    header, *rows = [json.loads(line)
+                     for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert header["record"] == "header"
+    assert len(rows) == 100
+    for row in rows:
+        assert list(row) == ["record"] + header["fields"]
+        assert row["record"] == "round"
+
+
+def test_no_eval_split_evaluates_on_the_training_set():
+    cfg = parse_config(SHIPPED.read_text().replace("eval_fraction: 0.25", "eval_fraction: 0.0"))
+    result = runner.run_experiment(cfg)
+    sim = result.sim
+    assert len(sim.dataset) == cfg.data.n
+    theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
+    loss, acc = model.evaluate_model(theta, model.Batch(sim.dataset.inputs, sim.dataset.labels),
+                                     cfg.model)
+    assert (result.records[-1].eval_loss, result.records[-1].eval_accuracy) == (loss, acc)
+
+
+def test_latency_edge_sweep_file(tmp_path):
+    assert cli.main(["sweep-latency", "--config", str(CONFIGS / "latency_edge.yaml"),
+                     "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "latency_sweep.csv") == (
+        "8fbc82131eb5fb216e7ea8de276d9bb26b4c2f2d57730ff232f25732bfa279a6")
+
+
+def test_measured_regularity_constant(tmp_path):
+    # gamma does not depend on the Monte Carlo trial count
+    assert cli.main(["diagnose-estimator", "--config", str(SHIPPED), "--trials", "10",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "estimator_report.json").read_text())
+    assert report["gamma_measured"] == 13.500144221911645
 
 
 # layer_dims [8, 16, 8, 2] cut at 2: two tanh layers on each side of the cut

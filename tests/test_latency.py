@@ -1,5 +1,7 @@
 """Latency-hiding feasibility model."""
 
+from dataclasses import replace
+
 import pytest
 
 from splitsim.latency import (
@@ -61,23 +63,24 @@ class TestTimeline:
 
 class TestOverlapCount:
     def test_reference_depth_gives_four(self):
-        work = MODEL_1B.replace_layers(4)
+        work = replace(MODEL_1B, client_layers=4)
         assert max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work) in (3, 4, 5)
 
     def test_non_increasing_in_client_depth(self):
-        counts = [max_overlapped_perturbations(EDGE_NET, EDGE_DEV, MODEL_1B.replace_layers(lc))
+        counts = [max_overlapped_perturbations(EDGE_NET, EDGE_DEV,
+                                               replace(MODEL_1B, client_layers=lc))
                   for lc in range(2, 9)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_infinitely_slow_client_fits_none(self):
         dev = DeviceProfile(client_flops_per_s=1e-18)
-        work = MODEL_1B.replace_layers(4)
+        work = replace(MODEL_1B, client_layers=4)
         tl = round_timeline(EDGE_NET, dev, work)
         assert tl.t_client_fwd > tl.idle_window
         assert max_overlapped_perturbations(EDGE_NET, dev, work) == 0
 
     def test_non_decreasing_in_rtt_and_server_time(self):
-        work = MODEL_1B.replace_layers(4)
+        work = replace(MODEL_1B, client_layers=4)
         base = max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work)
         slow_rtt = NetworkProfile(rtt_seconds=5.0)
         assert max_overlapped_perturbations(slow_rtt, EDGE_DEV, work) >= base
@@ -87,13 +90,13 @@ class TestOverlapCount:
         assert max_overlapped_perturbations(slow_uplink, EDGE_DEV, work) >= base
 
     def test_noise_band_brackets_deterministic_value(self):
-        work = MODEL_1B.replace_layers(4)
+        work = replace(MODEL_1B, client_layers=4)
         mean, lo, hi = noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 100, 0)
         assert lo <= max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work) <= hi
         assert 3 <= mean <= 5
 
     def test_noise_stats_deterministic_per_seed(self):
-        work = MODEL_1B.replace_layers(4)
+        work = replace(MODEL_1B, client_layers=4)
         assert noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 50, 7) == \
             noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 50, 7)
 

@@ -8,15 +8,14 @@ from splitsim.errors import DimensionMismatchError, NumericalError
 from splitsim.model import (
     Batch,
     SplitModelConfig,
-    analytic_client_gradient,
     client_forward,
-    client_forward_multi,
     client_jacobian,
-    full_loss,
     init_params,
     server_forward_backward,
     server_loss,
 )
+
+from oracles import analytic_client_gradient, full_loss
 
 FD_STEP = 1e-5
 
@@ -131,7 +130,7 @@ class TestOracleSecondImplementation:
         deep = SplitModelConfig((3, 4, 5, 2), "tanh", 2, "squared_error")
         for cfg, x in [(cfg, batch), (deep, _rng(11).standard_normal((6, 3)))]:
             thetas = _rng(10).standard_normal((8, cfg.d_c))
-            stacked = client_forward_multi(thetas, x, cfg)
+            stacked = client_forward(thetas, x, cfg)
             for i in range(8):
                 single = client_forward(thetas[i], x, cfg)
                 assert stacked[i].tobytes() == single.tobytes()

@@ -138,8 +138,8 @@ class TestDeterminismAndReplay:
         cfg = parse_config(BASE_CONFIG)
         r1 = runner.run_experiment(cfg)
         r2 = runner.run_experiment(cfg)
-        assert r1.final_theta_c.tobytes() == r2.final_theta_c.tobytes()
-        assert r1.final_theta_s.tobytes() == r2.final_theta_s.tobytes()
+        assert r1.sim.server.theta_c_global.tobytes() == r2.sim.server.theta_c_global.tobytes()
+        assert r1.sim.server.theta_s.tobytes() == r2.sim.server.theta_s.tobytes()
         assert [a.train_loss for a in r1.records] == [b.train_loss for b in r2.records]
 
     def test_different_roots_differ(self):
@@ -147,7 +147,7 @@ class TestDeterminismAndReplay:
         cfg = parse_config(BASE_CONFIG)
         r1 = runner.run_experiment(cfg)
         r2 = runner.run_experiment(replace(cfg, root_seed=4243))
-        assert r1.final_theta_c.tobytes() != r2.final_theta_c.tobytes()
+        assert r1.sim.server.theta_c_global.tobytes() != r2.sim.server.theta_c_global.tobytes()
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_catchup_bitwise_equals_continuous_participation(self, optimizer):
@@ -230,7 +230,7 @@ class TestBatchingAndBudget:
         theta0 = runner.build_simulation(cfg).server.theta_c_global.tobytes()
         result = runner.run_experiment(cfg)
         assert result.records == []
-        assert result.final_theta_c.tobytes() == theta0
+        assert result.sim.server.theta_c_global.tobytes() == theta0
 
 
 class TestCallCounts:

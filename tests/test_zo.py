@@ -38,10 +38,10 @@ def _reference_scalars(theta_c, lam, z_anchor, batch, seeds, zo_cfg, cfg):
 
 
 def _reference_reconstruction(scalars, seeds, zo_cfg, d_c):
-    # the sequential axpy chain from 0.0, scaled once
+    # the sequential chain acc = v * u + acc from 0.0, scaled once
     acc = np.zeros(d_c)
     for v, seed in zip(scalars, seeds):
-        acc = prng.axpy(float(v), prng.gaussian_vector(seed, d_c), acc)
+        acc = np.float64(v) * prng.gaussian_vector(seed, d_c) + acc
     return acc / np.float64(zo_cfg.P * zo_cfg.mu)
 
 
