@@ -63,19 +63,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg = replace(cfg, root_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
-    if cfg.output_dir is None:
-        cfg = replace(cfg, output_dir="out")
     return cfg
 
 
-def _write(out_dir, name: str, text: str) -> Path:
-    """Write text to out_dir/name (out_dir "out" when unset), making the
-    directory first; return the path."""
-    out = Path(out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
+def _print_written(paths: dict) -> None:
+    for label, path in paths.items():
+        print(f"wrote {label}: {path}")
 
 
 def _cmd_run(args) -> int:
@@ -89,8 +82,7 @@ def _cmd_run(args) -> int:
               f"samples {last.samples_processed}")
     else:
         print(f"{cfg.protocol}: 0 rounds (empty budget)")
-    for name, p in paths.items():
-        print(f"wrote {name}: {p}")
+    _print_written(paths)
     return 0
 
 
@@ -100,18 +92,16 @@ def _cmd_sweep_latency(args) -> int:
     sweep = prof.sweep
     layers = range(sweep.layer_min, sweep.layer_max + 1)
     rows = latency.latency_sweep(prof.network, prof.device, prof.workload, layers)
-    text = latency.format_sweep_csv(rows)
+    table = [("client_layers", "t_client_fwd", "t_uplink", "t_server", "t_downlink",
+              "idle_window", "p_max")] + [
+        (r.client_layers, r.t_client_fwd, r.t_uplink, r.t_server, r.t_downlink,
+         r.idle_window, r.p_max) for r in rows]
     if sweep.noise_trials > 0:
-        extra = ["client_layers,p_max_mean,p_max_min,p_max_max"]
-        for lc in layers:
-            mean, lo, hi = latency.noisy_pmax_stats(
-                prof.network, prof.device, replace(prof.workload, client_layers=lc),
-                sweep.noise_frac, sweep.noise_trials, sweep.noise_seed,
-            )
-            extra.append(f"{lc},{mean!r},{lo},{hi}")
-        text += "\n".join(extra) + "\n"
-    path = _write(args.out, "latency_sweep.csv", text)
-    print(f"wrote sweep: {path}")
+        table.append(("client_layers", "p_max_mean", "p_max_min", "p_max_max"))
+        table += [(lc, *latency.noisy_pmax_stats(
+            prof.network, prof.device, replace(prof.workload, client_layers=lc),
+            sweep.noise_frac, sweep.noise_trials, sweep.noise_seed)) for lc in layers]
+    _print_written(runner.write_files(args.out, {"sweep": ("latency_sweep.csv", table)}))
     for row in rows:
         print(f"client_layers={row.client_layers} p_max={row.p_max}")
     return 0
@@ -141,29 +131,28 @@ def _cmd_diagnose_estimator(args) -> int:
         "bias_bound_sq": bounds.bias_bound_sq,
         "second_moment_bound": bounds.c1 * diag.true_g_c_norm_sq + bounds.sigma_zo_sq,
     }
-    path = _write(cfg.output_dir, "estimator_report.json", json.dumps(report, indent=2) + "\n")
+    paths = runner.write_files(cfg.output_dir, {
+        "report": ("estimator_report.json", [json.dumps(report, indent=2)])})
     ok = report["empirical_second_moment"] <= report["second_moment_bound"]
     print(f"bias_sq={report['empirical_bias_sq']:.3e} "
           f"bound={report['bias_bound_sq']:.3e}")
     print(f"second_moment={report['empirical_second_moment']:.3e} "
           f"bound={report['second_moment_bound']:.3e} "
           f"({'within' if ok else 'EXCEEDS'} bound)")
-    print(f"wrote report: {path}")
+    _print_written(paths)
     return 0
 
 
 def _cmd_report_traffic(args) -> int:
     cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
     protocols = PROTOCOLS if args.all_protocols else (cfg.protocol,)
-    lines = ["protocol,kind,direction,bytes_per_round"]
+    table = [("protocol", "kind", "direction", "bytes_per_round")]
     for proto in protocols:
         per_round = closed_form_traffic(cfg.hp, cfg.model, proto)
-        for kind in MessageKind:
-            lines.append(f"{proto},{kind.value},{kind.direction},{per_round[kind]}")
-    text = "\n".join(lines) + "\n"
-    path = _write(cfg.output_dir, "traffic_closed_form.csv", text)
-    print(text, end="")
-    print(f"wrote table: {path}")
+        table += [(proto, kind.value, kind.direction, per_round[kind]) for kind in MessageKind]
+    paths = runner.write_files(cfg.output_dir, {"table": ("traffic_closed_form.csv", table)})
+    print(runner.file_text(table), end="")
+    _print_written(paths)
     return 0
 
 

@@ -45,6 +45,11 @@ class DataConfig:
             raise ConfigError(f"data.task must be one of {TASKS}")
         if self.n < 2 or self.dim < 1:
             raise ConfigError("data.n and data.dim must be positive")
+        if self.task == "classification_blobs" and not self.n >= self.classes >= 2:
+            raise ConfigError(
+                f"classification_blobs needs data.n >= data.classes >= 2, "
+                f"got n={self.n}, classes={self.classes}"
+            )
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError("data.eval_fraction must lie in [0, 1)")
 

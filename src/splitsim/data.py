@@ -21,12 +21,9 @@ DIRICHLET_RETRIES = 10
 class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
-    task: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
         if len(self.labels) != len(self.inputs):
             raise ValueError("inputs and labels disagree on length")
         if not np.all(np.isfinite(self.inputs)):
@@ -64,7 +61,7 @@ def make_classification_blobs(n: int, dim: int, classes: int, separation: float,
     labels = np.arange(n, dtype=np.int64) % classes
     points = centers[labels] + rng.standard_normal((n, dim))
     perm = rng.permutation(n)
-    return Dataset(points[perm], labels[perm], "classification_blobs")
+    return Dataset(points[perm], labels[perm])
 
 
 def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0,
@@ -78,7 +75,7 @@ def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0,
     y = x @ weights
     if noise > 0:
         y = y + noise * rng.standard_normal(y.shape)
-    return Dataset(x, y, "regression_quadratic")
+    return Dataset(x, y)
 
 
 def iid_partition(n: int, m: int, seed: int) -> list:

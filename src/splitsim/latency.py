@@ -142,12 +142,3 @@ def latency_sweep(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile
     """One timeline per client depth: phase times and the overlap count."""
     return [round_timeline(net, dev, replace(work, client_layers=lc)) for lc in layer_range]
 
-
-def format_sweep_csv(rows) -> str:
-    lines = ["client_layers,t_client_fwd,t_uplink,t_server,t_downlink,idle_window,p_max"]
-    for r in rows:
-        lines.append(
-            f"{r.client_layers},{r.t_client_fwd!r},{r.t_uplink!r},{r.t_server!r},"
-            f"{r.t_downlink!r},{r.idle_window!r},{r.p_max}"
-        )
-    return "\n".join(lines) + "\n"

@@ -141,16 +141,22 @@ class Simulation:
 # Sampling and batching
 # -----------------------------------------------------------------------------
 
+def _partial_shuffle(pool: list, k: int, seed: int) -> list:
+    """The first k items of a Fisher-Yates shuffle of pool, in place, driven
+    by uniform_stream(seed, k)."""
+    n = len(pool)
+    u = prng.uniform_stream(seed, k)
+    for i in range(k):
+        j = i + int(u[i] * (n - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 def sample_clients(m: int, k: int, seed: int) -> list:
     """K distinct client ids from 1..M, uniform without replacement, sorted."""
     if k > m:
         raise ValueError("cannot sample more clients than exist")
-    ids = list(range(1, m + 1))
-    u = prng.uniform_stream(seed, k)
-    for i in range(k):
-        j = i + int(u[i] * (m - i))
-        ids[i], ids[j] = ids[j], ids[i]
-    return sorted(ids[:k])
+    return sorted(_partial_shuffle(list(range(1, m + 1)), k, seed))
 
 
 def draw_batch(dataset: Dataset, shard: np.ndarray, batch_size: int, seed: int) -> model.Batch:
@@ -159,14 +165,7 @@ def draw_batch(dataset: Dataset, shard: np.ndarray, batch_size: int, seed: int) 
     if n == 0:
         raise ProtocolViolationError("sampled client has an empty data shard")
     if n >= batch_size:
-        pool = shard.tolist()
-        u = prng.uniform_stream(seed, batch_size)
-        picked = []
-        for i in range(batch_size):
-            j = i + int(u[i] * (n - i))
-            pool[i], pool[j] = pool[j], pool[i]
-            picked.append(pool[i])
-        idx = np.asarray(picked, dtype=np.int64)
+        idx = np.asarray(_partial_shuffle(shard.tolist(), batch_size, seed), dtype=np.int64)
     else:
         u = prng.uniform_stream(seed, batch_size)
         idx = shard[(u * n).astype(np.int64)]

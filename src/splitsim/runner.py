@@ -3,7 +3,8 @@
 Outputs per run: metrics.jsonl (one self-describing JSON record per line,
 header first), traffic.csv (the breakdown table), checksum.txt (SHA-256 of
 the final parameter vectors). Every emitted byte is a pure function of the
-configuration and root seed.
+configuration and root seed. Every file splitsim writes, these and the other
+subcommands' files, goes through write_files and file_text.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from . import model, prng, protocol
 from .config import DataConfig, ExperimentConfig, config_to_dict
 from .data import Dataset, make_classification_blobs, make_regression_quadratic, partition_dataset
 from .errors import ConfigError
-from .traffic import TrafficLedger, breakdown_report, format_breakdown_csv
+from .traffic import TrafficLedger, breakdown_report
 
 METRICS_FILE = "metrics.jsonl"
 TRAFFIC_FILE = "traffic.csv"
 CHECKSUM_FILE = "checksum.txt"
+DEFAULT_OUT_DIR = "out"
 
 
 @dataclass
@@ -58,7 +60,7 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     full = _build_dataset(cfg.data, prng.derive_stream(root, prng.STREAM_DATA))
     n_eval = int(len(full) * cfg.data.eval_fraction)
     n_train = len(full) - n_eval
-    train = Dataset(full.inputs[:n_train], full.labels[:n_train], full.task)
+    train = Dataset(full.inputs[:n_train], full.labels[:n_train])
     # with no held-out split, evaluation runs on the training set
     start = n_train if n_eval > 0 else 0
     eval_batch = model.Batch(full.inputs[start:], full.labels[start:])
@@ -95,14 +97,14 @@ def run_experiment(cfg: ExperimentConfig,
     samples = 0
     for _ in range(protocol.planned_rounds(cfg.hp, cfg.sample_budget)):
         rm = protocol.run_round(sim, perturb_fn)
-        sim.ledger.close_round()
+        traffic = sim.ledger.close_round()
         samples += rm.samples
         theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
         eval_loss, eval_acc = model.evaluate_model(theta, sim.eval_batch, sim.model_cfg)
         records.append(MetricsRecord(
             round=rm.round, train_loss=rm.train_loss, eval_loss=eval_loss,
             eval_accuracy=eval_acc, grad_norm=rm.grad_norm,
-            samples_processed=samples, traffic=sim.ledger.snapshot(),
+            samples_processed=samples, traffic=traffic,
         ))
     return RunResult(config=cfg, records=records, sim=sim)
 
@@ -141,16 +143,32 @@ def checksum_lines(result: RunResult) -> list:
     ]
 
 
+def file_text(lines) -> str:
+    """One newline-terminated line per item: a str as is, any other row as
+    CSV cells joined by commas (str, not repr: numpy 2 reprs np.float64 as
+    np.float64(...))."""
+    return "\n".join(line if isinstance(line, str) else ",".join(map(str, line))
+                     for line in lines) + "\n"
+
+
+def write_files(out_dir, files: dict) -> dict:
+    """Write {label: (file name, lines)} into out_dir, made if missing; a
+    missing or empty out_dir means DEFAULT_OUT_DIR. Return {label: path}."""
+    out = Path(out_dir or DEFAULT_OUT_DIR)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for label, (name, lines) in files.items():
+        paths[label] = out / name
+        paths[label].write_text(file_text(lines))
+    return paths
+
+
 def write_outputs(result: RunResult, out_dir) -> dict:
     """Write metrics, traffic breakdown, and parameter checksums; return paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": out / METRICS_FILE,
-        "traffic": out / TRAFFIC_FILE,
-        "checksum": out / CHECKSUM_FILE,
-    }
-    paths["metrics"].write_text("\n".join(metrics_lines(result)) + "\n")
-    paths["traffic"].write_text(format_breakdown_csv(breakdown_report(result.sim.ledger)))
-    paths["checksum"].write_text("\n".join(checksum_lines(result)) + "\n")
-    return paths
+    traffic = [("kind", "direction", "bytes", "share")] + [
+        (r.kind, r.direction, r.bytes, r.share) for r in breakdown_report(result.sim.ledger)]
+    return write_files(out_dir, {
+        "metrics": (METRICS_FILE, metrics_lines(result)),
+        "traffic": (TRAFFIC_FILE, traffic),
+        "checksum": (CHECKSUM_FILE, checksum_lines(result)),
+    })

@@ -63,9 +63,11 @@ class TrafficLedger:
         if self.messages is not None:
             self.messages.append(Message(kind, nbytes, sender, receiver))
 
-    def close_round(self):
-        """Append a cumulative snapshot for the round that just finished."""
-        self.per_round.append(self.snapshot())
+    def close_round(self) -> dict:
+        """Append and return a cumulative snapshot for the round just finished."""
+        snap = self.snapshot()
+        self.per_round.append(snap)
+        return snap
 
     def snapshot(self) -> dict:
         return {kind.value: self.totals[kind] for kind in MessageKind}
@@ -137,9 +139,3 @@ def breakdown_report(ledger: TrafficLedger) -> list:
         rows.append(BreakdownRow(kind.value, kind.direction, nbytes, share))
     return rows
 
-
-def format_breakdown_csv(rows) -> str:
-    lines = ["kind,direction,bytes,share"]
-    for r in rows:
-        lines.append(f"{r.kind},{r.direction},{r.bytes},{r.share!r}")
-    return "\n".join(lines) + "\n"

@@ -93,10 +93,6 @@ class TheoryBounds:
     c1: float
     sigma_zo_sq: float
     bias_bound_sq: float
-    d_c: int
-    P: int
-    mu: float
-    gamma: float
 
 
 def theory_bounds(d_c: int, P: int, mu: float, gamma: float) -> TheoryBounds:
@@ -111,7 +107,7 @@ def theory_bounds(d_c: int, P: int, mu: float, gamma: float) -> TheoryBounds:
     c1 = 2.0 * (1.0 + (d_c + 1) / P)
     sigma_zo_sq = (mu ** 2 / 2.0) * d_c * (d_c + 2) * (d_c + 4) * gamma ** 4
     bias_bound_sq = (mu ** 2 * gamma ** 4 / 4.0) * (d_c + 3) ** 3
-    return TheoryBounds(c1, sigma_zo_sq, bias_bound_sq, d_c, P, mu, gamma)
+    return TheoryBounds(c1, sigma_zo_sq, bias_bound_sq)
 
 
 def _anchor(theta, batch: model.Batch, cfg: model.SplitModelConfig):

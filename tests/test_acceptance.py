@@ -225,7 +225,7 @@ def _quad_sim(n_in, P, eta, run_seed):
     cfg = SplitModelConfig((n_in, 4, 1), "identity", 1, "squared_error", bias=False)
     hp = HyperParams(eta=eta, T=0, M=1, K=1, batch_size=128, zo=ZoConfig(P=P, mu=1e-3))
     x = _QUAD_X[:, :n_in]
-    ds = Dataset(x, np.zeros((128, 1)), "regression_quadratic")
+    ds = Dataset(x, np.zeros((128, 1)))
     theta0 = m.init_params(cfg, 555)
     theta_c = theta0[: cfg.d_c] / np.linalg.norm(theta0[: cfg.d_c]) * 0.3
     theta_s = theta0[cfg.d_c:] / np.linalg.norm(theta0[cfg.d_c:]) * 2.0

@@ -100,6 +100,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="dim"):
             parse_config(GOOD.replace("n: 200,", "n: 200, dim: 5,"))
 
+    @pytest.mark.parametrize("width,n", [(1, 200), (3, 2)])
+    def test_blob_class_count_rejected(self, width, n):
+        # one class, or fewer samples than classes, cannot make blobs
+        text = GOOD.replace("[8, 4, 2]", f"[8, 4, {width}]").replace(
+            "n: 200, classes: 2", f"n: {n}, classes: {width}")
+        with pytest.raises(ConfigError, match="data.n >= data.classes >= 2"):
+            parse_config(text)
+
     @pytest.mark.parametrize("proto", ["sfl", "zosfl"])
     def test_adam_rejected_for_baselines(self, proto):
         text = GOOD.replace("protocol: hosfl", f"protocol: {proto}")
@@ -368,6 +376,25 @@ class TestCli:
         assert "class labels" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_single_class_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "one.yaml"
+        path.write_text(GOOD.replace("[8, 4, 2]", "[8, 4, 1]").replace("classes: 2",
+                                                                       "classes: 1"))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "data.classes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["run", "report-traffic"])
+    def test_empty_output_dir_means_out(self, sub, tmp_path, monkeypatch):
+        path = tmp_path / "empty_out.yaml"
+        path.write_text(GOOD + 'output_dir: ""\n')
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([sub, "--config", str(path)]) == 0
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                   if p.is_file() and p != path}
+        assert written == ({"out/metrics.jsonl", "out/traffic.csv", "out/checksum.txt"}
+                           if sub == "run" else {"out/traffic_closed_form.csv"})
+
     def test_bad_noise_profile_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "noise.yaml"
         path.write_text("sweep: {noise_trials: 5, noise_frac: 1.5}\n")
@@ -455,6 +482,7 @@ class TestMetricsEmission:
         cfg = parse_config(GOOD)
         result = runner.run_experiment(cfg)
         snap = result.records[-1].traffic
+        assert [r.traffic for r in result.records] == result.sim.ledger.per_round
         assert set(snap) == {k.value for k in MessageKind}
         assert snap["ScalarUp"] == 10 * 2 * 3 * 8  # rounds * K * P * bytes
 

@@ -55,7 +55,8 @@ def experiment_configs(draw) -> ExperimentConfig:
     mode = draw(st.sampled_from(("iid", "dirichlet"))) if blobs else "iid"
     partition = PartitionSpec(mode=mode, alpha=draw(positive if mode == "dirichlet" else finite))
     data = DataConfig(
-        task=task, n=draw(st.integers(2, 1 << 20)), dim=model.n_in,
+        # blobs need at least one sample per class
+        task=task, n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)), dim=model.n_in,
         classes=model.n_out if blobs else draw(counts),
         separation=draw(finite), noise=draw(finite),
         out_dim=draw(counts) if blobs else model.n_out,

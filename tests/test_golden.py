@@ -144,3 +144,35 @@ def test_shipped_config_digest():
     assert runner._config_digest(parse_config(text)) == CONFIG_DIGEST["shipped"]
     no_budget = parse_config(text.replace("sample_budget: 3200\n", ""))
     assert runner._config_digest(no_budget) == CONFIG_DIGEST["no_budget"]
+
+
+# sha256 of what each subcommand emits for the shipped configs: the stdout
+# (output directory replaced by <out>) and the file it writes, if pinned here
+SUBCOMMANDS = {
+    "run": ["run", "--config", str(SHIPPED)],
+    "sweep-latency": ["sweep-latency", "--config", str(CONFIGS / "latency_edge.yaml")],
+    "diagnose-estimator": ["diagnose-estimator", "--config", str(SHIPPED), "--trials", "10"],
+    "report-traffic": ["report-traffic", "--config", str(SHIPPED), "--all-protocols"],
+}
+STDOUT = {
+    "run": "530906a7192c18f26da22e358891a70c458ab8191db8c70bc8f83cd4f197b6bd",
+    "sweep-latency": "0ae1aa171e909c89afc9dcd0e8cb6e0771bd1abb8b08afb82d6bc03d6c901b60",
+    "diagnose-estimator": "afb7a8b89918df9d9947cc2654c73b287196e8386880bd7df0c6292dd928eba7",
+    "report-traffic": "b466ec85dd5121af02819ca2dfb2cefcf170f4ca1a278a680f24c2baaeb062c6",
+}
+EMITTED = {
+    "diagnose-estimator": ("estimator_report.json",
+                           "9023bfb2b60c2f3fed791106113c204b2dd1d51ef6cde0799a62fba455037045"),
+    "report-traffic": ("traffic_closed_form.csv",
+                       "4914cd16df26d54c9eb6501852d37f0f92b03a8677ae4a826610d8f937cad6a4"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_subcommand_stdout_and_file(sub, tmp_path, capsys):
+    assert cli.main(SUBCOMMANDS[sub] + ["--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT[sub]
+    if sub in EMITTED:
+        name, digest = EMITTED[sub]
+        assert _sha256(tmp_path / name) == digest

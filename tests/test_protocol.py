@@ -40,7 +40,7 @@ def _worked_instance():
     """The 1-D linear instance: client w=2, server w=1, x=1, y=0.5 -> lambda=3."""
     cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
     hp = HyperParams(eta=0.01, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-    ds = Dataset(np.array([[1.0]]), np.array([[0.5]]), "regression_quadratic")
+    ds = Dataset(np.array([[1.0]]), np.array([[0.5]]))
     server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
     clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
     return Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 7), cfg, hp
@@ -93,7 +93,7 @@ class TestWorkedRound:
     def test_perfect_fit_moves_nothing(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.05, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=3, mu=0.1))
-        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]), "regression_quadratic")
+        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
         clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
         sim = Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 3)
@@ -105,7 +105,7 @@ class TestWorkedRound:
         # composite L(theta_c) = (theta_c - 2)^2 through a frozen-direction probe
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.01, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]), "regression_quadratic")
+        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([3.0]))
         clients = {1: ClientState(1, np.array([3.0]), np.arange(1))}
         sim = Simulation("zosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 5)
@@ -124,7 +124,7 @@ class TestWorkedRound:
     def test_two_point_round_zero_loss_frozen(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.05, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-        ds = Dataset(np.zeros((1, 1)), np.zeros((1, 1)), "regression_quadratic")
+        ds = Dataset(np.zeros((1, 1)), np.zeros((1, 1)))
         server = ServerState(theta_s=np.array([1.5]), theta_c_global=np.array([2.5]))
         clients = {1: ClientState(1, np.array([2.5]), np.arange(1))}
         sim = Simulation("zosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 5)
@@ -201,7 +201,7 @@ class TestDeterminismAndReplay:
 class TestBatchingAndBudget:
     def test_draw_batch_deterministic(self):
         ds = Dataset(np.arange(40, dtype=float).reshape(20, 2),
-                     np.zeros((20, 1)), "regression_quadratic")
+                     np.zeros((20, 1)))
         shard = np.arange(20)
         a = draw_batch(ds, shard, 8, 7)
         b = draw_batch(ds, shard, 8, 7)
@@ -209,12 +209,12 @@ class TestBatchingAndBudget:
 
     def test_draw_batch_without_replacement(self):
         ds = Dataset(np.arange(20, dtype=float).reshape(10, 2),
-                     np.zeros((10, 1)), "regression_quadratic")
+                     np.zeros((10, 1)))
         batch = draw_batch(ds, np.arange(10), 10, 3)
         assert sorted(batch.inputs[:, 0].tolist()) == [float(2 * i) for i in range(10)]
 
     def test_empty_shard_rejected(self):
-        ds = Dataset(np.ones((4, 1)), np.ones((4, 1)), "regression_quadratic")
+        ds = Dataset(np.ones((4, 1)), np.ones((4, 1)))
         with pytest.raises(ProtocolViolationError):
             draw_batch(ds, np.array([], dtype=np.int64), 2, 0)
 
@@ -306,7 +306,7 @@ class TestTrafficLaws:
         hp = HyperParams(eta=0.05, T=1, M=2, K=2, batch_size=2, zo=ZoConfig())
         x = np.array([[1.0, 0.5], [0.25, -1.0]])
         y = np.array([[1.0], [0.0]])
-        ds = Dataset(np.vstack([x, x]), np.vstack([y, y]), "regression_quadratic")
+        ds = Dataset(np.vstack([x, x]), np.vstack([y, y]))
         theta0 = m.init_params(cfg, 12)
         server = ServerState(theta_s=theta0[cfg.d_c:].copy(),
                              theta_c_global=theta0[: cfg.d_c].copy())

@@ -1,7 +1,11 @@
 """Byte accounting: ledger arithmetic, closed forms, breakdown shares."""
 
+from pathlib import Path
+
 import pytest
 
+from splitsim import runner
+from splitsim.config import parse_config
 from splitsim.model import SplitModelConfig
 from splitsim.protocol import HyperParams
 from splitsim.traffic import (
@@ -9,10 +13,11 @@ from splitsim.traffic import (
     TrafficLedger,
     breakdown_report,
     closed_form_traffic,
-    format_breakdown_csv,
     label_payload_bytes,
 )
 from splitsim.zo import ZoConfig
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "blobs_hosfl.yaml"
 
 
 def _hp(k=10, b=32, p=5, m=20):
@@ -64,7 +69,7 @@ class TestLedger:
         led.record(MessageKind.SCALAR_UP, 8)
         led.close_round()
         led.record(MessageKind.SCALAR_UP, 8)
-        led.close_round()
+        assert led.close_round() == led.snapshot()
         assert [s["ScalarUp"] for s in led.per_round] == [8, 16]
 
 
@@ -129,7 +134,9 @@ class TestBreakdown:
         assert rows["GradDown"] == "down"
         assert rows["SeedDown"] == "down"
 
-    def test_csv_header(self):
-        text = format_breakdown_csv(breakdown_report(TrafficLedger()))
-        assert text.splitlines()[0] == "kind,direction,bytes,share"
-        assert len(text.splitlines()) == 1 + len(MessageKind)
+    def test_csv_header(self, tmp_path):
+        text = SHIPPED.read_text().replace("sample_budget: 3200", "sample_budget: 0")
+        result = runner.run_experiment(parse_config(text))
+        lines = runner.write_outputs(result, tmp_path)["traffic"].read_text().splitlines()
+        assert lines[0] == "kind,direction,bytes,share"
+        assert lines[1:] == [f"{k.value},{k.direction},0,0.0" for k in MessageKind]
