@@ -71,10 +71,12 @@ def derive_stream(root: int, *parts: int) -> int:
 # Bytes of Gaussian output the memo keeps. The hybrid protocol fills it
 # with one block of P directions per round, then asks for the same P
 # directions again and again: K projections and K+1 reconstructions in the
-# live round, then once more for every round a straggler replays. 512 KiB
-# holds about 90 rounds of P=5 directions at d_c=144. The bound is on
-# bytes, not entries, so memory stays bounded at any d_c (512 entries at
-# d_c=200k would be about 800 MB).
+# live round, then once more for every round a straggler replays. Catch-up
+# replay prefetches the seeds of the rounds it replays and is chunked by
+# this budget: each chunk is as many rounds as their directions fit in it,
+# one block each. 512 KiB holds about 90 rounds of P=5 directions at
+# d_c=144. The bound is on bytes, not entries, so memory stays bounded at
+# any d_c (512 entries at d_c=200k would be about 800 MB).
 MEMO_BYTES = 512 * 1024
 
 
@@ -143,8 +145,19 @@ class _GaussianMemo:
         return vec
 
     def fill(self, seeds, dim: int):
-        """Generate, as one block, the (seed, dim) entries not yet held."""
-        missing = [s for s in dict.fromkeys(seeds) if (s, dim) not in self.entries]
+        """Generate, as one block, the (seed, dim) entries not yet held.
+
+        Held entries are marked most recently used first, so the new rows
+        evict other entries, not these: a set of seeds that fits the budget
+        is held whole when fill returns.
+        """
+        missing = []
+        for s in dict.fromkeys(seeds):
+            key = (s, dim)
+            if key in self.entries:
+                self.entries.move_to_end(key)
+            else:
+                missing.append(s)
         if missing:
             self._generate(missing, dim)
 
@@ -178,8 +191,9 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
 def prefetch_gaussians(seeds, dim: int):
     """Fill the gaussian_vector memo for every seed with one gaussian_block.
 
-    Changes no value: later gaussian_vector calls return the same bits,
-    served from the memo while it still holds them.
+    Seeds already held become the most recently used. Changes no value:
+    later gaussian_vector calls return the same bits, served from the memo
+    while it still holds them.
     """
     _MEMO.fill([s & _MASK for s in seeds], dim)
 

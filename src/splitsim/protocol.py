@@ -17,6 +17,9 @@ still happens and every value is unchanged.
 Stragglers never download parameters: they replay missed rounds from the
 stored (seeds, scalars, learning rate) history, applying the exact same
 update code path as live rounds, which is what makes catch-up bit-exact.
+That path works on blocks: one stacked reconstruction rebuilds g_hat for a
+run of rounds (or for the K live clients and the server copy at once), and
+one optimizer pass applies a run of transitions, bit for bit as one at a time.
 
 All cross-client reductions consume inputs in ascending client id with
 left-to-right accumulation, so results do not depend on completion order.
@@ -71,18 +74,37 @@ class AdamState:
     step: int = 0
 
 
-def _opt_step(optimizer: str, state, theta: np.ndarray, grad: np.ndarray, eta: float):
-    """One optimizer transition; returns (new_theta, new_state)."""
+def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, etas):
+    """A run of optimizer transitions, one per row of grads, each at its eta.
+
+    Returns (new_theta, new_state), bitwise equal to taking the rows one step
+    at a time. sgd takes one theta - eta * g per row. adam computes the terms
+    that depend only on g, the bias corrections and the steps for all rows
+    at once, and runs the m/v recurrences and the theta subtraction row by
+    row, in order.
+    """
     if optimizer == "sgd":
-        return theta - np.float64(eta) * grad, state
+        for i, eta in enumerate(etas):
+            theta = theta - np.float64(eta) * grads[i]
+        return theta, state
     if state is None:
         state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
-    state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    return theta - np.float64(eta) * m_hat / (np.sqrt(v_hat) + ADAM_EPS), state
+    ms = (1.0 - ADAM_BETA1) * grads
+    vs = (1.0 - ADAM_BETA2) * grads * grads
+    m, v = state.m, state.v
+    for m_row, v_row in zip(ms, vs):
+        m_row += ADAM_BETA1 * m
+        v_row += ADAM_BETA2 * v
+        m, v = m_row, v_row
+    # per row: the two bias corrections (Python float powers) and eta
+    coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step, eta)
+                     for step, eta in enumerate(etas, state.step + 1)])
+    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(coef)
+    ms /= coef[:, 0:1]
+    vs /= coef[:, 1:2]
+    for delta in coef[:, 2:] * ms / (np.sqrt(vs) + ADAM_EPS):
+        theta = theta - delta
+    return theta, state
 
 
 @dataclass
@@ -176,26 +198,31 @@ def draw_batch(dataset: Dataset, shard: np.ndarray, batch_size: int, seed: int) 
 # Client update and catch-up replay
 # -----------------------------------------------------------------------------
 
-def _apply_round_update(theta_c, opt_state, rec: RoundRecord, hp: HyperParams,
-                        d_c: int, perturb_fn):
-    """The single code path through which any round's client update is applied."""
-    g_hat = reconstruct_gradient(rec.v_bar, rec.seeds, hp.zo, d_c, perturb_fn)
-    theta_c, opt_state = _opt_step(hp.optimizer, opt_state, theta_c, g_hat, rec.eta_used)
-    return theta_c, opt_state, g_hat
+def _round_grads(records, hp: HyperParams, d_c: int, perturb_fn) -> np.ndarray:
+    """g_hat of each record, one row per record: the single code path every
+    round's client update comes from, live or replayed."""
+    return reconstruct_gradient([rec.v_bar for rec in records],
+                                [rec.seeds for rec in records], hp.zo, d_c, perturb_fn)
 
 
 def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
                 target_round: int, perturb_fn=gaussian_vector) -> ClientState:
-    """Sequential catch-up: replay every missed round from stored history.
+    """Catch-up: replay every missed round from stored history, in blocks.
 
-    Applies the identical update transition (including optimizer state) a
-    live client would have applied, in round order. No parameters move over
-    the wire; the caller accounts the (seed, scalar) tuples it re-serves.
+    Applies the identical update transitions (including optimizer state) a
+    live client would have applied, in round order and bit for bit. Every
+    missed record is looked up first, so a StalenessError leaves the client
+    untouched. The rounds are then replayed in chunks whose P directions fit
+    the Gaussian memo (prng.MEMO_BYTES): one prefetch_gaussians block, one
+    stacked reconstruction and one optimizer pass per chunk. No parameters
+    move over the wire; the caller accounts the (seed, scalar) tuples it
+    re-serves.
     """
     if client.t_sync > target_round:
         raise ProtocolViolationError(
             f"client {client.client_id} is ahead of round {target_round}"
         )
+    missed = []
     for tau in range(client.t_sync, target_round):
         rec = history.get(tau)
         if rec is None:
@@ -203,10 +230,21 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
                 f"round {tau} missing from history; client {client.client_id} "
                 f"cannot catch up"
             )
-        client.theta_c, client.opt_state, _ = _apply_round_update(
-            client.theta_c, client.opt_state, rec, hp, d_c, perturb_fn
-        )
-        client.t_sync = tau + 1
+        missed.append(rec)
+    if not missed:
+        return client
+    # rounds per chunk: as many as their P float64 directions fit the memo
+    # together; a round that does not fit alone is not prefetched, since its
+    # block would be evicted before it is read
+    fits = prng.MEMO_BYTES // max(1, 8 * hp.zo.P * d_c)
+    for start in range(0, len(missed), max(fits, 1)):
+        chunk = missed[start:start + max(fits, 1)]
+        if fits:
+            prefetch_gaussians([seed for rec in chunk for seed in rec.seeds], d_c)
+        client.theta_c, client.opt_state = _opt_step(
+            hp.optimizer, client.opt_state, client.theta_c,
+            _round_grads(chunk, hp, d_c, perturb_fn), [rec.eta_used for rec in chunk])
+        client.t_sync += len(chunk)
     return client
 
 
@@ -226,7 +264,7 @@ def _upload(sim: Simulation, cid: int, n_floats: int):
 def _server_step(sim: Simulation, grad: np.ndarray):
     server = sim.server
     server.theta_s, server.opt_state_s = _opt_step(
-        sim.hp.optimizer, server.opt_state_s, server.theta_s, grad, sim.hp.eta
+        sim.hp.optimizer, server.opt_state_s, server.theta_s, grad[None], (sim.hp.eta,)
     )
 
 
@@ -263,7 +301,7 @@ def _local_steps_and_average(sim: Simulation, selected, t: int, grad_fn) -> floa
         g = grad_fn(cid, client.theta_c)
         grads.append(g)
         client.theta_c, client.opt_state = _opt_step(
-            sim.hp.optimizer, client.opt_state, client.theta_c, g, sim.hp.eta
+            sim.hp.optimizer, client.opt_state, client.theta_c, g[None], (sim.hp.eta,)
         )
         client.t_sync = t + 1
         updated.append(client.theta_c)
@@ -303,16 +341,19 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
     rec = RoundRecord(seeds, v_bar, hp.eta)
     server.history[t] = rec
-    for cid in selected:
+    # the K clients and the server copy rebuild the same g_hat: one stacked
+    # call of K+1 rows, then each party takes its own optimizer step
+    g_hat = _round_grads([rec] * (hp.K + 1), hp, cfg.d_c, perturb_fn)
+    for row, cid in enumerate(selected):
         client = sim.clients[cid]
-        client.theta_c, client.opt_state, _ = _apply_round_update(
-            client.theta_c, client.opt_state, rec, hp, cfg.d_c, perturb_fn
+        client.theta_c, client.opt_state = _opt_step(
+            hp.optimizer, client.opt_state, client.theta_c, g_hat[row:row + 1], (hp.eta,)
         )
         client.t_sync = t + 1
-    server.theta_c_global, server.opt_state_c, g_hat = _apply_round_update(
-        server.theta_c_global, server.opt_state_c, rec, hp, cfg.d_c, perturb_fn
+    server.theta_c_global, server.opt_state_c = _opt_step(
+        hp.optimizer, server.opt_state_c, server.theta_c_global, g_hat[hp.K:], (hp.eta,)
     )
-    return losses, float(np.linalg.norm(g_hat))
+    return losses, float(np.linalg.norm(g_hat[hp.K]))
 
 
 def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):

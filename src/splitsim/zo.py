@@ -61,25 +61,36 @@ def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch
 
 def reconstruct_gradient(aggregated_scalars, seeds, zo: ZoConfig, d_c: int,
                          perturb_fn=gaussian_vector) -> np.ndarray:
-    """Rebuild the client update direction from broadcast (scalar, seed) pairs.
+    """Rebuild client update directions for a stack of rounds.
 
-    g = (1 / (P * mu)) * sum_p v_p * u_p, scaled once at the end. The P
-    rows v_p * u_p are reduced in perturbation order, starting from 0.0.
-    This exact order is the replay contract: live rounds and catch-up
-    replay both go through here.
+    Takes (n, P) broadcast scalars and n tuples of P seeds; returns (n, d_c)
+    with row i = (1 / (P * mu)) * sum_p v_ip * u_ip, scaled once at the end.
+    Each row's P terms v_ip * u_ip are added in perturbation order, starting
+    from 0.0, and every op is elementwise, so a row has the bits of its round
+    rebuilt alone. This exact order is the replay contract: live rounds and
+    catch-up replay both go through here. Every direction is fetched through
+    perturb_fn, P per row, one perturbation index at a time.
     """
-    scalars = [float(v) for v in aggregated_scalars]
+    scalars = np.asarray(aggregated_scalars, dtype=np.float64)
     seeds = list(seeds)
-    if len(scalars) != zo.P or len(seeds) != zo.P:
+    n = len(seeds)
+    if scalars.shape != (n, zo.P) or any(len(row) != zo.P for row in seeds):
         raise DimensionMismatchError(
-            f"need {zo.P} scalars and seeds, got {len(scalars)} and {len(seeds)}"
+            f"need ({n}, {zo.P}) scalars and {n} tuples of {zo.P} seeds, "
+            f"got {scalars.shape} and {[len(row) for row in seeds]}"
         )
-    # in place, one row at a time: np.add.reduce over the stacked rows sums
-    # a lone column (d_c = 1) pairwise once P >= 8, which changes the bits
-    acc = np.zeros(d_c)
-    for v, seed in zip(scalars, seeds):
-        acc += v * perturb_fn(seed, d_c)
-    return acc / np.float64(zo.P * zo.mu)
+    # perturbation-major, so that each term below is one contiguous (n, d_c) block
+    terms = np.array([perturb_fn(row[p], d_c) for p in range(zo.P) for row in seeds])
+    terms = terms.reshape(zo.P, n, d_c)
+    terms *= scalars.T[:, :, None]
+    # 0.0 + term, then in place, one perturbation at a time: np.add.reduce
+    # over the P axis sums a lone column (d_c = 1) pairwise once P >= 8,
+    # which changes the bits
+    acc = terms[0] + 0.0
+    for p in range(1, zo.P):
+        acc += terms[p]
+    acc /= np.float64(zo.P * zo.mu)
+    return acc
 
 
 # -----------------------------------------------------------------------------

@@ -181,7 +181,10 @@ class TestGaussianMemo:
         held, entries = memo.held, list(memo.entries.items())
         prefetch_gaussians(seeds[::-1] + seeds, 144)
         assert memo.held == held
-        assert list(memo.entries) == [key for key, _ in entries]
+        # nothing generated or dropped; the held seeds become the most
+        # recently used, in the order first given
+        assert sorted(memo.entries) == sorted(key for key, _ in entries)
+        assert list(memo.entries)[-5:] == [(seed, 144) for seed in seeds[::-1]]
         assert all(memo.entries[key] is vec for key, vec in entries)
 
     def test_fill_after_eviction(self):

@@ -1,7 +1,11 @@
 """Round orchestration: worked values, replay equivalence, traffic laws."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitsim.model as m
 from splitsim import prng, runner
@@ -9,10 +13,13 @@ from splitsim.config import parse_config
 from splitsim.data import Dataset
 from splitsim.errors import ProtocolViolationError, StalenessError
 from splitsim.protocol import (
+    AdamState,
     ClientState,
     HyperParams,
+    RoundRecord,
     ServerState,
     Simulation,
+    _opt_step,
     client_sync,
     draw_batch,
     planned_rounds,
@@ -182,11 +189,17 @@ class TestDeterminismAndReplay:
     def test_missing_history_raises_staleness(self):
         cfg = parse_config(BASE_CONFIG)
         sim = runner.run_experiment(cfg).sim
-        lagger = next(c for c in sim.clients.values() if c.t_sync < sim.server.round)
-        del sim.server.history[lagger.t_sync]
-        with pytest.raises(StalenessError):
-            client_sync(lagger, sim.server.history, cfg.hp, cfg.model.d_c,
-                        sim.server.round)
+        lagger = next(c for c in sim.clients.values() if c.t_sync < sim.server.round - 1)
+        t_sync, theta = lagger.t_sync, lagger.theta_c.tobytes()
+        # a gap after the first missed round, then at it: the raise comes
+        # before any round is applied, so the client is left untouched
+        for tau in (t_sync + 1, t_sync):
+            del sim.server.history[tau]
+            with pytest.raises(StalenessError):
+                client_sync(lagger, sim.server.history, cfg.hp, cfg.model.d_c,
+                            sim.server.round)
+            assert lagger.t_sync == t_sync
+            assert lagger.theta_c.tobytes() == theta
 
     def test_client_ahead_of_target_rejected(self):
         cfg = parse_config(BASE_CONFIG)
@@ -196,6 +209,100 @@ class TestDeterminismAndReplay:
         with pytest.raises(ProtocolViolationError):
             client_sync(client, sim.server.history, cfg.hp, cfg.model.d_c,
                         sim.server.round)
+
+
+def _floats(n):
+    return st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)
+
+
+def _random_history(rng, rounds, p):
+    return {tau: RoundRecord(tuple(int(s) for s in rng.integers(0, 2 ** 63, p)),
+                             tuple(rng.standard_normal(p).tolist()),
+                             float(rng.uniform(1e-3, 0.2)))
+            for tau in range(rounds)}
+
+
+class TestBlockReplay:
+    @settings(max_examples=80, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adam"]), n=st.integers(1, 8),
+           d=st.integers(0, 9), step0=st.integers(0, 50), data=st.data())
+    def test_stacked_opt_step_equals_one_row_steps(self, optimizer, n, d, step0, data):
+        grads = np.array([data.draw(_floats(d)) for _ in range(n)]).reshape(n, d)
+        etas = data.draw(st.lists(st.floats(1e-4, 1.0), min_size=n, max_size=n))
+        theta = np.array(data.draw(_floats(d)))
+        m0, v0 = np.array(data.draw(_floats(d))), np.abs(data.draw(_floats(d)))
+
+        def state():
+            return AdamState(m0.copy(), np.array(v0), step0) if optimizer == "adam" else None
+
+        got, got_state = _opt_step(optimizer, state(), theta, grads, etas)
+        want, want_state = theta, state()
+        for i in range(n):
+            want, want_state = _opt_step(optimizer, want_state, want, grads[i:i + 1],
+                                         etas[i:i + 1])
+        assert got.tobytes() == want.tobytes()
+        if optimizer == "adam":
+            assert got_state.m.tobytes() == want_state.m.tobytes()
+            assert got_state.v.tobytes() == want_state.v.tobytes()
+            assert got_state.step == want_state.step == step0 + n
+
+    @settings(max_examples=25, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adam"]), rounds=st.integers(2, 30),
+           p=st.integers(1, 6), d_c=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_chunked_replay_equals_one_block(self, optimizer, rounds, p, d_c, seed, data):
+        chunk = data.draw(st.integers(1, rounds - 1), label="rounds per chunk")
+        rng = np.random.default_rng(seed)
+        history = _random_history(rng, rounds, p)
+        hp = HyperParams(eta=0.1, M=1, K=1, batch_size=1, zo=ZoConfig(P=p),
+                         optimizer=optimizer)
+        theta0 = rng.standard_normal(d_c)
+
+        def replay(memo_bytes):
+            client = ClientState(1, theta0.copy(), np.arange(1))
+            with mock.patch.object(prng, "MEMO_BYTES", memo_bytes):
+                return client_sync(client, history, hp, d_c, rounds)
+
+        block = replay(8 * p * d_c * rounds)
+        # chunks of `chunk` rounds, and one round per chunk with no prefetch
+        # when a round's directions exceed the memo
+        for chunked in (replay(8 * p * d_c * chunk), replay(8 * p * d_c - 1)):
+            assert block.t_sync == chunked.t_sync == rounds
+            assert block.theta_c.tobytes() == chunked.theta_c.tobytes()
+            if optimizer == "adam":
+                assert block.opt_state.m.tobytes() == chunked.opt_state.m.tobytes()
+                assert block.opt_state.v.tobytes() == chunked.opt_state.v.tobytes()
+                assert block.opt_state.step == chunked.opt_state.step == rounds
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_stale_past_memo_window_one_block_per_chunk(self, optimizer, monkeypatch):
+        text = BASE_CONFIG.replace("batch_size: 4,", f"batch_size: 4, optimizer: {optimizer},")
+        cfg = parse_config(text)
+        sim = runner.run_experiment(cfg).sim
+        rounds, p, d_c = sim.server.round, cfg.hp.zo.P, cfg.model.d_c
+        assert rounds == 40
+        # a client that never took part
+        client = ClientState(99, runner.build_simulation(cfg).server.theta_c_global,
+                             np.arange(1))
+        # a memo holding 8 rounds' directions, filled with rounds 4..11, so
+        # the first chunk (rounds 0..7) finds half of its rows held and least
+        # recently used: generating the other half must not evict them
+        monkeypatch.setattr(prng, "MEMO_BYTES", 8 * p * d_c * 8)
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        warm = ClientState(98, sim.server.theta_c_global.copy(), np.arange(1), t_sync=4)
+        client_sync(warm, sim.server.history, cfg.hp, d_c, 12)
+        blocks = []
+        real_block = prng.gaussian_block
+
+        def counting_block(seeds, dim):
+            blocks.append(len(seeds))
+            return real_block(seeds, dim)
+
+        monkeypatch.setattr(prng, "gaussian_block", counting_block)
+        # it replays all 40 rounds in 5 chunks, one block each but the first
+        client_sync(client, sim.server.history, cfg.hp, d_c, rounds)
+        assert blocks == [4 * p] + [8 * p] * 4
+        assert client.theta_c.tobytes() == sim.server.theta_c_global.tobytes()
 
 
 class TestBatchingAndBudget:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import model, prng, zo
 from splitsim.errors import DimensionMismatchError, NumericalError
@@ -154,12 +156,13 @@ class TestScalarProjections:
 
 class TestReconstruction:
     def test_zero_scalars_zero_vector(self):
-        g = reconstruct_gradient([0.0, 0.0], [1, 2], ZoConfig(P=2, mu=1e-3), 5)
+        g = reconstruct_gradient([[0.0, 0.0]], [(1, 2)], ZoConfig(P=2, mu=1e-3), 5)
+        assert g.shape == (1, 5)
         assert np.all(g == 0.0)
 
     def test_worked_example_recovers_true_gradient(self):
         # continues the linear example: v=0.3, u=1, mu=0.1 -> g = 3 = lambda * x
-        g = reconstruct_gradient([0.3], [99], ZoConfig(P=1, mu=0.1), 1,
+        g = reconstruct_gradient([[0.3]], [(99,)], ZoConfig(P=1, mu=0.1), 1,
                                  perturb_fn=_forced_ones)
         assert g.item() == pytest.approx(3.0, rel=1e-12)
 
@@ -167,8 +170,8 @@ class TestReconstruction:
         seeds = [prng.derive_stream(9, p) for p in range(4)]
         v = [0.5, -1.25, 2.0, 0.125]
         cfgz = ZoConfig(P=4, mu=1e-2)
-        a = reconstruct_gradient(v, seeds, cfgz, 6)
-        b = reconstruct_gradient([2 * x for x in v], seeds, cfgz, 6)
+        a = reconstruct_gradient([v], [seeds], cfgz, 6)
+        b = reconstruct_gradient([[2 * x for x in v]], [seeds], cfgz, 6)
         assert np.array_equal(2.0 * a, b)
 
     @pytest.mark.parametrize("d_c", [0, 1, 7, 143, 144])
@@ -181,13 +184,44 @@ class TestReconstruction:
             seeds = [prng.derive_stream(41, d_c, case, i) for i in range(p)]
             scalars = _scalar_pattern(rng, p, case % 4)
             zcfg = ZoConfig(P=p, mu=float(10.0 ** -rng.integers(1, 5)))
-            got = reconstruct_gradient(scalars, seeds, zcfg, d_c)
+            got = reconstruct_gradient([scalars], [seeds], zcfg, d_c)
             want = _reference_reconstruction(scalars, seeds, zcfg, d_c)
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == (1, d_c)
+            assert got[0].tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), p=st.integers(1, 25), d_c=st.sampled_from([0, 1, 2, 7, 33]),
+           case=st.integers(0, 3), mu_exp=st.integers(1, 4), data=st.data())
+    def test_stacked_rows_match_axpy_chain_bytewise(self, n, p, d_c, case, mu_exp, data):
+        rng = _rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
+        seeds = [tuple(data.draw(st.integers(0, 2 ** 64 - 1), label="seed") for _ in range(p))
+                 for _ in range(n)]
+        scalars = [_scalar_pattern(rng, p, (case + i) % 4) for i in range(n)]
+        zcfg = ZoConfig(P=p, mu=10.0 ** -mu_exp)
+        got = reconstruct_gradient(scalars, seeds, zcfg, d_c)
+        assert got.shape == (n, d_c)
+        for row, v, s in zip(got, scalars, seeds):
+            assert row.tobytes() == _reference_reconstruction(v, s, zcfg, d_c).tobytes()
+
+    def test_every_direction_fetched_once_per_row(self):
+        calls = []
+
+        def counting(seed, dim):
+            calls.append(seed)
+            return prng.gaussian_vector(seed, dim)
+
+        seeds = [(1, 2, 3), (4, 5, 6)]
+        reconstruct_gradient([[0.1, 0.2, 0.3]] * 2, seeds, ZoConfig(P=3, mu=1e-3), 4,
+                             perturb_fn=counting)
+        assert calls == [1, 4, 2, 5, 3, 6]
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            reconstruct_gradient([1.0], [1, 2], ZoConfig(P=2, mu=1e-3), 3)
+            reconstruct_gradient([[1.0]], [(1, 2)], ZoConfig(P=2, mu=1e-3), 3)
+        with pytest.raises(DimensionMismatchError):
+            reconstruct_gradient([[1.0, 2.0]], [(1, 2), (3, 4)], ZoConfig(P=2, mu=1e-3), 3)
+        with pytest.raises(DimensionMismatchError):
+            reconstruct_gradient([[1.0, 2.0]], [(1,)], ZoConfig(P=2, mu=1e-3), 3)
 
     def test_aggregation_reconstruction_commutes(self):
         # reconstructing from averaged scalars equals averaging reconstructions
@@ -195,8 +229,8 @@ class TestReconstruction:
         cfgz = ZoConfig(P=3, mu=1e-3)
         per_client = [[0.3, -0.1, 0.7], [0.2, 0.4, -0.5], [-0.9, 0.0, 0.1]]
         v_bar = [sum(col) / 3 for col in zip(*per_client)]
-        direct = reconstruct_gradient(v_bar, seeds, cfgz, 8)
-        averaged = np.mean([reconstruct_gradient(v, seeds, cfgz, 8) for v in per_client], axis=0)
+        direct = reconstruct_gradient([v_bar], [seeds], cfgz, 8)[0]
+        averaged = np.mean(reconstruct_gradient(per_client, [seeds] * 3, cfgz, 8), axis=0)
         assert np.abs(direct - averaged).max() < 1e-12
 
 
