@@ -31,25 +31,19 @@ MAX_SEED = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class DataConfig:
+    """The synthetic task. Its shape is the model's: model.n_in inputs, and
+    model.n_out classes or target columns."""
+
     task: str = "classification_blobs"
     n: int = 1024
-    dim: int = 8
-    classes: int = 2
     separation: float = 3.0
-    noise: float = 0.0
-    out_dim: int = 1
     eval_fraction: float = 0.2
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"data.task must be one of {TASKS}")
-        if self.n < 2 or self.dim < 1:
-            raise ConfigError("data.n and data.dim must be positive")
-        if self.task == "classification_blobs" and not self.n >= self.classes >= 2:
-            raise ConfigError(
-                f"classification_blobs needs data.n >= data.classes >= 2, "
-                f"got n={self.n}, classes={self.classes}"
-            )
+        if self.n < 2:
+            raise ConfigError(f"data.n must be at least 2, got {self.n}")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError("data.eval_fraction must lie in [0, 1)")
 
@@ -61,7 +55,7 @@ class ExperimentConfig:
     hp: HyperParams
     partition: PartitionSpec
     data: DataConfig
-    sample_budget: int | None = None
+    sample_budget: int
     root_seed: int = 0
     output_dir: str | None = None
 
@@ -70,7 +64,7 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not 0 <= self.root_seed <= MAX_SEED:
             raise ConfigError("root_seed must fit in 64 bits")
-        if self.sample_budget is not None and self.sample_budget < 0:
+        if self.sample_budget < 0:
             raise ConfigError("sample_budget must be non-negative")
         if self.hp.optimizer != "sgd" and self.protocol != "hosfl":
             raise ConfigError(
@@ -83,24 +77,17 @@ class ExperimentConfig:
                 f"splits each class across clients, and {self.data.task} targets "
                 f"have no classes; use partition.mode iid"
             )
-        if self.data.dim != self.model.n_in:
-            raise ConfigError(
-                f"data.dim ({self.data.dim}) must equal the model input width "
-                f"({self.model.n_in})"
-            )
         if self.data.task == "classification_blobs":
             if self.model.loss != "softmax_cross_entropy":
                 raise ConfigError("classification_blobs requires loss softmax_cross_entropy")
-            if self.data.classes != self.model.n_out:
+            if not self.data.n >= self.model.n_out >= 2:
                 raise ConfigError(
-                    f"data.classes ({self.data.classes}) must equal the model output "
-                    f"width ({self.model.n_out})"
+                    f"classification_blobs needs data.n >= classes >= 2, where classes "
+                    f"is the model output width; got n={self.data.n}, "
+                    f"classes={self.model.n_out}"
                 )
-        else:
-            if self.model.loss != "squared_error":
-                raise ConfigError("regression_quadratic requires loss squared_error")
-            if self.data.out_dim != self.model.n_out:
-                raise ConfigError("data.out_dim must equal the model output width")
+        elif self.model.loss != "squared_error":
+            raise ConfigError("regression_quadratic requires loss squared_error")
 
 
 @dataclass(frozen=True)
@@ -219,8 +206,6 @@ def _parse(cls, raw, where: str = ""):
     Keys missing from raw take the dataclass defaults; a missing section is
     parsed from {}. Any failure is a ConfigError naming the field or section.
     """
-    if isinstance(raw, cls):  # a section parse_config has already parsed
-        return raw
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -270,14 +255,7 @@ def _load_yaml(text: str):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment configuration document."""
-    raw = _load_yaml(text)
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a mapping")
-    model = _parse(SplitModelConfig, raw.get("model"), "model")
-    data = raw.get("data")
-    if data is None or isinstance(data, dict):  # data widths default to the model's
-        data = {"dim": model.n_in, "out_dim": model.n_out, **(data or {})}
-    return _parse(ExperimentConfig, {**raw, "model": model, "data": data})
+    return _parse(ExperimentConfig, _load_yaml(text))
 
 
 def parse_latency_profile(text: str) -> LatencyProfileConfig:

@@ -64,18 +64,14 @@ def make_classification_blobs(n: int, dim: int, classes: int, separation: float,
     return Dataset(points[perm], labels[perm])
 
 
-def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0,
-                              noise: float = 0.0) -> Dataset:
+def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0) -> Dataset:
     """Linear-map targets so a linear model under squared error is a quadratic bowl."""
     if n < 1 or dim < 1 or out_dim < 1:
         raise ValueError("n, dim, out_dim must be positive")
     rng = _rng(seed)
     weights = rng.standard_normal((dim, out_dim)) / np.sqrt(dim)
     x = rng.standard_normal((n, dim))
-    y = x @ weights
-    if noise > 0:
-        y = y + noise * rng.standard_normal(y.shape)
-    return Dataset(x, y)
+    return Dataset(x, x @ weights)
 
 
 def iid_partition(n: int, m: int, seed: int) -> list:

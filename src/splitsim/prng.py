@@ -74,9 +74,11 @@ def derive_stream(root: int, *parts: int) -> int:
 # live round, then once more for every round a straggler replays. Catch-up
 # replay prefetches the seeds of the rounds it replays and is chunked by
 # this budget: each chunk is as many rounds as their directions fit in it,
-# one block each. 512 KiB holds about 90 rounds of P=5 directions at
-# d_c=144. The bound is on bytes, not entries, so memory stays bounded at
-# any d_c (512 entries at d_c=200k would be about 800 MB).
+# one block each. A prefetch that does not fit is skipped (one round's
+# P=5 directions at d_c > 13,107), and each direction is then generated
+# on its first use as a one-row block. 512 KiB holds about 90 rounds of
+# P=5 directions at d_c=144. The bound is on bytes, not entries, so memory
+# stays bounded at any d_c (512 entries at d_c=200k would be about 800 MB).
 MEMO_BYTES = 512 * 1024
 
 
@@ -147,12 +149,16 @@ class _GaussianMemo:
     def fill(self, seeds, dim: int):
         """Generate, as one block, the (seed, dim) entries not yet held.
 
-        Held entries are marked most recently used first, so the new rows
-        evict other entries, not these: a set of seeds that fits the budget
-        is held whole when fill returns.
+        A set of seeds that does not fit the budget whole is left alone: its
+        block would evict its own rows before they are read. Otherwise held
+        entries are marked most recently used first, so the new rows evict
+        other entries, not these, and the set is held whole when fill returns.
         """
+        seeds = dict.fromkeys(seeds)
+        if 8 * dim * len(seeds) > MEMO_BYTES:
+            return
         missing = []
-        for s in dict.fromkeys(seeds):
+        for s in seeds:
             key = (s, dim)
             if key in self.entries:
                 self.entries.move_to_end(key)
@@ -191,7 +197,8 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
 def prefetch_gaussians(seeds, dim: int):
     """Fill the gaussian_vector memo for every seed with one gaussian_block.
 
-    Seeds already held become the most recently used. Changes no value:
+    Generates nothing unless the whole set fits in MEMO_BYTES. Seeds
+    already held become the most recently used. Changes no value:
     later gaussian_vector calls return the same bits, served from the memo
     while it still holds them.
     """

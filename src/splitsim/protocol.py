@@ -1,18 +1,21 @@
 """Round orchestration for the three training protocols.
 
 run_round is the one round skeleton: it samples clients, draws their
-batches and advances the round; a small per-protocol function does the
-rest, from shared phases (activation upload, server first-order step,
-model pull, local step and ordered average). The hybrid protocol runs four phases per round: synchronized clients upload
-cut activations, the server backpropagates and returns per-client activation
-feedback, clients project P seeded perturbations into scalars, and the
-server broadcasts the aggregated scalars from which every client (and a
-canonical server-held copy) reconstructs the identical update.
+batches and advances the round. A small per-protocol function does the
+rest, from shared phases: activation upload, server first-order step,
+model pull, local step and ordered average.
+
+The hybrid protocol runs four phases per round. Synchronized clients
+upload cut activations. The server backpropagates and returns per-client
+activation feedback. Clients project P seeded perturbations into scalars.
+The server broadcasts the aggregated scalars, from which every client (and
+a canonical server-held copy) reconstructs the identical update.
 
 The hybrid and zeroth-order rounds fill the Gaussian memo with one block
-of their directions the moment they derive the seeds (prefetch_gaussians),
-so each later perturb_fn call for them is served from the memo; every call
-still happens and every value is unchanged.
+of their directions the moment they derive the seeds (prefetch_gaussians,
+which generates nothing when the block would not fit the memo), so each
+later perturb_fn call for them is served from the memo; every call still
+happens and every value is unchanged.
 
 Stragglers never download parameters: they replay missed rounds from the
 stored (seeds, scalars, learning rate) history, applying the exact same
@@ -52,7 +55,6 @@ class HyperParams:
     M: int
     K: int
     batch_size: int
-    T: int = 0
     zo: ZoConfig = field(default_factory=ZoConfig)
     optimizer: str = "sgd"
 
@@ -61,8 +63,8 @@ class HyperParams:
             raise ValueError("eta must be positive")
         if not 1 <= self.K <= self.M:
             raise ValueError("need 1 <= K <= M")
-        if self.T < 0 or self.batch_size < 1:
-            raise ValueError("T must be >= 0 and batch_size >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -213,10 +215,13 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     live client would have applied, in round order and bit for bit. Every
     missed record is looked up first, so a StalenessError leaves the client
     untouched. The rounds are then replayed in chunks whose P directions fit
-    the Gaussian memo (prng.MEMO_BYTES): one prefetch_gaussians block, one
-    stacked reconstruction and one optimizer pass per chunk. No parameters
-    move over the wire; the caller accounts the (seed, scalar) tuples it
-    re-serves.
+    the Gaussian memo (prng.MEMO_BYTES), at least one round each: one
+    prefetch_gaussians call, one stacked reconstruction and one optimizer
+    pass per chunk.
+
+    Replay costs no bytes. Every client hears every SeedDown and ScalarDown
+    broadcast, which the ledger charges once per round, so the history it
+    replays is already its own; no parameters move over the wire.
     """
     if client.t_sync > target_round:
         raise ProtocolViolationError(
@@ -234,13 +239,11 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     if not missed:
         return client
     # rounds per chunk: as many as their P float64 directions fit the memo
-    # together; a round that does not fit alone is not prefetched, since its
-    # block would be evicted before it is read
-    fits = prng.MEMO_BYTES // max(1, 8 * hp.zo.P * d_c)
-    for start in range(0, len(missed), max(fits, 1)):
-        chunk = missed[start:start + max(fits, 1)]
-        if fits:
-            prefetch_gaussians([seed for rec in chunk for seed in rec.seeds], d_c)
+    # together, and at least one
+    per_chunk = max(1, prng.MEMO_BYTES // (8 * hp.zo.P * d_c))
+    for start in range(0, len(missed), per_chunk):
+        chunk = missed[start:start + per_chunk]
+        prefetch_gaussians([seed for rec in chunk for seed in rec.seeds], d_c)
         client.theta_c, client.opt_state = _opt_step(
             hp.optimizer, client.opt_state, client.theta_c,
             _round_grads(chunk, hp, d_c, perturb_fn), [rec.eta_used for rec in chunk])
@@ -433,10 +436,7 @@ def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
                         hp.K * hp.batch_size)
 
 
-def planned_rounds(hp: HyperParams, sample_budget: int | None) -> int:
-    """Round count: drain the sample budget when one is set, else run T rounds."""
-    if sample_budget is None:
-        return hp.T
-    per_round = hp.K * hp.batch_size
-    return -(-sample_budget // per_round)  # ceil
+def planned_rounds(hp: HyperParams, sample_budget: int) -> int:
+    """Round count: rounds of K * batch_size samples until the budget is drained."""
+    return -(-sample_budget // (hp.K * hp.batch_size))  # ceil
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model, prng, protocol
-from .config import DataConfig, ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict
 from .data import Dataset, make_classification_blobs, make_regression_quadratic, partition_dataset
 from .errors import ConfigError
 from .traffic import TrafficLedger, breakdown_report
@@ -46,18 +46,19 @@ class RunResult:
     sim: protocol.Simulation
 
 
-def _build_dataset(data_cfg: DataConfig, seed: int) -> Dataset:
-    if data_cfg.task == "classification_blobs":
-        return make_classification_blobs(data_cfg.n, data_cfg.dim, data_cfg.classes,
-                                         data_cfg.separation, seed)
-    return make_regression_quadratic(data_cfg.n, data_cfg.dim, data_cfg.out_dim,
-                                     seed, data_cfg.noise)
+def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
+    """The configured task at the model's widths: n_in inputs, and n_out
+    classes or target columns."""
+    data, n_in, n_out = cfg.data, cfg.model.n_in, cfg.model.n_out
+    if data.task == "classification_blobs":
+        return make_classification_blobs(data.n, n_in, n_out, data.separation, seed)
+    return make_regression_quadratic(data.n, n_in, n_out, seed)
 
 
 def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     """Deterministically construct dataset, shards, and initial states."""
     root = cfg.root_seed
-    full = _build_dataset(cfg.data, prng.derive_stream(root, prng.STREAM_DATA))
+    full = _build_dataset(cfg, prng.derive_stream(root, prng.STREAM_DATA))
     n_eval = int(len(full) * cfg.data.eval_fraction)
     n_train = len(full) - n_eval
     train = Dataset(full.inputs[:n_train], full.labels[:n_train])

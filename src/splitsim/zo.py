@@ -161,6 +161,11 @@ def _projection_block(theta_c, lam, z_anchor, batch, directions, mu, cfg):
     return np.einsum("nbd,bd->n", z_tilde - z_anchor[None], lam)
 
 
+# trials estimator_diagnostics draws and projects as one block. The chunks
+# group its sums, so the reported figures depend on this value.
+DIAG_CHUNK = 20000
+
+
 @dataclass(frozen=True)
 class EstimatorDiagnostics:
     """Monte Carlo summary of the client estimator on one instance."""
@@ -173,7 +178,7 @@ class EstimatorDiagnostics:
 
 def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
                           batch: model.Batch, zo: ZoConfig, n_trials: int,
-                          seed: int = 0, chunk: int = 20000) -> EstimatorDiagnostics:
+                          seed: int = 0) -> EstimatorDiagnostics:
     """Monte Carlo over fresh seeds: mean estimate vs the analytic gradient.
 
     Each trial draws P fresh directions, forms the P-average estimate, and
@@ -187,7 +192,7 @@ def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
     sum_sq = 0.0
     done = 0
     while done < n_trials:
-        n = min(chunk, n_trials - done)
+        n = min(DIAG_CHUNK, n_trials - done)
         seeds = [prng.derive_stream(seed, prng.STREAM_DIAG, done + t, p)
                  for t in range(n) for p in range(zo.P)]
         u = gaussian_block(seeds, cfg.d_c).reshape(n, zo.P, cfg.d_c)

@@ -105,9 +105,10 @@ CATCHUP_CONFIG = """
 protocol: hosfl
 root_seed: 0
 model: {layer_dims: [6, 4, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
-hp: {eta: 0.05, T: 200, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
+hp: {eta: 0.05, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 240, dim: 6, classes: 2, separation: 2.5}
+data: {task: classification_blobs, n: 240, separation: 2.5}
+sample_budget: 1600
 """
 
 
@@ -133,9 +134,10 @@ DIMFREE_CONFIG = """
 protocol: hosfl
 root_seed: 11
 model: {layer_dims: [5, 2, 2], activation: identity, cut_index: 1, loss: softmax_cross_entropy, bias: false}
-hp: {eta: 0.01, T: 3, M: 3, K: 2, batch_size: 4, zo: {P: 5, mu: 1.0e-3}}
+hp: {eta: 0.01, M: 3, K: 2, batch_size: 4, zo: {P: 5, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 60, dim: 5, classes: 2, separation: 3.0}
+data: {task: classification_blobs, n: 60, separation: 3.0}
+sample_budget: 24
 """
 
 
@@ -149,7 +151,6 @@ def test_criterion_5_dimension_free_aggregation():
     t0 = time.time()
     small_cfg, small = _run_totals(DIMFREE_CONFIG)
     big_text = DIMFREE_CONFIG.replace("layer_dims: [5, 2, 2]", "layer_dims: [5000, 2, 2]")
-    big_text = big_text.replace("dim: 5,", "dim: 5000,")
     big_cfg, big = _run_totals(big_text)
     assert small_cfg.model.d_c == 10 and big_cfg.model.d_c == 10 ** 4
     same_scalar = small[MessageKind.SCALAR_UP] == big[MessageKind.SCALAR_UP]
@@ -190,7 +191,7 @@ root_seed: 0
 model: {layer_dims: [8, 64, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
 hp: {eta: 0.1, M: 8, K: 1, batch_size: 16, zo: {P: 25, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 1200, classes: 2, separation: 1.5, eval_fraction: 0.25}
+data: {task: classification_blobs, n: 1200, separation: 1.5, eval_fraction: 0.25}
 sample_budget: 800
 """
 
@@ -223,7 +224,7 @@ _QUAD_X = np.random.Generator(np.random.PCG64(43)).standard_normal((128, 32))
 
 def _quad_sim(n_in, P, eta, run_seed):
     cfg = SplitModelConfig((n_in, 4, 1), "identity", 1, "squared_error", bias=False)
-    hp = HyperParams(eta=eta, T=0, M=1, K=1, batch_size=128, zo=ZoConfig(P=P, mu=1e-3))
+    hp = HyperParams(eta=eta, M=1, K=1, batch_size=128, zo=ZoConfig(P=P, mu=1e-3))
     x = _QUAD_X[:, :n_in]
     ds = Dataset(x, np.zeros((128, 1)))
     theta0 = m.init_params(cfg, 555)

@@ -38,13 +38,13 @@ hp:
   batch_size: 8
   zo: {P: 3, mu: 1.0e-3}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 200, classes: 2, separation: 3.0}
+data: {task: classification_blobs, n: 200, separation: 3.0}
 sample_budget: 160
 """
 
 
 REGRESSION = (GOOD.replace("loss: softmax_cross_entropy", "loss: squared_error")
-              .replace("task: classification_blobs, n: 200, classes: 2, separation: 3.0",
+              .replace("task: classification_blobs, n: 200, separation: 3.0",
                        "task: regression_quadratic, n: 200"))
 
 
@@ -79,9 +79,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(GOOD + "\nmystery: 1\n")
 
-    def test_unknown_nested_key_rejected(self):
-        with pytest.raises(ConfigError, match="warmup"):
-            parse_config(GOOD.replace("eta: 0.05", "eta: 0.05\n  warmup: 3"))
+    @pytest.mark.parametrize("path,value", [
+        ("hp.warmup", 3),
+        # keys the schema no longer has: the sample budget fixes the run
+        # length, and the model's widths fix the data's shape
+        ("hp.T", 40), ("data.dim", 8), ("data.classes", 2), ("data.out_dim", 2),
+        ("data.noise", 0.0),
+    ])
+    def test_unknown_nested_key_rejected(self, path, value):
+        section, key = path.split(".")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown key {key!r} in section {section!r}")):
+            parse_config(_with(GOOD, path, value))
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="line"):
@@ -94,18 +103,20 @@ class TestParsing:
         assert cfg.hp.zo.mu == 1e-3
         assert cfg.hp.optimizer == "sgd"
 
-    def test_data_model_consistency_enforced(self):
-        with pytest.raises(ConfigError, match="classes"):
-            parse_config(GOOD.replace("classes: 2", "classes: 3"))
-        with pytest.raises(ConfigError, match="dim"):
-            parse_config(GOOD.replace("n: 200,", "n: 200, dim: 5,"))
+    def test_data_shape_comes_from_the_model(self):
+        # a 3-class model needs no class count in its data section
+        cfg = parse_config(GOOD.replace("[8, 4, 2]", "[5, 4, 3]"))
+        dataset = runner.build_simulation(cfg).dataset
+        assert dataset.inputs.shape[1] == 5
+        assert sorted(set(dataset.labels.tolist())) == [0, 1, 2]
+        reg = parse_config(REGRESSION.replace("[8, 4, 2]", "[5, 4, 3]"))
+        assert runner.build_simulation(reg).dataset.labels.shape[1] == 3
 
     @pytest.mark.parametrize("width,n", [(1, 200), (3, 2)])
     def test_blob_class_count_rejected(self, width, n):
         # one class, or fewer samples than classes, cannot make blobs
-        text = GOOD.replace("[8, 4, 2]", f"[8, 4, {width}]").replace(
-            "n: 200, classes: 2", f"n: {n}, classes: {width}")
-        with pytest.raises(ConfigError, match="data.n >= data.classes >= 2"):
+        text = GOOD.replace("[8, 4, 2]", f"[8, 4, {width}]").replace("n: 200,", f"n: {n},")
+        with pytest.raises(ConfigError, match="data.n >= classes >= 2"):
             parse_config(text)
 
     @pytest.mark.parametrize("proto", ["sfl", "zosfl"])
@@ -126,9 +137,8 @@ class TestParsing:
             parse_config(text)
 
     @pytest.mark.parametrize("path,value", [
-        ("hp.M", 8.9), ("hp.K", True), ("hp.T", 2.5), ("hp.batch_size", 16.7),
+        ("hp.M", 8.9), ("hp.K", True), ("hp.batch_size", 16.7),
         ("hp.zo.P", 5.5), ("model.cut_index", 1.5), ("data.n", 1200.5),
-        ("data.classes", True), ("data.dim", False), ("data.out_dim", 1.5),
         ("root_seed", 3.7), ("root_seed", False), ("sample_budget", 160.5),
         ("model.layer_dims", [8, 16.9, 2]), ("model.layer_dims", [8, True, 2]),
         ("hp.M", "8"), ("root_seed", "12"), ("data.n", "1200"),
@@ -146,7 +156,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("path,value", [
         ("hp.eta", True), ("hp.zo.mu", False), ("partition.alpha", True),
-        ("data.separation", True), ("data.noise", False), ("data.eval_fraction", True),
+        ("data.separation", True), ("data.eval_fraction", True),
     ])
     def test_float_fields_reject_bools(self, path, value):
         with pytest.raises(ConfigError, match=re.escape(path)):
@@ -164,7 +174,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf"])
     @pytest.mark.parametrize("path", ["hp.eta", "hp.zo.mu", "partition.alpha",
-                                      "data.separation", "data.noise", "network.uplink_bps"])
+                                      "data.separation", "data.eval_fraction",
+                                      "network.uplink_bps"])
     def test_float_fields_reject_non_finite(self, path, value):
         latency = path.startswith("network.")
         parse = parse_latency_profile if latency else parse_config
@@ -211,7 +222,8 @@ class TestParsing:
         cfg = parse_config(GOOD.replace("partition: {mode: iid}", "partition: null"))
         assert cfg.partition == PartitionSpec()
 
-    @pytest.mark.parametrize("path", ["hp.T", "root_seed", "model.activation", "data.n"])
+    @pytest.mark.parametrize("path", ["sample_budget", "root_seed", "model.activation",
+                                      "data.n"])
     def test_null_rejected_for_plain_fields(self, path):
         with pytest.raises(ConfigError, match=re.escape(path)):
             parse_config(_with(GOOD, path, None))
@@ -378,10 +390,16 @@ class TestCli:
 
     def test_single_class_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "one.yaml"
-        path.write_text(GOOD.replace("[8, 4, 2]", "[8, 4, 1]").replace("classes: 2",
-                                                                       "classes: 1"))
+        path.write_text(GOOD.replace("[8, 4, 2]", "[8, 4, 1]"))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "data.classes" in capsys.readouterr().err
+        assert "data.n >= classes >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_removed_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "old.yaml"
+        path.write_text(_with(GOOD, "data.classes", 2))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown key 'classes' in section 'data'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sub", ["run", "report-traffic"])

@@ -48,7 +48,6 @@ def experiment_configs(draw) -> ExperimentConfig:
     M = draw(counts)
     hp = HyperParams(
         eta=draw(positive), M=M, K=draw(st.integers(1, M)), batch_size=draw(counts),
-        T=draw(st.integers(0, 1 << 20)),
         zo=ZoConfig(P=draw(counts), mu=draw(st.floats(min_value=1e-12, max_value=0.999))),
         optimizer=draw(st.sampled_from(OPTIMIZERS)) if protocol == "hosfl" else "sgd",
     )
@@ -56,15 +55,12 @@ def experiment_configs(draw) -> ExperimentConfig:
     partition = PartitionSpec(mode=mode, alpha=draw(positive if mode == "dirichlet" else finite))
     data = DataConfig(
         # blobs need at least one sample per class
-        task=task, n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)), dim=model.n_in,
-        classes=model.n_out if blobs else draw(counts),
-        separation=draw(finite), noise=draw(finite),
-        out_dim=draw(counts) if blobs else model.n_out,
-        eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
+        task=task, n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)),
+        separation=draw(finite), eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
     )
     return ExperimentConfig(
         protocol=protocol, model=model, hp=hp, partition=partition, data=data,
-        sample_budget=draw(st.none() | st.integers(0, 1 << 40)),
+        sample_budget=draw(st.integers(0, 1 << 40)),
         root_seed=draw(st.integers(0, (1 << 64) - 1)),
         output_dir=draw(st.none() | st.text(max_size=20)),
     )

@@ -16,6 +16,7 @@ import yaml
 
 from splitsim import cli, model, runner
 from splitsim.config import parse_config
+from splitsim.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = CONFIGS / "blobs_hosfl.yaml"
@@ -39,17 +40,26 @@ GOLDEN = {
 # sha256 of the other files `run` writes for the shipped config
 OUTPUT_FILES = {
     "hosfl": {
-        "metrics.jsonl": "445c91a3adef3a55064536a6c167b518f3910601b9b045caf08e6bfba777cb50",
+        "metrics.jsonl": "f2be7b4ea761e596dfc6188b658673d16ad7310ab5f2ee16bf0967d4d94055e8",
         "traffic.csv": "415b44b8207d536a8b2a14d23596f105f1c064fabcd5c6949eee78a3e736ed8b",
     },
     "sfl": {
-        "metrics.jsonl": "7ae8571482c7a981b52d272d84e66c96cf93e000b82623d82261eeddb7dc16be",
+        "metrics.jsonl": "9f7f1954771be0131b92fdc1bcba8095323eeb916b50b2f80e2fdb29572443c5",
         "traffic.csv": "81ce09fdc8fe0f185840c03ebac9affe78dcda983908c631e8e4cce6d2108523",
     },
     "zosfl": {
-        "metrics.jsonl": "6c9fa987bfa408c9ca7b8cbee27e9f3cae1b24fa438dcc7b57b6752573cb951c",
+        "metrics.jsonl": "e583efb0e9978acbddd726126939fa2ba34d2a4ca968cd9a7ec567ffe7132e58",
         "traffic.csv": "f1ef7862bb5e3e4302e44c123c9f7fbfa702fdef408ec4b5fdc9e19bec931250",
     },
+}
+
+
+# sha256 of metrics.jsonl without its header line: the round records alone,
+# which do not move when the config gains or loses a field
+METRICS_ROWS = {
+    "hosfl": "3bad3898c1513aa623f60c3ed7dacd92e042be5d97cc9d1f0f62206fa9167cbf",
+    "sfl": "c22c1a641e4b69467cc4ceb15ddf2b8def1637b01c44880650cd8677f55ef63e",
+    "zosfl": "e7f7dbd9f8cab16bdd687990bf945005779f6fd3ffc82d3c3491fc8383808f2e",
 }
 
 
@@ -63,6 +73,8 @@ def test_shipped_config_combined_checksum(proto, tmp_path):
     runner.write_outputs(result, tmp_path)
     for name, digest in OUTPUT_FILES[proto].items():
         assert _sha256(tmp_path / name) == digest, name
+    rows = (tmp_path / "metrics.jsonl").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(rows).hexdigest() == METRICS_ROWS[proto]
 
 
 def test_metrics_rows_carry_exactly_the_header_fields(tmp_path):
@@ -131,19 +143,22 @@ def test_stragglers_adam_combined_checksum():
         "combined_sha256=886b2bc02a4da0d04d217622efa4781a5f4cd7fa7ca45d247d4c57139ca38317")
 
 
-# config_sha256 in every metrics.jsonl header; sample_budget unset falls back to hp.T
+# config_sha256 in every metrics.jsonl header
 CONFIG_DIGEST = {
-    "shipped": "db9a150fbf8501b6d5e7a418065a24542bfc389db6d28ec7620809d45c58afce",
-    "no_budget": "3823e574fb540c97ca428021b033b3af29871ea9e26a0288c74afafcf0469192",
+    "shipped": "829bcfb95fc87a73066a18f8d931a9bf4f03cc3887654e1c2023bb1bed06c8c4",
 }
 
 
 def test_shipped_config_digest():
     text = SHIPPED.read_text()
-    assert "sample_budget: 3200\n" in text
     assert runner._config_digest(parse_config(text)) == CONFIG_DIGEST["shipped"]
-    no_budget = parse_config(text.replace("sample_budget: 3200\n", ""))
-    assert runner._config_digest(no_budget) == CONFIG_DIGEST["no_budget"]
+
+
+def test_sample_budget_is_required():
+    text = SHIPPED.read_text()
+    assert "sample_budget: 3200\n" in text
+    with pytest.raises(ConfigError, match="missing required field 'sample_budget'"):
+        parse_config(text.replace("sample_budget: 3200\n", ""))
 
 
 # sha256 of what each subcommand emits for the shipped configs: the stdout

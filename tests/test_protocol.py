@@ -33,9 +33,10 @@ BASE_CONFIG = """
 protocol: hosfl
 root_seed: 4242
 model: {layer_dims: [6, 4, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
-hp: {eta: 0.05, T: 40, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
+hp: {eta: 0.05, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 240, dim: 6, classes: 2, separation: 2.5}
+data: {task: classification_blobs, n: 240, separation: 2.5}
+sample_budget: 320
 """
 
 
@@ -46,7 +47,7 @@ def _forced_ones(seed, dim):
 def _worked_instance():
     """The 1-D linear instance: client w=2, server w=1, x=1, y=0.5 -> lambda=3."""
     cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
-    hp = HyperParams(eta=0.01, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
+    hp = HyperParams(eta=0.01, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
     ds = Dataset(np.array([[1.0]]), np.array([[0.5]]))
     server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
     clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
@@ -99,7 +100,7 @@ class TestWorkedRound:
 
     def test_perfect_fit_moves_nothing(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
-        hp = HyperParams(eta=0.05, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=3, mu=0.1))
+        hp = HyperParams(eta=0.05, M=1, K=1, batch_size=1, zo=ZoConfig(P=3, mu=0.1))
         ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
         clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
@@ -111,7 +112,7 @@ class TestWorkedRound:
     def test_two_point_round_exact_on_quadratic(self):
         # composite L(theta_c) = (theta_c - 2)^2 through a frozen-direction probe
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
-        hp = HyperParams(eta=0.01, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
+        hp = HyperParams(eta=0.01, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
         ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([3.0]))
         clients = {1: ClientState(1, np.array([3.0]), np.arange(1))}
@@ -130,7 +131,7 @@ class TestWorkedRound:
 
     def test_two_point_round_zero_loss_frozen(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
-        hp = HyperParams(eta=0.05, T=1, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
+        hp = HyperParams(eta=0.05, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
         ds = Dataset(np.zeros((1, 1)), np.zeros((1, 1)))
         server = ServerState(theta_s=np.array([1.5]), theta_c_global=np.array([2.5]))
         clients = {1: ClientState(1, np.array([2.5]), np.arange(1))}
@@ -305,6 +306,36 @@ class TestBlockReplay:
         assert client.theta_c.tobytes() == sim.server.theta_c_global.tobytes()
 
 
+class TestLargeDirections:
+    @pytest.mark.parametrize("proto", ["hosfl", "zosfl"])
+    def test_no_multi_row_block_when_directions_overflow_the_memo(self, proto, monkeypatch):
+        # d_c = 140,000: a round's directions do not fit prng.MEMO_BYTES
+        # together (nor do zosfl's two server directions at d_s = 40,002),
+        # so a prefetched block would be evicted before it is read; each
+        # direction is generated alone, where it is used
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")
+                           .replace("layer_dims: [6, 4, 2]", "layer_dims: [6, 20000, 2]"))
+        assert 8 * cfg.hp.zo.P * cfg.model.d_c > prng.MEMO_BYTES
+        sim = runner.build_simulation(cfg)
+        rows = []
+        real_block = prng.gaussian_block
+
+        def counting_block(seeds, dim):
+            rows.append(len(seeds))
+            return real_block(seeds, dim)
+
+        monkeypatch.setattr(prng, "gaussian_block", counting_block)
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        replayed = 0
+        for t in range(4):
+            selected = sample_clients(cfg.hp.M, cfg.hp.K,
+                                      prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t))
+            replayed += sum(t - sim.clients[cid].t_sync for cid in selected)
+            run_round(sim)
+        assert rows and set(rows) == {1}
+        assert replayed > 0  # under hosfl, catch-up replay ran too
+
+
 class TestBatchingAndBudget:
     def test_draw_batch_deterministic(self):
         ds = Dataset(np.arange(40, dtype=float).reshape(20, 2),
@@ -326,14 +357,13 @@ class TestBatchingAndBudget:
             draw_batch(ds, np.array([], dtype=np.int64), 2, 0)
 
     def test_budget_round_arithmetic(self):
-        hp = HyperParams(eta=0.1, T=99, M=1, K=1, batch_size=32, zo=ZoConfig())
+        hp = HyperParams(eta=0.1, M=1, K=1, batch_size=32, zo=ZoConfig())
         assert planned_rounds(hp, 320) == 10
         assert planned_rounds(hp, 321) == 11
         assert planned_rounds(hp, 0) == 0
-        assert planned_rounds(hp, None) == 99
 
     def test_zero_rounds_returns_initial_state(self):
-        cfg = parse_config(BASE_CONFIG.replace("T: 40", "T: 0"))
+        cfg = parse_config(BASE_CONFIG.replace("sample_budget: 320", "sample_budget: 0"))
         theta0 = runner.build_simulation(cfg).server.theta_c_global.tobytes()
         result = runner.run_experiment(cfg)
         assert result.records == []
@@ -345,7 +375,7 @@ class TestCallCounts:
     def test_forward_and_gaussian_calls_per_round(self, proto, monkeypatch):
         # every direction is still requested and every forward still runs
         cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")
-                           .replace("T: 40", "T: 12"))
+                           .replace("sample_budget: 320", "sample_budget: 96"))
         hp = cfg.hp
         forwards, gaussians = [], []
         real_forward = m.client_forward
@@ -362,12 +392,13 @@ class TestCallCounts:
         runner.run_experiment(cfg, counting_perturb)
         # rounds a sampled client missed since it last took part
         replayed, synced = 0, {}
-        for t in range(hp.T):
+        rounds = planned_rounds(hp, cfg.sample_budget)
+        for t in range(rounds):
             for cid in sample_clients(hp.M, hp.K,
                                       prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t)):
                 replayed += t - synced.get(cid, 0)
                 synced[cid] = t + 1
-        k, p, rounds = hp.K, hp.zo.P, hp.T
+        k, p = hp.K, hp.zo.P
         want = {
             "hosfl": (rounds * (k * (1 + p) + 1), rounds * (2 * k + 1) * p + p * replayed),
             "sfl": (rounds * (k + 1), 0),
@@ -391,7 +422,7 @@ class TestTrafficLaws:
         def scalar_up(dim_hidden):
             text = BASE_CONFIG.replace("layer_dims: [6, 4, 2]",
                                        f"layer_dims: [6, {dim_hidden}, 2]")
-            cfg = parse_config(text.replace("T: 40", "T: 5"))
+            cfg = parse_config(text.replace("sample_budget: 320", "sample_budget: 40"))
             return runner.run_experiment(cfg).sim.ledger.totals[MessageKind.SCALAR_UP]
 
         assert scalar_up(4) == scalar_up(400)
@@ -400,7 +431,8 @@ class TestTrafficLaws:
         # convex-ish blob task: trailing-decile loss below leading decile
         for proto, eta in [("hosfl", 0.05), ("sfl", 0.05), ("zosfl", 0.02)]:
             text = BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")
-            text = text.replace("eta: 0.05", f"eta: {eta}").replace("T: 40", "T: 60")
+            text = text.replace("eta: 0.05", f"eta: {eta}").replace("sample_budget: 320",
+                                                                    "sample_budget: 480")
             cfg = parse_config(text)
             result = runner.run_experiment(cfg)
             losses = [r.train_loss for r in result.records]
@@ -410,7 +442,7 @@ class TestTrafficLaws:
     def test_sfl_symmetric_clients_average_to_single_update(self):
         # identical data on both clients: the averaged model equals either update
         cfg = m.SplitModelConfig((2, 2, 1), "identity", 1, "squared_error", bias=False)
-        hp = HyperParams(eta=0.05, T=1, M=2, K=2, batch_size=2, zo=ZoConfig())
+        hp = HyperParams(eta=0.05, M=2, K=2, batch_size=2, zo=ZoConfig())
         x = np.array([[1.0, 0.5], [0.25, -1.0]])
         y = np.array([[1.0], [0.0]])
         ds = Dataset(np.vstack([x, x]), np.vstack([y, y]))

@@ -21,7 +21,7 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "blobs_hosfl.yaml
 
 
 def _hp(k=10, b=32, p=5, m=20):
-    return HyperParams(eta=0.1, T=1, M=m, K=k, batch_size=b, zo=ZoConfig(P=p, mu=1e-3))
+    return HyperParams(eta=0.1, M=m, K=k, batch_size=b, zo=ZoConfig(P=p, mu=1e-3))
 
 
 CE_MODEL = SplitModelConfig((8, 4, 2), "tanh", 1, "softmax_cross_entropy")
