@@ -59,7 +59,8 @@ def _load(path: str, parse, what: str):
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
+    # report-traffic has no --seed: its closed-form table never reads the seed
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, root_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
@@ -186,7 +187,6 @@ def _build_parser() -> _Parser:
     p_traffic.add_argument("--config", required=True, help="experiment YAML path")
     p_traffic.add_argument("--all-protocols", action="store_true",
                            help="tabulate every protocol, not just the configured one")
-    p_traffic.add_argument("--seed", type=int, default=None)
     p_traffic.add_argument("--out", default=None)
     p_traffic.set_defaults(func=_cmd_report_traffic)
     return parser

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import yaml
 
-from .data import PartitionSpec, TASKS
+from .data import PartitionSpec
 from .errors import ConfigError
 from .latency import DeviceProfile, NetworkProfile, WorkloadProfile
 from .model import SplitModelConfig
@@ -31,21 +31,20 @@ MAX_SEED = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class DataConfig:
-    """The synthetic task. Its shape is the model's: model.n_in inputs, and
-    model.n_out classes or target columns."""
+    """The synthetic task, picked by the model's loss: Gaussian blobs for
+    softmax_cross_entropy, linear-map targets for squared_error. Its shape is
+    the model's: model.n_in inputs, and model.n_out classes or target
+    columns. separation, the blob centers' scale, is read by blobs only."""
 
-    task: str = "classification_blobs"
     n: int = 1024
-    separation: float = 3.0
+    separation: float | None = None
     eval_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"data.task must be one of {TASKS}")
         if self.n < 2:
-            raise ConfigError(f"data.n must be at least 2, got {self.n}")
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if not 0.0 <= self.eval_fraction < 1.0:
-            raise ConfigError("data.eval_fraction must lie in [0, 1)")
+            raise ValueError(f"eval_fraction must lie in [0, 1), got {self.eval_fraction}")
 
 
 @dataclass(frozen=True)
@@ -71,23 +70,25 @@ class ExperimentConfig:
                 f"hp.optimizer {self.hp.optimizer!r} is supported by hosfl only; "
                 f"{self.protocol} steps with sgd"
             )
-        if self.partition.mode == "dirichlet" and self.data.task != "classification_blobs":
-            raise ConfigError(
-                f"partition.mode dirichlet needs class labels: Dirichlet label skew "
-                f"splits each class across clients, and {self.data.task} targets "
-                f"have no classes; use partition.mode iid"
-            )
-        if self.data.task == "classification_blobs":
-            if self.model.loss != "softmax_cross_entropy":
-                raise ConfigError("classification_blobs requires loss softmax_cross_entropy")
+        if self.model.loss == "softmax_cross_entropy":
+            if self.data.separation is None:
+                raise ConfigError("data.separation is required under loss "
+                                  "softmax_cross_entropy: it scales the blob centers")
             if not self.data.n >= self.model.n_out >= 2:
                 raise ConfigError(
-                    f"classification_blobs needs data.n >= classes >= 2, where classes "
-                    f"is the model output width; got n={self.data.n}, "
+                    f"softmax_cross_entropy blobs need data.n >= classes >= 2, where "
+                    f"classes is the model output width; got n={self.data.n}, "
                     f"classes={self.model.n_out}"
                 )
-        elif self.model.loss != "squared_error":
-            raise ConfigError("regression_quadratic requires loss squared_error")
+        elif self.data.separation is not None:
+            raise ConfigError(f"data.separation is read under loss softmax_cross_entropy "
+                              f"only; loss {self.model.loss} takes no separation")
+        elif self.partition.mode == "dirichlet":
+            raise ConfigError(
+                f"partition.mode dirichlet needs class labels: Dirichlet label skew "
+                f"splits each class across clients, and {self.model.loss} targets "
+                f"have no classes; use partition.mode iid"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,49 +1,43 @@
 """Synthetic task generation and client data partitioning.
 
-Generators run on numpy's PCG64 with explicit seeds; the protocol-critical
-perturbation streams live in prng.py and never touch these generators.
+Each generator returns its whole set as one model.Batch, the one (inputs,
+labels) type. Generators run on numpy's PCG64 with explicit seeds; the
+protocol-critical perturbation streams live in prng.py and never touch
+these generators.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-TASKS = ("regression_quadratic", "classification_blobs")
+from .model import Batch
+
 PARTITION_MODES = ("iid", "dirichlet")
 
 DIRICHLET_RETRIES = 10
 
 
 @dataclass
-class Dataset:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if len(self.labels) != len(self.inputs):
-            raise ValueError("inputs and labels disagree on length")
-        if not np.all(np.isfinite(self.inputs)):
-            raise ValueError("inputs contain non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
-@dataclass
 class PartitionSpec:
-    """How the dataset is split across clients."""
+    """How the dataset is split across clients. alpha, the Dirichlet
+    concentration, is read under mode dirichlet only: it is required there
+    and rejected under iid."""
 
     mode: str = "iid"
-    alpha: float = 1.0
+    alpha: float | None = None
 
     def __post_init__(self):
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "dirichlet" and self.alpha <= 0:
+        if self.mode == "iid":
+            if self.alpha is not None:
+                raise ValueError("alpha is read under mode dirichlet only; "
+                                 "mode iid takes no alpha")
+        elif self.alpha is None:
+            raise ValueError("alpha is required under mode dirichlet")
+        elif self.alpha <= 0:
             raise ValueError("dirichlet alpha must be positive")
 
 
@@ -52,7 +46,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def make_classification_blobs(n: int, dim: int, classes: int, separation: float,
-                              seed: int) -> Dataset:
+                              seed: int) -> Batch:
     """Gaussian blobs around deterministic class centers, counts balanced +-1."""
     if not n >= classes >= 2:
         raise ValueError("need n >= classes >= 2")
@@ -61,17 +55,17 @@ def make_classification_blobs(n: int, dim: int, classes: int, separation: float,
     labels = np.arange(n, dtype=np.int64) % classes
     points = centers[labels] + rng.standard_normal((n, dim))
     perm = rng.permutation(n)
-    return Dataset(points[perm], labels[perm])
+    return Batch(points[perm], labels[perm])
 
 
-def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0) -> Dataset:
+def make_regression_quadratic(n: int, dim: int, out_dim: int = 1, seed: int = 0) -> Batch:
     """Linear-map targets so a linear model under squared error is a quadratic bowl."""
     if n < 1 or dim < 1 or out_dim < 1:
         raise ValueError("n, dim, out_dim must be positive")
     rng = _rng(seed)
     weights = rng.standard_normal((dim, out_dim)) / np.sqrt(dim)
     x = rng.standard_normal((n, dim))
-    return Dataset(x, x @ weights)
+    return Batch(x, x @ weights)
 
 
 def iid_partition(n: int, m: int, seed: int) -> list:
@@ -92,15 +86,14 @@ def dirichlet_partition(labels, m: int, alpha: float, seed: int) -> list:
 
     labels is a vector of non-negative class indices. Every index is
     assigned exactly once. If some shard comes out empty the draw is retried
-    up to DIRICHLET_RETRIES times, then the skewed partition is kept with a
-    warning.
+    up to DIRICHLET_RETRIES times, then the last draw is returned as it is;
+    the caller decides what an empty shard means.
     """
     if m < 1 or alpha <= 0:
         raise ValueError("need m >= 1 and alpha > 0")
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("dirichlet partition needs a vector of class indices")
-    shards = None
     for attempt in range(DIRICHLET_RETRIES + 1):
         rng = _rng(seed + attempt)
         parts = [[] for _ in range(m)]
@@ -114,16 +107,12 @@ def dirichlet_partition(labels, m: int, alpha: float, seed: int) -> list:
                 shard.extend(chunk.tolist())
         shards = [np.sort(np.asarray(p, dtype=np.int64)) for p in parts]
         if all(len(s) > 0 for s in shards):
-            return shards
-    warnings.warn(
-        f"dirichlet partition left empty shards after {DIRICHLET_RETRIES} retries",
-        stacklevel=2,
-    )
+            break
     return shards
 
 
-def partition_dataset(dataset: Dataset, spec: PartitionSpec, m: int, seed: int) -> list:
+def partition_dataset(dataset: Batch, spec: PartitionSpec, m: int, seed: int) -> list:
     """dataset's indices split into m client shards as spec says."""
     if spec.mode == "iid":
-        return iid_partition(len(dataset), m, seed)
+        return iid_partition(dataset.size, m, seed)
     return dirichlet_partition(dataset.labels, m, spec.alpha, seed)

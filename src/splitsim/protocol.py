@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model, prng
-from .data import Dataset
 from .errors import NumericalError, ProtocolViolationError, StalenessError
 from .prng import (derive_stream, gaussian_vector, ordered_mean, ordered_mean_scalar,
                    prefetch_gaussians)
@@ -153,7 +152,7 @@ class Simulation:
     protocol: str
     model_cfg: model.SplitModelConfig
     hp: HyperParams
-    dataset: Dataset
+    dataset: model.Batch
     eval_batch: model.Batch
     server: ServerState
     clients: dict
@@ -183,7 +182,7 @@ def sample_clients(m: int, k: int, seed: int) -> list:
     return sorted(_partial_shuffle(list(range(1, m + 1)), k, seed))
 
 
-def draw_batch(dataset: Dataset, shard: np.ndarray, batch_size: int, seed: int) -> model.Batch:
+def draw_batch(dataset: model.Batch, shard: np.ndarray, batch_size: int, seed: int) -> model.Batch:
     """Deterministic batch from a client shard; without replacement when possible."""
     n = len(shard)
     if n == 0:

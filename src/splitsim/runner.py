@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model, prng, protocol
 from .config import ExperimentConfig, config_to_dict
-from .data import Dataset, make_classification_blobs, make_regression_quadratic, partition_dataset
+from .data import make_classification_blobs, make_regression_quadratic, partition_dataset
 from .errors import ConfigError
 from .traffic import TrafficLedger, breakdown_report
 
@@ -46,11 +46,11 @@ class RunResult:
     sim: protocol.Simulation
 
 
-def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
-    """The configured task at the model's widths: n_in inputs, and n_out
-    classes or target columns."""
+def _build_dataset(cfg: ExperimentConfig, seed: int) -> model.Batch:
+    """The model's task at its widths: blobs with n_out classes under
+    softmax_cross_entropy, n_out target columns under squared_error."""
     data, n_in, n_out = cfg.data, cfg.model.n_in, cfg.model.n_out
-    if data.task == "classification_blobs":
+    if cfg.model.loss == "softmax_cross_entropy":
         return make_classification_blobs(data.n, n_in, n_out, data.separation, seed)
     return make_regression_quadratic(data.n, n_in, n_out, seed)
 
@@ -59,9 +59,11 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     """Deterministically construct dataset, shards, and initial states."""
     root = cfg.root_seed
     full = _build_dataset(cfg, prng.derive_stream(root, prng.STREAM_DATA))
-    n_eval = int(len(full) * cfg.data.eval_fraction)
-    n_train = len(full) - n_eval
-    train = Dataset(full.inputs[:n_train], full.labels[:n_train])
+    if not np.all(np.isfinite(full.inputs)):
+        raise ConfigError("the generated data has non-finite inputs; lower data.separation")
+    n_eval = int(full.size * cfg.data.eval_fraction)
+    n_train = full.size - n_eval
+    train = model.Batch(full.inputs[:n_train], full.labels[:n_train])
     # with no held-out split, evaluation runs on the training set
     start = n_train if n_eval > 0 else 0
     eval_batch = model.Batch(full.inputs[start:], full.labels[start:])
@@ -70,10 +72,10 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
                                prng.derive_stream(root, prng.STREAM_PARTITION))
     empty = [cid for cid, shard in enumerate(shards, start=1) if len(shard) == 0]
     if empty:
+        grow = "partition.alpha or data.n" if cfg.partition.mode == "dirichlet" else "data.n"
         raise ConfigError(
             f"partition leaves client {empty[0]} with an empty data shard "
-            f"({len(empty)} of {cfg.hp.M} empty); raise partition.alpha or data.n, "
-            f"or lower hp.M"
+            f"({len(empty)} of {cfg.hp.M} empty); raise {grow}, or lower hp.M"
         )
 
     theta = model.init_params(cfg.model, root)

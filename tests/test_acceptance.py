@@ -13,7 +13,6 @@ import numpy as np
 import splitsim.model as m
 from splitsim import cli, prng, runner, zo
 from splitsim.config import parse_config
-from splitsim.data import Dataset
 from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile, max_overlapped_perturbations
 from splitsim.model import Batch, SplitModelConfig
 from splitsim.protocol import ClientState, HyperParams, ServerState, Simulation, client_sync, run_round
@@ -107,7 +106,7 @@ root_seed: 0
 model: {layer_dims: [6, 4, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
 hp: {eta: 0.05, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 240, separation: 2.5}
+data: {n: 240, separation: 2.5}
 sample_budget: 1600
 """
 
@@ -136,7 +135,7 @@ root_seed: 11
 model: {layer_dims: [5, 2, 2], activation: identity, cut_index: 1, loss: softmax_cross_entropy, bias: false}
 hp: {eta: 0.01, M: 3, K: 2, batch_size: 4, zo: {P: 5, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 60, separation: 3.0}
+data: {n: 60, separation: 3.0}
 sample_budget: 24
 """
 
@@ -191,7 +190,7 @@ root_seed: 0
 model: {layer_dims: [8, 64, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
 hp: {eta: 0.1, M: 8, K: 1, batch_size: 16, zo: {P: 25, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 1200, separation: 1.5, eval_fraction: 0.25}
+data: {n: 1200, separation: 1.5, eval_fraction: 0.25}
 sample_budget: 800
 """
 
@@ -226,7 +225,7 @@ def _quad_sim(n_in, P, eta, run_seed):
     cfg = SplitModelConfig((n_in, 4, 1), "identity", 1, "squared_error", bias=False)
     hp = HyperParams(eta=eta, M=1, K=1, batch_size=128, zo=ZoConfig(P=P, mu=1e-3))
     x = _QUAD_X[:, :n_in]
-    ds = Dataset(x, np.zeros((128, 1)))
+    ds = Batch(x, np.zeros((128, 1)))
     theta0 = m.init_params(cfg, 555)
     theta_c = theta0[: cfg.d_c] / np.linalg.norm(theta0[: cfg.d_c]) * 0.3
     theta_s = theta0[cfg.d_c:] / np.linalg.norm(theta0[cfg.d_c:]) * 2.0
@@ -242,15 +241,14 @@ def _quad_rounds_to_eps(n_in, P, eta, seed, t_max, reps=8, eps_rel=0.01):
     l0 = None
     for r in range(reps):
         sim, cfg = _quad_sim(n_in, P, eta, prng.derive_stream(seed, r))
-        batch = Batch(sim.dataset.inputs, sim.dataset.labels)
         if l0 is None:
             theta0 = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
-            l0, _ = m.evaluate_model(theta0, batch, cfg)
+            l0, _ = m.evaluate_model(theta0, sim.dataset, cfg)
         losses = np.empty(t_max)
         for t in range(t_max):
             run_round(sim)
             theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
-            losses[t], _ = m.evaluate_model(theta, batch, cfg)
+            losses[t], _ = m.evaluate_model(theta, sim.dataset, cfg)
         curves.append(losses)
     mean = np.mean(curves, axis=0)
     idx = np.nonzero(mean <= eps_rel * l0)[0]

@@ -1,27 +1,33 @@
 """Configuration schema and the command-line surface."""
 
+import functools
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from splitsim import cli, runner
 from splitsim.config import (
+    DataConfig,
     LatencyProfileConfig,
     SweepConfig,
     config_to_dict,
     parse_config,
     parse_latency_profile,
 )
-from splitsim.data import PartitionSpec
+from splitsim.data import PARTITION_MODES, PartitionSpec
 from splitsim.errors import ConfigError
 from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile
 from splitsim.traffic import MessageKind
 
-LATENCY_EDGE = Path(__file__).resolve().parent.parent / "configs" / "latency_edge.yaml"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LATENCY_EDGE = CONFIGS / "latency_edge.yaml"
+SHIPPED = CONFIGS / "blobs_hosfl.yaml"
 
 GOOD = """
 protocol: hosfl
@@ -38,14 +44,13 @@ hp:
   batch_size: 8
   zo: {P: 3, mu: 1.0e-3}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 200, separation: 3.0}
+data: {n: 200, separation: 3.0}
 sample_budget: 160
 """
 
 
 REGRESSION = (GOOD.replace("loss: softmax_cross_entropy", "loss: squared_error")
-              .replace("task: classification_blobs, n: 200, separation: 3.0",
-                       "task: regression_quadratic, n: 200"))
+              .replace("n: 200, separation: 3.0", "n: 200"))
 
 
 def _with(text, path, value):
@@ -193,11 +198,11 @@ class TestParsing:
 
     def test_regression_parses_with_iid(self):
         cfg = parse_config(REGRESSION)
-        assert (cfg.data.task, cfg.partition.mode) == ("regression_quadratic", "iid")
+        assert (cfg.data.separation, cfg.partition.mode) == (None, "iid")
 
     def test_dirichlet_rejected_for_regression(self):
         with pytest.raises(ConfigError, match="dirichlet needs class labels"):
-            parse_config(_with(REGRESSION, "partition.mode", "dirichlet"))
+            parse_config(REGRESSION.replace("{mode: iid}", "{mode: dirichlet, alpha: 1.0}"))
 
     def test_round_trip(self):
         cfg = parse_config(GOOD)
@@ -358,14 +363,41 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("sub", ["run", "diagnose-estimator"])
-    def test_empty_shard_is_usage_error(self, sub, tmp_path, capsys):
+    @pytest.mark.parametrize("partition,n,hint", [
+        ("{mode: dirichlet, alpha: 0.01}", 200, "raise partition.alpha or data.n, or lower hp.M"),
+        # 16 training samples cannot fill 40 shards
+        ("{mode: iid}", 20, "raise data.n, or lower hp.M"),
+    ])
+    def test_empty_shard_is_usage_error(self, sub, partition, n, hint, tmp_path, capsys):
         path = tmp_path / "empty.yaml"
-        path.write_text(GOOD.replace("M: 4", "M: 40").replace(
-            "partition: {mode: iid}", "partition: {mode: dirichlet, alpha: 0.01}"))
-        with pytest.warns(UserWarning):
-            rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+        path.write_text(GOOD.replace("M: 4", "M: 40").replace("n: 200,", f"n: {n},").replace(
+            "partition: {mode: iid}", f"partition: {partition}"))
+        rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert re.search(r"client \d+ with an empty data shard", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(r"client \d+ with an empty data shard \(\d+ of 40 empty\); ", err)
+        assert err.endswith(hint + "\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path,value,message", [
+        ("data.n", 1, "data: n must be at least 2, got 1"),
+        ("data.eval_fraction", 1.0, "data: eval_fraction must lie in [0, 1), got 1.0"),
+    ])
+    def test_data_error_names_its_section_once(self, path, value, message, tmp_path, capsys):
+        cfg_path = tmp_path / "data.yaml"
+        cfg_path.write_text(_with(GOOD, path, value))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: invalid config {cfg_path}: {message}\n"
+
+    def test_non_finite_generated_inputs_are_usage_error(self, tmp_path, capsys):
+        # blob centers scaled by 1e308 overflow to inf
+        path = tmp_path / "huge.yaml"
+        path.write_text(GOOD.replace("separation: 3.0", "separation: 1.0e308"))
+        with np.errstate(over="ignore"):
+            rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "non-finite inputs; lower data.separation" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_string_bias_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bias.yaml"
@@ -383,7 +415,7 @@ class TestCli:
 
     def test_dirichlet_regression_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "reg.yaml"
-        path.write_text(_with(REGRESSION, "partition.mode", "dirichlet"))
+        path.write_text(REGRESSION.replace("{mode: iid}", "{mode: dirichlet, alpha: 1.0}"))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "class labels" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -395,12 +427,36 @@ class TestCli:
         assert "data.n >= classes >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_removed_key_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "old.yaml"
-        path.write_text(_with(GOOD, "data.classes", 2))
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "unknown key 'classes' in section 'data'" in capsys.readouterr().err
+    @pytest.mark.parametrize("text,message", [
+        (_with(GOOD, "data.classes", 2), "unknown key 'classes' in section 'data'"),
+        # the model's loss picks the task
+        (_with(GOOD, "data.task", "classification_blobs"),
+         "unknown key 'task' in section 'data'"),
+        # a data key is required where it is read and rejected where it is not
+        (_with(REGRESSION, "data.separation", 3.0),
+         "data.separation is read under loss softmax_cross_entropy only"),
+        (GOOD.replace("n: 200, separation: 3.0", "n: 200"),
+         "data.separation is required under loss softmax_cross_entropy"),
+        (_with(GOOD, "partition.alpha", 1.0),
+         "partition: alpha is read under mode dirichlet only"),
+        (_with(GOOD, "partition.mode", "dirichlet"),
+         "partition: alpha is required under mode dirichlet"),
+    ])
+    def test_removed_unread_or_missing_key_is_usage_error(self, text, message, tmp_path,
+                                                          capsys):
+        cfg_path = tmp_path / "old.yaml"
+        cfg_path.write_text(text)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_report_traffic_takes_no_seed(self, config_file, tmp_path, capsys):
+        out = tmp_path / "rt"
+        rc = cli.main(["report-traffic", "--config", str(config_file), "--seed", "1",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["run", "report-traffic"])
     def test_empty_output_dir_means_out(self, sub, tmp_path, monkeypatch):
@@ -509,3 +565,44 @@ class TestMetricsEmission:
         a = runner.checksum_lines(runner.run_experiment(cfg))
         b = runner.checksum_lines(runner.run_experiment(cfg))
         assert a == b
+
+
+DATA_KEYS = [f"{section}.{f.name}" for section, cls in (("data", DataConfig),
+                                                        ("partition", PartitionSpec))
+             for f in fields(cls)]
+# a value other than either base config's for every key in DATA_KEYS but the
+# mode, which flips to the other mode
+CHANGED = {"data.n": 1000, "data.separation": 9.0, "data.eval_fraction": 0.5,
+           "partition.alpha": 7.0}
+
+
+def _data_base(base: str) -> str:
+    """The shipped config (blobs, dirichlet) or its iid squared_error variant."""
+    raw = yaml.safe_load(SHIPPED.read_text())
+    if base == "iid-regression":
+        raw["model"]["loss"] = "squared_error"
+        raw["partition"] = {"mode": "iid"}
+        del raw["data"]["separation"]
+    return yaml.safe_dump(raw)
+
+
+@functools.cache
+def _checksum(text: str) -> list:
+    return runner.checksum_lines(runner.run_experiment(parse_config(text)))
+
+
+@pytest.mark.parametrize("base", ["shipped", "iid-regression"])
+@pytest.mark.parametrize("path", DATA_KEYS)
+def test_every_data_key_is_honoured_or_rejected(base, path):
+    """A changed data or partition value changes checksum.txt or is a ConfigError."""
+    text = _data_base(base)
+    section, key = path.split(".")
+    current = yaml.safe_load(text)[section].get(key)
+    value = (next(mode for mode in PARTITION_MODES if mode != current)
+             if path == "partition.mode" else CHANGED[path])
+    assert value != current
+    try:
+        changed = _checksum(_with(text, path, value))
+    except ConfigError:
+        return
+    assert changed != _checksum(text)

@@ -19,7 +19,7 @@ from splitsim.config import (
 )
 from splitsim.data import PartitionSpec
 from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile
-from splitsim.model import ACTIVATIONS, SplitModelConfig
+from splitsim.model import ACTIVATIONS, LOSSES, SplitModelConfig
 from splitsim.protocol import OPTIMIZERS, HyperParams
 from splitsim.traffic import PROTOCOLS
 from splitsim.zo import ZoConfig
@@ -32,8 +32,8 @@ counts = st.integers(min_value=1, max_value=1 << 20)
 @st.composite
 def experiment_configs(draw) -> ExperimentConfig:
     protocol = draw(st.sampled_from(PROTOCOLS))
-    task = draw(st.sampled_from(("classification_blobs", "regression_quadratic")))
-    blobs = task == "classification_blobs"
+    loss = draw(st.sampled_from(LOSSES))
+    blobs = loss == "softmax_cross_entropy"
     # at least one hidden layer, so the network has a cut
     widths = draw(st.lists(st.integers(1, 64), min_size=3, max_size=5))
     if blobs:
@@ -42,7 +42,7 @@ def experiment_configs(draw) -> ExperimentConfig:
         layer_dims=tuple(widths),
         activation=draw(st.sampled_from(ACTIVATIONS)),
         cut_index=draw(st.integers(1, len(widths) - 2)),
-        loss="softmax_cross_entropy" if blobs else "squared_error",
+        loss=loss,
         bias=draw(st.booleans()),
     )
     M = draw(counts)
@@ -52,11 +52,14 @@ def experiment_configs(draw) -> ExperimentConfig:
         optimizer=draw(st.sampled_from(OPTIMIZERS)) if protocol == "hosfl" else "sgd",
     )
     mode = draw(st.sampled_from(("iid", "dirichlet"))) if blobs else "iid"
-    partition = PartitionSpec(mode=mode, alpha=draw(positive if mode == "dirichlet" else finite))
+    # separation and alpha are drawn only where they are read
+    partition = PartitionSpec(mode=mode,
+                              alpha=draw(positive) if mode == "dirichlet" else None)
     data = DataConfig(
         # blobs need at least one sample per class
-        task=task, n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)),
-        separation=draw(finite), eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
+        n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)),
+        separation=draw(finite) if blobs else None,
+        eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
     )
     return ExperimentConfig(
         protocol=protocol, model=model, hp=hp, partition=partition, data=data,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestGenerators:
     def test_wide_separation_linearly_learnable(self):
         # huge separation: a least-squares linear readout gets >=99% train accuracy
         ds = make_classification_blobs(400, 6, 2, 25.0, seed=3)
-        x = np.hstack([ds.inputs, np.ones((len(ds), 1))])
+        x = np.hstack([ds.inputs, np.ones((ds.size, 1))])
         y = np.where(ds.labels == 0, -1.0, 1.0)
         w, *_ = np.linalg.lstsq(x, y, rcond=None)
         acc = np.mean(np.sign(x @ w) == y)
@@ -111,11 +112,15 @@ class TestPartitions:
                     break
         assert hits >= 20
 
-    def test_empty_shard_warns_after_retries(self):
-        labels = np.zeros(3, dtype=int)  # 3 samples cannot fill 8 shards
-        with pytest.warns(UserWarning):
+    def test_empty_shard_returned_after_retries(self):
+        # 3 samples cannot fill 8 shards: the last draw comes back as it is,
+        # with no warning, and build_simulation's ConfigError is the verdict
+        labels = np.zeros(3, dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             shards = dirichlet_partition(labels, 8, alpha=0.01, seed=0)
         assert _is_partition(shards, 3)
+        assert any(len(s) == 0 for s in shards)
 
     def test_dirichlet_classes_taken_in_ascending_order(self):
         # sparse, unordered class ids: the split draws per class present,
@@ -164,4 +169,11 @@ class TestPartitions:
             PartitionSpec("dirichlet", alpha=0.0)
         with pytest.raises(ValueError):
             PartitionSpec("striped")
+
+    def test_alpha_is_read_under_dirichlet_only(self):
+        assert PartitionSpec().alpha is None
+        with pytest.raises(ValueError, match="alpha is required under mode dirichlet"):
+            PartitionSpec("dirichlet")
+        with pytest.raises(ValueError, match="mode iid takes no alpha"):
+            PartitionSpec("iid", alpha=1.0)
 

@@ -40,15 +40,15 @@ GOLDEN = {
 # sha256 of the other files `run` writes for the shipped config
 OUTPUT_FILES = {
     "hosfl": {
-        "metrics.jsonl": "f2be7b4ea761e596dfc6188b658673d16ad7310ab5f2ee16bf0967d4d94055e8",
+        "metrics.jsonl": "0c9e8877b577277ac21d7638b2706e6532bf7ce1a8b09563d8879a97e1a4a70a",
         "traffic.csv": "415b44b8207d536a8b2a14d23596f105f1c064fabcd5c6949eee78a3e736ed8b",
     },
     "sfl": {
-        "metrics.jsonl": "9f7f1954771be0131b92fdc1bcba8095323eeb916b50b2f80e2fdb29572443c5",
+        "metrics.jsonl": "36094bcefdde1abdd44579862a4051411edd4215bb0ce14f55c9dd72f1d83bc6",
         "traffic.csv": "81ce09fdc8fe0f185840c03ebac9affe78dcda983908c631e8e4cce6d2108523",
     },
     "zosfl": {
-        "metrics.jsonl": "e583efb0e9978acbddd726126939fa2ba34d2a4ca968cd9a7ec567ffe7132e58",
+        "metrics.jsonl": "e950a486bf79c9a2fa89b477558ba0f8a4102afd6336e9f17e35ec037202b613",
         "traffic.csv": "f1ef7862bb5e3e4302e44c123c9f7fbfa702fdef408ec4b5fdc9e19bec931250",
     },
 }
@@ -92,10 +92,9 @@ def test_no_eval_split_evaluates_on_the_training_set():
     cfg = parse_config(SHIPPED.read_text().replace("eval_fraction: 0.25", "eval_fraction: 0.0"))
     result = runner.run_experiment(cfg)
     sim = result.sim
-    assert len(sim.dataset) == cfg.data.n
+    assert sim.dataset.size == cfg.data.n
     theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
-    loss, acc = model.evaluate_model(theta, model.Batch(sim.dataset.inputs, sim.dataset.labels),
-                                     cfg.model)
+    loss, acc = model.evaluate_model(theta, sim.dataset, cfg.model)
     assert (result.records[-1].eval_loss, result.records[-1].eval_accuracy) == (loss, acc)
 
 
@@ -145,7 +144,7 @@ def test_stragglers_adam_combined_checksum():
 
 # config_sha256 in every metrics.jsonl header
 CONFIG_DIGEST = {
-    "shipped": "829bcfb95fc87a73066a18f8d931a9bf4f03cc3887654e1c2023bb1bed06c8c4",
+    "shipped": "fb862f55093f82a332e8f62437ed873c9fc72d96dbb4562e2b34cac82757a5bc",
 }
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import splitsim.model as m
 from splitsim import prng, runner
 from splitsim.config import parse_config
-from splitsim.data import Dataset
 from splitsim.errors import ProtocolViolationError, StalenessError
 from splitsim.protocol import (
     AdamState,
@@ -35,7 +34,7 @@ root_seed: 4242
 model: {layer_dims: [6, 4, 2], activation: tanh, cut_index: 1, loss: softmax_cross_entropy}
 hp: {eta: 0.05, M: 6, K: 2, batch_size: 4, zo: {P: 2, mu: 1.0e-3}}
 partition: {mode: iid}
-data: {task: classification_blobs, n: 240, separation: 2.5}
+data: {n: 240, separation: 2.5}
 sample_budget: 320
 """
 
@@ -48,7 +47,7 @@ def _worked_instance():
     """The 1-D linear instance: client w=2, server w=1, x=1, y=0.5 -> lambda=3."""
     cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
     hp = HyperParams(eta=0.01, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-    ds = Dataset(np.array([[1.0]]), np.array([[0.5]]))
+    ds = m.Batch(np.array([[1.0]]), np.array([[0.5]]))
     server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
     clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
     return Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 7), cfg, hp
@@ -101,7 +100,7 @@ class TestWorkedRound:
     def test_perfect_fit_moves_nothing(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.05, M=1, K=1, batch_size=1, zo=ZoConfig(P=3, mu=0.1))
-        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
+        ds = m.Batch(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([2.0]))
         clients = {1: ClientState(1, np.array([2.0]), np.arange(1))}
         sim = Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 3)
@@ -113,7 +112,7 @@ class TestWorkedRound:
         # composite L(theta_c) = (theta_c - 2)^2 through a frozen-direction probe
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.01, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-        ds = Dataset(np.array([[1.0]]), np.array([[2.0]]))
+        ds = m.Batch(np.array([[1.0]]), np.array([[2.0]]))
         server = ServerState(theta_s=np.array([1.0]), theta_c_global=np.array([3.0]))
         clients = {1: ClientState(1, np.array([3.0]), np.arange(1))}
         sim = Simulation("zosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 5)
@@ -132,7 +131,7 @@ class TestWorkedRound:
     def test_two_point_round_zero_loss_frozen(self):
         cfg = m.SplitModelConfig((1, 1, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.05, M=1, K=1, batch_size=1, zo=ZoConfig(P=1, mu=0.1))
-        ds = Dataset(np.zeros((1, 1)), np.zeros((1, 1)))
+        ds = m.Batch(np.zeros((1, 1)), np.zeros((1, 1)))
         server = ServerState(theta_s=np.array([1.5]), theta_c_global=np.array([2.5]))
         clients = {1: ClientState(1, np.array([2.5]), np.arange(1))}
         sim = Simulation("zosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 5)
@@ -338,7 +337,7 @@ class TestLargeDirections:
 
 class TestBatchingAndBudget:
     def test_draw_batch_deterministic(self):
-        ds = Dataset(np.arange(40, dtype=float).reshape(20, 2),
+        ds = m.Batch(np.arange(40, dtype=float).reshape(20, 2),
                      np.zeros((20, 1)))
         shard = np.arange(20)
         a = draw_batch(ds, shard, 8, 7)
@@ -346,13 +345,13 @@ class TestBatchingAndBudget:
         assert a.inputs.tobytes() == b.inputs.tobytes()
 
     def test_draw_batch_without_replacement(self):
-        ds = Dataset(np.arange(20, dtype=float).reshape(10, 2),
+        ds = m.Batch(np.arange(20, dtype=float).reshape(10, 2),
                      np.zeros((10, 1)))
         batch = draw_batch(ds, np.arange(10), 10, 3)
         assert sorted(batch.inputs[:, 0].tolist()) == [float(2 * i) for i in range(10)]
 
     def test_empty_shard_rejected(self):
-        ds = Dataset(np.ones((4, 1)), np.ones((4, 1)))
+        ds = m.Batch(np.ones((4, 1)), np.ones((4, 1)))
         with pytest.raises(ProtocolViolationError):
             draw_batch(ds, np.array([], dtype=np.int64), 2, 0)
 
@@ -445,7 +444,7 @@ class TestTrafficLaws:
         hp = HyperParams(eta=0.05, M=2, K=2, batch_size=2, zo=ZoConfig())
         x = np.array([[1.0, 0.5], [0.25, -1.0]])
         y = np.array([[1.0], [0.0]])
-        ds = Dataset(np.vstack([x, x]), np.vstack([y, y]))
+        ds = m.Batch(np.vstack([x, x]), np.vstack([y, y]))
         theta0 = m.init_params(cfg, 12)
         server = ServerState(theta_s=theta0[cfg.d_c:].copy(),
                              theta_c_global=theta0[: cfg.d_c].copy())
