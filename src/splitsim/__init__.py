@@ -9,7 +9,7 @@ upload only those scalars, and reconstruct the shared update from broadcast
 
 from .config import ExperimentConfig, parse_config
 from .data import PartitionSpec, dirichlet_partition, iid_partition, make_classification_blobs, make_regression_quadratic
-from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, latency_sweep, max_overlapped_perturbations, round_timeline, transformer_layer_flops
+from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, round_timeline, transformer_layer_flops
 from .model import Batch, SplitModelConfig, client_forward, server_forward_backward
 from .prng import derive_stream, gaussian_block, gaussian_vector
 from .protocol import ClientState, HyperParams, RoundRecord, ServerState, Simulation, client_sync, run_round, sample_clients

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +92,14 @@ def _cmd_sweep_latency(args) -> int:
             else _load(args.config, parse_latency_profile, "profile"))
     sweep = prof.sweep
     layers = range(sweep.layer_min, sweep.layer_max + 1)
-    rows = latency.latency_sweep(prof.network, prof.device, prof.workload, layers)
-    table = [("client_layers", "t_client_fwd", "t_uplink", "t_server", "t_downlink",
-              "idle_window", "p_max")] + [
-        (r.client_layers, r.t_client_fwd, r.t_uplink, r.t_server, r.t_downlink,
-         r.idle_window, r.p_max) for r in rows]
+    rows = [latency.round_timeline(prof.network, prof.device, prof.workload, lc)
+            for lc in layers]
+    table = [(*(f.name for f in fields(latency.RoundTimeline)), "p_max")] + [
+        (*astuple(r), r.p_max) for r in rows]
     if sweep.noise_trials > 0:
         table.append(("client_layers", "p_max_mean", "p_max_min", "p_max_max"))
         table += [(lc, *latency.noisy_pmax_stats(
-            prof.network, prof.device, replace(prof.workload, client_layers=lc),
+            prof.network, prof.device, prof.workload, lc,
             sweep.noise_frac, sweep.noise_trials, sweep.noise_seed)) for lc in layers]
     _print_written(runner.write_files(args.out, {"sweep": ("latency_sweep.csv", table)}))
     for row in rows:
@@ -122,14 +121,10 @@ def _cmd_diagnose_estimator(args) -> int:
         "d_c": cfg.model.d_c,
         "P": cfg.hp.zo.P,
         "mu": cfg.hp.zo.mu,
-        "n_trials": diag.n_trials,
+        "n_trials": args.trials,
         "gamma_measured": gamma,
-        "empirical_bias_sq": diag.empirical_bias_sq,
-        "empirical_second_moment": diag.empirical_second_moment,
-        "true_g_c_norm_sq": diag.true_g_c_norm_sq,
-        "c1": bounds.c1,
-        "sigma_zo_sq": bounds.sigma_zo_sq,
-        "bias_bound_sq": bounds.bias_bound_sq,
+        **vars(diag),
+        **vars(bounds),
         "second_moment_bound": bounds.c1 * diag.true_g_c_norm_sq + bounds.sigma_zo_sq,
     }
     paths = runner.write_files(cfg.output_dir, {

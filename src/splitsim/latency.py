@@ -16,7 +16,7 @@ peak for transformer inference on accelerators).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import prng
 
@@ -51,19 +51,18 @@ class DeviceProfile:
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    """Split-transformer round geometry; defaults follow a 1B-parameter model."""
+    """Split-transformer round geometry; defaults follow a 1B-parameter model.
+    How many of the layers the client keeps is the sweep's variable."""
 
     batch: int = 32
     seq_len: int = 256
     hidden: int = 2048
     total_layers: int = 18
-    client_layers: int = 4
     bytes_per_activation: int = 2
 
     def __post_init__(self):
-        if not 1 <= self.client_layers < self.total_layers:
-            raise ValueError("need 1 <= client_layers < total_layers")
-        if min(self.batch, self.seq_len, self.hidden, self.bytes_per_activation) < 1:
+        if min(self.batch, self.seq_len, self.hidden, self.total_layers,
+               self.bytes_per_activation) < 1:
             raise ValueError("workload dimensions must be positive")
 
 
@@ -85,43 +84,48 @@ class RoundTimeline:
     t_downlink: float
     idle_window: float
 
+    def __post_init__(self):
+        # p_max floors this quotient into an int, so it must be finite
+        if not math.isfinite(self.idle_window / self.t_client_fwd):
+            slow = "network" if math.isinf(self.t_uplink + self.t_downlink) else "device"
+            raise ValueError(f"{slow}: the idle window overflows at client_layers="
+                             f"{self.client_layers}; raise the {slow} speeds or "
+                             f"shrink the workload")
+
     @property
     def p_max(self) -> int:
         """How many perturbation passes fit inside the client idle window."""
-        if not math.isfinite(self.t_client_fwd) or self.t_client_fwd <= 0:
-            return 0
         return int(self.idle_window // self.t_client_fwd)
 
 
-def round_timeline(net: NetworkProfile, dev: DeviceProfile,
-                   work: WorkloadProfile) -> RoundTimeline:
-    """Phase times for one round and the client idle window.
+def round_timeline(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
+                   client_layers: int) -> RoundTimeline:
+    """Phase times for one round, the client keeping client_layers layers,
+    and the client idle window.
 
     Half the RTT is attributed to each direction. The idle window covers
     activation uplink, server forward+backward, and feedback downlink; the
     client's own anchor forward sits outside it.
     """
+    if not 1 <= client_layers < work.total_layers:
+        raise ValueError("need 1 <= client_layers < total_layers")
     layer = transformer_layer_flops(work.batch, work.seq_len, work.hidden)
     client_speed = dev.client_flops_per_s * dev.flops_utilization
     server_speed = dev.server_flops_per_s * dev.flops_utilization
-    t_fwd = work.client_layers * layer / client_speed
+    t_fwd = client_layers * layer / client_speed
     payload_bits = activation_payload_bytes(work) * 8
     t_up = payload_bits / net.uplink_bps + net.rtt_seconds / 2
     t_down = payload_bits / net.downlink_bps + net.rtt_seconds / 2
-    t_server = 3.0 * (work.total_layers - work.client_layers) * layer / server_speed
+    t_server = 3.0 * (work.total_layers - client_layers) * layer / server_speed
     idle = t_up + t_server + t_down
-    return RoundTimeline(work.client_layers, t_fwd, t_up, t_server, t_down, idle)
-
-
-def max_overlapped_perturbations(net: NetworkProfile, dev: DeviceProfile,
-                                 work: WorkloadProfile) -> int:
-    """How many perturbation passes fit inside the client idle window."""
-    return round_timeline(net, dev, work).p_max
+    return RoundTimeline(client_layers, t_fwd, t_up, t_server, t_down, idle)
 
 
 def noisy_pmax_stats(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
-                     noise_frac: float = 0.1, trials: int = 100, seed: int = 0):
-    """(mean, min, max) of the overlap count under +-noise_frac speed jitter."""
+                     client_layers: int, noise_frac: float = 0.1, trials: int = 100,
+                     seed: int = 0):
+    """(mean, min, max) of the overlap count at client_layers under
+    +-noise_frac speed jitter."""
     if trials < 1:
         raise ValueError("need at least one trial")
     values = []
@@ -133,12 +137,5 @@ def noisy_pmax_stats(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProf
         jittered_dev = DeviceProfile(dev.client_flops_per_s * f[2],
                                      dev.server_flops_per_s * f[3],
                                      dev.flops_utilization)
-        values.append(max_overlapped_perturbations(jittered_net, jittered_dev, work))
+        values.append(round_timeline(jittered_net, jittered_dev, work, client_layers).p_max)
     return sum(values) / len(values), min(values), max(values)
-
-
-def latency_sweep(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
-                  layer_range) -> list:
-    """One timeline per client depth: phase times and the overlap count."""
-    return [round_timeline(net, dev, replace(work, client_layers=lc)) for lc in layer_range]
-

@@ -18,11 +18,12 @@ later perturb_fn call for them is served from the memo; every call still
 happens and every value is unchanged.
 
 Stragglers never download parameters: they replay missed rounds from the
-stored (seeds, scalars, learning rate) history, applying the exact same
-update code path as live rounds, which is what makes catch-up bit-exact.
-That path works on blocks: one stacked reconstruction rebuilds g_hat for a
-run of rounds (or for the K live clients and the server copy at once), and
-one optimizer pass applies a run of transitions, bit for bit as one at a time.
+stored (seeds, scalars) history at the run's learning rate, applying the
+exact same update code path as live rounds, which is what makes catch-up
+bit-exact. That path works on blocks: one stacked reconstruction rebuilds
+g_hat for a run of rounds (or for the K live clients and the server copy at
+once), and one optimizer pass applies a run of transitions, bit for bit as
+one at a time.
 
 All cross-client reductions consume inputs in ascending client id with
 left-to-right accumulation, so results do not depend on completion order.
@@ -75,8 +76,8 @@ class AdamState:
     step: int = 0
 
 
-def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, etas):
-    """A run of optimizer transitions, one per row of grads, each at its eta.
+def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, eta: float):
+    """A run of optimizer transitions at learning rate eta, one per row of grads.
 
     Returns (new_theta, new_state), bitwise equal to taking the rows one step
     at a time. sgd takes one theta - eta * g per row. adam computes the terms
@@ -85,8 +86,8 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, etas)
     row, in order.
     """
     if optimizer == "sgd":
-        for i, eta in enumerate(etas):
-            theta = theta - np.float64(eta) * grads[i]
+        for g in grads:
+            theta = theta - np.float64(eta) * g
         return theta, state
     if state is None:
         state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
@@ -97,13 +98,13 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, etas)
         m_row += ADAM_BETA1 * m
         v_row += ADAM_BETA2 * v
         m, v = m_row, v_row
-    # per row: the two bias corrections (Python float powers) and eta
-    coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step, eta)
-                     for step, eta in enumerate(etas, state.step + 1)])
+    # per row: the two bias corrections (Python float powers)
+    steps = range(state.step + 1, state.step + len(grads) + 1)
+    coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step) for step in steps])
     state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(coef)
     ms /= coef[:, 0:1]
     vs /= coef[:, 1:2]
-    for delta in coef[:, 2:] * ms / (np.sqrt(vs) + ADAM_EPS):
+    for delta in eta * ms / (np.sqrt(vs) + ADAM_EPS):
         theta = theta - delta
     return theta, state
 
@@ -114,7 +115,6 @@ class RoundRecord:
 
     seeds: tuple
     v_bar: tuple
-    eta_used: float
 
 
 @dataclass
@@ -245,7 +245,7 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
         prefetch_gaussians([seed for rec in chunk for seed in rec.seeds], d_c)
         client.theta_c, client.opt_state = _opt_step(
             hp.optimizer, client.opt_state, client.theta_c,
-            _round_grads(chunk, hp, d_c, perturb_fn), [rec.eta_used for rec in chunk])
+            _round_grads(chunk, hp, d_c, perturb_fn), hp.eta)
         client.t_sync += len(chunk)
     return client
 
@@ -266,7 +266,7 @@ def _upload(sim: Simulation, cid: int, n_floats: int):
 def _server_step(sim: Simulation, grad: np.ndarray):
     server = sim.server
     server.theta_s, server.opt_state_s = _opt_step(
-        sim.hp.optimizer, server.opt_state_s, server.theta_s, grad[None], (sim.hp.eta,)
+        sim.hp.optimizer, server.opt_state_s, server.theta_s, grad[None], sim.hp.eta
     )
 
 
@@ -303,7 +303,7 @@ def _local_steps_and_average(sim: Simulation, selected, t: int, grad_fn) -> floa
         g = grad_fn(cid, client.theta_c)
         grads.append(g)
         client.theta_c, client.opt_state = _opt_step(
-            sim.hp.optimizer, client.opt_state, client.theta_c, g[None], (sim.hp.eta,)
+            sim.hp.optimizer, client.opt_state, client.theta_c, g[None], sim.hp.eta
         )
         client.t_sync = t + 1
         updated.append(client.theta_c)
@@ -341,7 +341,7 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     if not all(np.isfinite(v_bar)):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
-    rec = RoundRecord(seeds, v_bar, hp.eta)
+    rec = RoundRecord(seeds, v_bar)
     server.history[t] = rec
     # the K clients and the server copy rebuild the same g_hat: one stacked
     # call of K+1 rows, then each party takes its own optimizer step
@@ -349,11 +349,11 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     for row, cid in enumerate(selected):
         client = sim.clients[cid]
         client.theta_c, client.opt_state = _opt_step(
-            hp.optimizer, client.opt_state, client.theta_c, g_hat[row:row + 1], (hp.eta,)
+            hp.optimizer, client.opt_state, client.theta_c, g_hat[row:row + 1], hp.eta
         )
         client.t_sync = t + 1
     server.theta_c_global, server.opt_state_c = _opt_step(
-        hp.optimizer, server.opt_state_c, server.theta_c_global, g_hat[hp.K:], (hp.eta,)
+        hp.optimizer, server.opt_state_c, server.theta_c_global, g_hat[hp.K:], hp.eta
     )
     return losses, float(np.linalg.norm(g_hat[hp.K]))
 

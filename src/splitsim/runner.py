@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import model, prng, protocol
 from .config import ExperimentConfig, config_to_dict
 from .data import make_classification_blobs, make_regression_quadratic, partition_dataset
 from .errors import ConfigError
-from .traffic import TrafficLedger, breakdown_report
+from .traffic import BreakdownRow, TrafficLedger, breakdown_report
 
 METRICS_FILE = "metrics.jsonl"
 TRAFFIC_FILE = "traffic.csv"
@@ -168,8 +168,8 @@ def write_files(out_dir, files: dict) -> dict:
 
 def write_outputs(result: RunResult, out_dir) -> dict:
     """Write metrics, traffic breakdown, and parameter checksums; return paths."""
-    traffic = [("kind", "direction", "bytes", "share")] + [
-        (r.kind, r.direction, r.bytes, r.share) for r in breakdown_report(result.sim.ledger)]
+    traffic = [[f.name for f in fields(BreakdownRow)]] + [
+        astuple(r) for r in breakdown_report(result.sim.ledger)]
     return write_files(out_dir, {
         "metrics": (METRICS_FILE, metrics_lines(result)),
         "traffic": (TRAFFIC_FILE, traffic),

@@ -51,8 +51,8 @@ def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch
             f"lambda {lam.shape} and anchor {z_anchor.shape} disagree"
         )
     directions = np.array([perturb_fn(seed, cfg.d_c) for seed in seeds])
-    thetas = theta_c + zo.mu * directions
-    z_tilde = np.array([model.client_forward(theta, batch, cfg) for theta in thetas])
+    perturbed = theta_c + zo.mu * directions
+    z_tilde = np.array([model.client_forward(theta, batch, cfg) for theta in perturbed])
     values = np.einsum("nbd,bd->n", z_tilde - z_anchor, lam)
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite scalar projection")
@@ -173,7 +173,6 @@ class EstimatorDiagnostics:
     empirical_bias_sq: float
     empirical_second_moment: float
     true_g_c_norm_sq: float
-    n_trials: int
 
 
 def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
@@ -209,7 +208,6 @@ def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
         empirical_bias_sq=float(bias @ bias),
         empirical_second_moment=sum_sq / n_trials,
         true_g_c_norm_sq=float(g_true @ g_true),
-        n_trials=n_trials,
     )
 
 

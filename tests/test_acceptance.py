@@ -6,14 +6,13 @@ so failures still report their measurements.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 import splitsim.model as m
 from splitsim import cli, prng, runner, zo
 from splitsim.config import parse_config
-from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile, max_overlapped_perturbations
+from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile, round_timeline
 from splitsim.model import Batch, SplitModelConfig
 from splitsim.protocol import ClientState, HyperParams, ServerState, Simulation, client_sync, run_round
 from splitsim.traffic import MessageKind, TrafficLedger
@@ -276,9 +275,8 @@ def test_criterion_9_latency_hiding():
     """Reference edge profile hides about four passes at four client layers."""
     t0 = time.time()
     net, dev, work = NetworkProfile(), DeviceProfile(), WorkloadProfile()
-    at_four = max_overlapped_perturbations(net, dev, replace(work, client_layers=4))
-    counts = [max_overlapped_perturbations(net, dev, replace(work, client_layers=lc))
-              for lc in range(2, 9)]
+    at_four = round_timeline(net, dev, work, 4).p_max
+    counts = [round_timeline(net, dev, work, lc).p_max for lc in range(2, 9)]
     mono = all(a >= b for a, b in zip(counts, counts[1:]))
     _verdict(9, at_four in (3, 4, 5) and mono,
              f"p_max(4 layers)={at_four}, depth column {counts}", t0, 1)

@@ -216,8 +216,7 @@ class TestParsing:
                                             server_flops_per_s=312e12,
                                             flops_utilization=0.7)
         assert prof.workload == WorkloadProfile(batch=32, seq_len=256, hidden=2048,
-                                                total_layers=18, client_layers=4,
-                                                bytes_per_activation=2)
+                                                total_layers=18, bytes_per_activation=2)
         assert prof.sweep == SweepConfig(layer_min=2, layer_max=8, noise_trials=100,
                                          noise_frac=0.1, noise_seed=7)
 
@@ -477,6 +476,20 @@ class TestCli:
         assert "noise_frac" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("profile, message", [
+        ("workload: {client_layers: 4}\n", "unknown key 'client_layers' in section 'workload'"),
+        ("device: {server_flops_per_s: 1.0e-300}\n", "device: the idle window overflows at client_layers=2"),
+        ("network: {uplink_bps: 1.0e-320}\n", "network: the idle window overflows at client_layers=2"),
+    ])
+    def test_unread_or_overflowing_profile_is_usage_error(self, profile, message, tmp_path,
+                                                          capsys):
+        path = tmp_path / "profile.yaml"
+        path.write_text(profile)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep-latency", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "seed.yaml"
         path.write_text("sweep: {noise_trials: 5, noise_seed: -1}\n")
@@ -510,6 +523,8 @@ class TestCli:
         header = rows[0].split(",")
         pmax_col = header.index("p_max")
         by_layers = {int(r.split(",")[0]): int(r.split(",")[pmax_col]) for r in rows[1:]}
+        # one row per depth from the default layer_min to layer_max
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(2, 9))
         assert by_layers[4] in (3, 4, 5)
         pm = [by_layers[lc] for lc in sorted(by_layers)]
         assert all(a >= b for a, b in zip(pm, pm[1:]))
@@ -606,3 +621,29 @@ def test_every_data_key_is_honoured_or_rejected(base, path):
     except ConfigError:
         return
     assert changed != _checksum(text)
+
+
+LATENCY_KEYS = [f"{section}.{key}"
+                for section, body in config_to_dict(LatencyProfileConfig()).items()
+                for key in body]
+
+
+def _sweep_file(text: str, tmp_path: Path, name: str) -> bytes | None:
+    """latency_sweep.csv for a profile text, or None when the CLI exits 1."""
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(text)
+    out = tmp_path / name
+    rc = cli.main(["sweep-latency", "--config", str(path), "--out", str(out)])
+    assert rc in (0, 1)
+    return (out / "latency_sweep.csv").read_bytes() if rc == 0 else None
+
+
+@pytest.mark.parametrize("path", LATENCY_KEYS)
+def test_every_latency_key_is_honoured_or_rejected(path, tmp_path):
+    """Half of a latency_edge.yaml value changes latency_sweep.csv or exits 1."""
+    text = LATENCY_EDGE.read_text()
+    section, key = path.split(".")
+    value = getattr(getattr(parse_latency_profile(text), section), key)
+    half = value // 2 if isinstance(value, int) else value / 2
+    changed = _sweep_file(_with(text, path, half), tmp_path, "changed")
+    assert changed is None or changed != _sweep_file(text, tmp_path, "edge")

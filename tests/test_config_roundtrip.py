@@ -81,7 +81,6 @@ def latency_profiles(draw) -> LatencyProfileConfig:
                              flops_utilization=draw(st.floats(min_value=1e-6, max_value=1.0))),
         workload=WorkloadProfile(batch=draw(counts), seq_len=draw(counts),
                                  hidden=draw(counts), total_layers=total,
-                                 client_layers=draw(st.integers(1, total - 1)),
                                  bytes_per_activation=draw(st.integers(1, 8))),
         sweep=SweepConfig(layer_min=draw(st.integers(1, layer_max)), layer_max=layer_max,
                           noise_trials=draw(st.integers(0, 1000)),

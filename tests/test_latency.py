@@ -1,6 +1,6 @@
 """Latency-hiding feasibility model."""
 
-from dataclasses import replace
+import math
 
 import pytest
 
@@ -8,9 +8,8 @@ from splitsim.latency import (
     DeviceProfile,
     NetworkProfile,
     WorkloadProfile,
+    RoundTimeline,
     activation_payload_bytes,
-    latency_sweep,
-    max_overlapped_perturbations,
     noisy_pmax_stats,
     round_timeline,
     transformer_layer_flops,
@@ -19,6 +18,10 @@ from splitsim.latency import (
 EDGE_NET = NetworkProfile()       # 30 Mbps up, 200 Mbps down, 30 ms RTT
 EDGE_DEV = DeviceProfile()        # 2 TFLOPS client, 312 TFLOPS server
 MODEL_1B = WorkloadProfile()      # B=32, S=256, H=2048, 18 layers, fp16
+
+
+def _pmax(net, dev, client_layers, work=MODEL_1B):
+    return round_timeline(net, dev, work, client_layers).p_max
 
 
 class TestLayerFlops:
@@ -31,8 +34,8 @@ class TestLayerFlops:
 
     def test_stack_additivity(self):
         one = transformer_layer_flops(32, 256, 2048)
-        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B)
-        per_layer = tl.t_client_fwd / MODEL_1B.client_layers
+        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B, 4)
+        per_layer = tl.t_client_fwd / 4
         assert per_layer * 18 == pytest.approx(18 * one / (2.0e12 * 0.7))
 
     def test_activation_payload(self):
@@ -43,78 +46,70 @@ class TestTimeline:
     def test_ideal_network_and_server_has_no_idle(self):
         net = NetworkProfile(uplink_bps=1e18, downlink_bps=1e18, rtt_seconds=0.0)
         dev = DeviceProfile(server_flops_per_s=1e24)
-        tl = round_timeline(net, dev, MODEL_1B)
+        tl = round_timeline(net, dev, MODEL_1B, 4)
         assert tl.idle_window < 1e-6
 
     def test_idle_window_decomposition(self):
-        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B)
+        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B, 4)
         assert tl.idle_window == tl.t_uplink + tl.t_server + tl.t_downlink
 
     def test_idle_window_covers_several_forward_passes(self):
-        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B)
+        tl = round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B, 4)
         assert tl.idle_window > 3 * tl.t_client_fwd
 
     def test_half_rtt_each_direction(self):
         fast = NetworkProfile(uplink_bps=1e18, downlink_bps=1e18, rtt_seconds=0.030)
-        tl = round_timeline(fast, EDGE_DEV, MODEL_1B)
+        tl = round_timeline(fast, EDGE_DEV, MODEL_1B, 4)
         assert tl.t_uplink == pytest.approx(0.015)
         assert tl.t_downlink == pytest.approx(0.015)
 
 
 class TestOverlapCount:
     def test_reference_depth_gives_four(self):
-        work = replace(MODEL_1B, client_layers=4)
-        assert max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work) in (3, 4, 5)
+        assert _pmax(EDGE_NET, EDGE_DEV, 4) in (3, 4, 5)
 
     def test_non_increasing_in_client_depth(self):
-        counts = [max_overlapped_perturbations(EDGE_NET, EDGE_DEV,
-                                               replace(MODEL_1B, client_layers=lc))
-                  for lc in range(2, 9)]
+        counts = [_pmax(EDGE_NET, EDGE_DEV, lc) for lc in range(2, 9)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_infinitely_slow_client_fits_none(self):
         dev = DeviceProfile(client_flops_per_s=1e-18)
-        work = replace(MODEL_1B, client_layers=4)
-        tl = round_timeline(EDGE_NET, dev, work)
+        tl = round_timeline(EDGE_NET, dev, MODEL_1B, 4)
         assert tl.t_client_fwd > tl.idle_window
-        assert max_overlapped_perturbations(EDGE_NET, dev, work) == 0
+        assert tl.p_max == 0
 
     def test_non_decreasing_in_rtt_and_server_time(self):
-        work = replace(MODEL_1B, client_layers=4)
-        base = max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work)
+        base = _pmax(EDGE_NET, EDGE_DEV, 4)
         slow_rtt = NetworkProfile(rtt_seconds=5.0)
-        assert max_overlapped_perturbations(slow_rtt, EDGE_DEV, work) >= base
+        assert _pmax(slow_rtt, EDGE_DEV, 4) >= base
         slow_server = DeviceProfile(server_flops_per_s=1e12)
-        assert max_overlapped_perturbations(EDGE_NET, slow_server, work) >= base
+        assert _pmax(EDGE_NET, slow_server, 4) >= base
         slow_uplink = NetworkProfile(uplink_bps=1e6)
-        assert max_overlapped_perturbations(slow_uplink, EDGE_DEV, work) >= base
+        assert _pmax(slow_uplink, EDGE_DEV, 4) >= base
 
     def test_noise_band_brackets_deterministic_value(self):
-        work = replace(MODEL_1B, client_layers=4)
-        mean, lo, hi = noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 100, 0)
-        assert lo <= max_overlapped_perturbations(EDGE_NET, EDGE_DEV, work) <= hi
+        mean, lo, hi = noisy_pmax_stats(EDGE_NET, EDGE_DEV, MODEL_1B, 4, 0.1, 100, 0)
+        assert lo <= _pmax(EDGE_NET, EDGE_DEV, 4) <= hi
         assert 3 <= mean <= 5
 
     def test_noise_stats_deterministic_per_seed(self):
-        work = replace(MODEL_1B, client_layers=4)
-        assert noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 50, 7) == \
-            noisy_pmax_stats(EDGE_NET, EDGE_DEV, work, 0.1, 50, 7)
+        assert noisy_pmax_stats(EDGE_NET, EDGE_DEV, MODEL_1B, 4, 0.1, 50, 7) == \
+            noisy_pmax_stats(EDGE_NET, EDGE_DEV, MODEL_1B, 4, 0.1, 50, 7)
+
+    def test_timeline_never_floors_a_non_finite_quotient(self):
+        with pytest.raises(ValueError, match="^device: the idle window overflows"):
+            RoundTimeline(4, 1e-300, 1e10, 0.0, 0.0, 1e10)
+        assert RoundTimeline(4, math.inf, 1.0, 1.0, 1.0, 3.0).p_max == 0
 
 
 class TestSweep:
-    def test_rows_cover_range(self):
-        rows = latency_sweep(EDGE_NET, EDGE_DEV, MODEL_1B, range(2, 9))
-        assert [r.client_layers for r in rows] == list(range(2, 9))
-
-    def test_pmax_column_non_increasing(self):
-        rows = latency_sweep(EDGE_NET, EDGE_DEV, MODEL_1B, range(2, 9))
-        pm = [r.p_max for r in rows]
-        assert all(a >= b for a, b in zip(pm, pm[1:]))
-
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             NetworkProfile(uplink_bps=-1)
         with pytest.raises(ValueError):
             DeviceProfile(flops_utilization=0.0)
         with pytest.raises(ValueError):
-            WorkloadProfile(client_layers=18, total_layers=18)
+            WorkloadProfile(total_layers=0)
+        for depth in (0, 18):
+            with pytest.raises(ValueError, match="client_layers < total_layers"):
+                round_timeline(EDGE_NET, EDGE_DEV, MODEL_1B, depth)

@@ -217,8 +217,7 @@ def _floats(n):
 
 def _random_history(rng, rounds, p):
     return {tau: RoundRecord(tuple(int(s) for s in rng.integers(0, 2 ** 63, p)),
-                             tuple(rng.standard_normal(p).tolist()),
-                             float(rng.uniform(1e-3, 0.2)))
+                             tuple(rng.standard_normal(p).tolist()))
             for tau in range(rounds)}
 
 
@@ -228,18 +227,17 @@ class TestBlockReplay:
            d=st.integers(0, 9), step0=st.integers(0, 50), data=st.data())
     def test_stacked_opt_step_equals_one_row_steps(self, optimizer, n, d, step0, data):
         grads = np.array([data.draw(_floats(d)) for _ in range(n)]).reshape(n, d)
-        etas = data.draw(st.lists(st.floats(1e-4, 1.0), min_size=n, max_size=n))
+        eta = data.draw(st.floats(1e-4, 1.0))
         theta = np.array(data.draw(_floats(d)))
         m0, v0 = np.array(data.draw(_floats(d))), np.abs(data.draw(_floats(d)))
 
         def state():
             return AdamState(m0.copy(), np.array(v0), step0) if optimizer == "adam" else None
 
-        got, got_state = _opt_step(optimizer, state(), theta, grads, etas)
+        got, got_state = _opt_step(optimizer, state(), theta, grads, eta)
         want, want_state = theta, state()
         for i in range(n):
-            want, want_state = _opt_step(optimizer, want_state, want, grads[i:i + 1],
-                                         etas[i:i + 1])
+            want, want_state = _opt_step(optimizer, want_state, want, grads[i:i + 1], eta)
         assert got.tobytes() == want.tobytes()
         if optimizer == "adam":
             assert got_state.m.tobytes() == want_state.m.tobytes()
@@ -254,8 +252,8 @@ class TestBlockReplay:
         chunk = data.draw(st.integers(1, rounds - 1), label="rounds per chunk")
         rng = np.random.default_rng(seed)
         history = _random_history(rng, rounds, p)
-        hp = HyperParams(eta=0.1, M=1, K=1, batch_size=1, zo=ZoConfig(P=p),
-                         optimizer=optimizer)
+        hp = HyperParams(eta=data.draw(st.floats(1e-3, 0.2), label="eta"), M=1, K=1,
+                         batch_size=1, zo=ZoConfig(P=p), optimizer=optimizer)
         theta0 = rng.standard_normal(d_c)
 
         def replay(memo_bytes):
