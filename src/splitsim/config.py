@@ -21,7 +21,7 @@ import yaml
 
 from .data import PartitionSpec
 from .errors import ConfigError
-from .latency import DeviceProfile, NetworkProfile, WorkloadProfile, round_timeline
+from .latency import DeviceProfile, NetworkProfile, WorkloadProfile
 from .model import SplitModelConfig
 from .protocol import HyperParams
 from .traffic import PROTOCOLS
@@ -121,10 +121,6 @@ class LatencyProfileConfig:
     def __post_init__(self):
         if not 1 <= self.sweep.layer_min <= self.sweep.layer_max < self.workload.total_layers:
             raise ConfigError("sweep layer range must satisfy 1 <= min <= max < total_layers")
-        try:  # the idle window, and its p_max quotient, peak at the shallowest depth
-            round_timeline(self.network, self.device, self.workload, self.sweep.layer_min)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 # -----------------------------------------------------------------------------

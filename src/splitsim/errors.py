@@ -10,7 +10,7 @@ class NumericalError(ArithmeticError):
 
 
 class ProtocolViolationError(RuntimeError):
-    """A round-level contract was broken (unsynchronized client, empty shard, ...)."""
+    """A round-level contract was broken (a client ahead of the round, an empty shard, ...)."""
 
 
 class StalenessError(ProtocolViolationError):

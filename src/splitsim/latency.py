@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import prng
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,23 @@ class WorkloadProfile:
             raise ValueError("workload dimensions must be positive")
 
 
+def _as_float(n: int) -> float:
+    """n as a float; inf past the float range, as float arithmetic overflows."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def _per(amount: float, rate: float) -> float:
+    """amount / rate, where a rate that underflowed to zero takes forever."""
+    return amount / rate if rate else math.inf
+
+
 def transformer_layer_flops(batch: int, seq_len: int, hidden: int) -> float:
-    """Forward FLOPs of one transformer layer: dense blocks plus attention."""
-    return 24.0 * batch * seq_len * hidden ** 2 + 4.0 * batch * seq_len ** 2 * hidden
+    """Forward FLOPs of one transformer layer (dense blocks plus attention), as a float."""
+    b, s, h = _as_float(batch), _as_float(seq_len), _as_float(hidden)
+    return 24.0 * b * s * (h * h) + 4.0 * b * (s * s) * h
 
 
 def activation_payload_bytes(work: WorkloadProfile) -> int:
@@ -86,11 +101,16 @@ class RoundTimeline:
 
     def __post_init__(self):
         # p_max floors this quotient into an int, so it must be finite
-        if not math.isfinite(self.idle_window / self.t_client_fwd):
-            slow = "network" if math.isinf(self.t_uplink + self.t_downlink) else "device"
-            raise ValueError(f"{slow}: the idle window overflows at client_layers="
-                             f"{self.client_layers}; raise the {slow} speeds or "
-                             f"shrink the workload")
+        if math.isfinite(_per(self.idle_window, self.t_client_fwd)):
+            return
+        if math.isinf(self.t_uplink + self.t_downlink):
+            section, advice = "network", "raise the link speeds or lower rtt_seconds"
+        elif math.isinf(self.idle_window):
+            section, advice = "device", "raise the server speed"
+        else:
+            section, advice = "device", "lower the client speed"
+        raise ConfigError(f"{section}: the idle window overflows at client_layers="
+                          f"{self.client_layers}; {advice}")
 
     @property
     def p_max(self) -> int:
@@ -99,24 +119,30 @@ class RoundTimeline:
 
 
 def round_timeline(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProfile,
-                   client_layers: int) -> RoundTimeline:
+                   client_layers: int, jitter=(1.0, 1.0, 1.0, 1.0)) -> RoundTimeline:
     """Phase times for one round, the client keeping client_layers layers,
     and the client idle window.
 
     Half the RTT is attributed to each direction. The idle window covers
     activation uplink, server forward+backward, and feedback downlink; the
-    client's own anchor forward sits outside it.
+    client's own anchor forward sits outside it. jitter scales the uplink,
+    downlink, client and server speeds. The times are Python floats, and an
+    overflow is a ConfigError naming its profile section.
     """
     if not 1 <= client_layers < work.total_layers:
         raise ValueError("need 1 <= client_layers < total_layers")
     layer = transformer_layer_flops(work.batch, work.seq_len, work.hidden)
-    client_speed = dev.client_flops_per_s * dev.flops_utilization
-    server_speed = dev.server_flops_per_s * dev.flops_utilization
-    t_fwd = client_layers * layer / client_speed
-    payload_bits = activation_payload_bytes(work) * 8
-    t_up = payload_bits / net.uplink_bps + net.rtt_seconds / 2
-    t_down = payload_bits / net.downlink_bps + net.rtt_seconds / 2
-    t_server = 3.0 * (work.total_layers - client_layers) * layer / server_speed
+    client_flops = client_layers * layer
+    server_flops = 3.0 * (work.total_layers - client_layers) * layer
+    payload_bits = _as_float(activation_payload_bytes(work) * 8)
+    if math.isinf(client_flops + server_flops + payload_bits):
+        raise ConfigError(f"workload: the FLOPs or the activation payload overflow a float "
+                          f"at client_layers={client_layers}; shrink the workload")
+    up, down, client, server = jitter
+    t_fwd = _per(client_flops, dev.client_flops_per_s * client * dev.flops_utilization)
+    t_up = _per(payload_bits, net.uplink_bps * up) + net.rtt_seconds / 2
+    t_down = _per(payload_bits, net.downlink_bps * down) + net.rtt_seconds / 2
+    t_server = _per(server_flops, dev.server_flops_per_s * server * dev.flops_utilization)
     idle = t_up + t_server + t_down
     return RoundTimeline(client_layers, t_fwd, t_up, t_server, t_down, idle)
 
@@ -130,12 +156,7 @@ def noisy_pmax_stats(net: NetworkProfile, dev: DeviceProfile, work: WorkloadProf
         raise ValueError("need at least one trial")
     values = []
     for t in range(trials):
-        u = prng.uniform_stream(prng.derive_stream(seed, prng.STREAM_PROBE, t), 4)
-        f = 1.0 + noise_frac * (2.0 * u - 1.0)
-        jittered_net = NetworkProfile(net.uplink_bps * f[0], net.downlink_bps * f[1],
-                                      net.rtt_seconds)
-        jittered_dev = DeviceProfile(dev.client_flops_per_s * f[2],
-                                     dev.server_flops_per_s * f[3],
-                                     dev.flops_utilization)
-        values.append(round_timeline(jittered_net, jittered_dev, work, client_layers).p_max)
+        u = prng.uniform_stream(prng.derive_stream(seed, prng.STREAM_PROBE, t), 4).tolist()
+        jitter = [1.0 + noise_frac * (2.0 * x - 1.0) for x in u]
+        values.append(round_timeline(net, dev, work, client_layers, jitter).p_max)
     return sum(values) / len(values), min(values), max(values)

@@ -119,6 +119,9 @@ class RoundRecord:
 
 @dataclass
 class ClientState:
+    """One client. theta_c, t_sync and opt_state belong to the hosfl client;
+    a baseline (sfl/zosfl) client reads only its shard."""
+
     client_id: int
     theta_c: np.ndarray
     shard: np.ndarray
@@ -199,13 +202,6 @@ def draw_batch(dataset: model.Batch, shard: np.ndarray, batch_size: int, seed: i
 # Client update and catch-up replay
 # -----------------------------------------------------------------------------
 
-def _round_grads(records, hp: HyperParams, d_c: int, perturb_fn) -> np.ndarray:
-    """g_hat of each record, one row per record: the single code path every
-    round's client update comes from, live or replayed."""
-    return reconstruct_gradient([rec.v_bar for rec in records],
-                                [rec.seeds for rec in records], hp.zo, d_c, perturb_fn)
-
-
 def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
                 target_round: int, perturb_fn=gaussian_vector) -> ClientState:
     """Catch-up: replay every missed round from stored history, in blocks.
@@ -243,9 +239,10 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     for start in range(0, len(missed), per_chunk):
         chunk = missed[start:start + per_chunk]
         prefetch_gaussians([seed for rec in chunk for seed in rec.seeds], d_c)
+        grads = reconstruct_gradient([rec.v_bar for rec in chunk],
+                                     [rec.seeds for rec in chunk], hp.zo, d_c, perturb_fn)
         client.theta_c, client.opt_state = _opt_step(
-            hp.optimizer, client.opt_state, client.theta_c,
-            _round_grads(chunk, hp, d_c, perturb_fn), hp.eta)
+            hp.optimizer, client.opt_state, client.theta_c, grads, hp.eta)
         client.t_sync += len(chunk)
     return client
 
@@ -288,29 +285,22 @@ def _server_first_order(sim: Simulation, selected, activations, batches):
 
 def _pull_model(sim: Simulation, cid: int) -> np.ndarray:
     """Client cid downloads the current global client model."""
-    client = sim.clients[cid]
-    client.theta_c = sim.server.theta_c_global.copy()
     sim.ledger.record(MessageKind.MODEL_DOWN, sim.model_cfg.d_c * FLOAT_BYTES,
                       "server", f"client:{cid}")
-    return client.theta_c
+    return sim.server.theta_c_global
 
 
-def _local_steps_and_average(sim: Simulation, selected, t: int, grad_fn) -> float:
-    """Each client steps along grad_fn(cid, theta_c) and uploads; returns |mean grad|."""
-    grads, updated = [], []
+def _local_steps_and_average(sim: Simulation, selected, grads: dict) -> float:
+    """Each client steps the pulled model along grads[cid] and uploads it;
+    the uploads become the global model. Returns |mean grad|."""
+    hp, theta_c = sim.hp, sim.server.theta_c_global
+    updated = []
     for cid in selected:
-        client = sim.clients[cid]
-        g = grad_fn(cid, client.theta_c)
-        grads.append(g)
-        client.theta_c, client.opt_state = _opt_step(
-            sim.hp.optimizer, client.opt_state, client.theta_c, g[None], sim.hp.eta
-        )
-        client.t_sync = t + 1
-        updated.append(client.theta_c)
+        updated.append(_opt_step(hp.optimizer, None, theta_c, grads[cid][None], hp.eta)[0])
         sim.ledger.record(MessageKind.MODEL_UP, sim.model_cfg.d_c * FLOAT_BYTES,
                           f"client:{cid}", "server")
     sim.server.theta_c_global = ordered_mean(updated)
-    return float(np.linalg.norm(ordered_mean(grads)))
+    return float(np.linalg.norm(ordered_mean([grads[cid] for cid in selected])))
 
 
 def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
@@ -324,8 +314,6 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     activations = {}
     for cid in selected:
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
-        if client.t_sync != t:
-            raise ProtocolViolationError(f"client {cid} entered round {t} unsynchronized")
         activations[cid] = model.client_forward(client.theta_c, batches[cid], cfg)
         _upload(sim, cid, activations[cid].size)
     losses, lams = _server_first_order(sim, selected, activations, batches)
@@ -341,11 +329,11 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     if not all(np.isfinite(v_bar)):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
-    rec = RoundRecord(seeds, v_bar)
-    server.history[t] = rec
+    server.history[t] = RoundRecord(seeds, v_bar)
     # the K clients and the server copy rebuild the same g_hat: one stacked
     # call of K+1 rows, then each party takes its own optimizer step
-    g_hat = _round_grads([rec] * (hp.K + 1), hp, cfg.d_c, perturb_fn)
+    g_hat = reconstruct_gradient([v_bar] * (hp.K + 1), [seeds] * (hp.K + 1), hp.zo, cfg.d_c,
+                                 perturb_fn)
     for row, cid in enumerate(selected):
         client = sim.clients[cid]
         client.theta_c, client.opt_state = _opt_step(
@@ -366,12 +354,10 @@ def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
         activations[cid] = model.client_forward(_pull_model(sim, cid), batches[cid], cfg)
         _upload(sim, cid, activations[cid].size)
     losses, lams = _server_first_order(sim, selected, activations, batches)
-    grad_norm = _local_steps_and_average(
-        sim, selected, t,
-        lambda cid, theta_c: model.client_backward_from_lambda(theta_c, batches[cid],
-                                                               lams[cid], cfg),
-    )
-    return losses, grad_norm
+    grads = {cid: model.client_backward_from_lambda(sim.server.theta_c_global, batches[cid],
+                                                    lams[cid], cfg)
+             for cid in selected}
+    return losses, _local_steps_and_average(sim, selected, grads)
 
 
 def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
@@ -389,29 +375,22 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     seeds_s = [derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 2) for cid in selected]
     prefetch_gaussians(seeds_c, cfg.d_c)
     prefetch_gaussians(seeds_s, cfg.d_s)
-    dir_c, dir_s, z_pairs = {}, {}, {}
+    losses, server_grads, client_grads = [], [], {}
     for cid, seed_c, seed_s in zip(selected, seeds_c, seeds_s):
-        theta_c = _pull_model(sim, cid)
-        dir_c[cid] = perturb_fn(seed_c, cfg.d_c)
-        dir_s[cid] = perturb_fn(seed_s, cfg.d_s)
-        z_pairs[cid] = (model.client_forward(theta_c + mu * dir_c[cid], batches[cid], cfg),
-                        model.client_forward(theta_c - mu * dir_c[cid], batches[cid], cfg))
-        _upload(sim, cid, 2 * z_pairs[cid][0].size)
-
-    losses, diffs, server_grads = [], {}, []
-    for cid in selected:
-        z_plus, z_minus = z_pairs[cid]
-        labels = batches[cid].labels
-        loss_plus = model.server_loss(server.theta_s + mu * dir_s[cid], z_plus, labels, cfg)
-        loss_minus = model.server_loss(server.theta_s - mu * dir_s[cid], z_minus, labels, cfg)
-        losses.append(0.5 * (loss_plus + loss_minus))
-        diffs[cid] = (loss_plus - loss_minus) / (2.0 * mu)
-        server_grads.append(diffs[cid] * dir_s[cid])
+        theta_c, batch = _pull_model(sim, cid), batches[cid]
+        u_c, u_s = perturb_fn(seed_c, cfg.d_c), perturb_fn(seed_s, cfg.d_s)
+        z_plus = model.client_forward(theta_c + mu * u_c, batch, cfg)
+        z_minus = model.client_forward(theta_c - mu * u_c, batch, cfg)
+        _upload(sim, cid, 2 * z_plus.size)
+        loss_plus = model.server_loss(server.theta_s + mu * u_s, z_plus, batch.labels, cfg)
+        loss_minus = model.server_loss(server.theta_s - mu * u_s, z_minus, batch.labels, cfg)
         sim.ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
+        losses.append(0.5 * (loss_plus + loss_minus))
+        diff = (loss_plus - loss_minus) / (2.0 * mu)
+        server_grads.append(diff * u_s)
+        client_grads[cid] = diff * u_c
     _server_step(sim, ordered_mean(server_grads))
-    grad_norm = _local_steps_and_average(sim, selected, t,
-                                         lambda cid, _: diffs[cid] * dir_c[cid])
-    return losses, grad_norm
+    return losses, _local_steps_and_average(sim, selected, client_grads)
 
 
 _ROUNDS = {"hosfl": _hosfl_round, "sfl": _sfl_round, "zosfl": _zosfl_round}

@@ -4,12 +4,15 @@ import functools
 import json
 import math
 import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import cli, runner
 from splitsim.config import (
@@ -490,6 +493,25 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("profile, section", [
+        ("device: {server_flops_per_s: 4.0e-295}\n"
+         "sweep: {noise_trials: 20, noise_frac: 0.5}\n", "device"),
+        ("device: {client_flops_per_s: 1.7e+308, flops_utilization: 1.0}\n"
+         "sweep: {noise_trials: 20, noise_frac: 0.5}\n", "device"),
+        ("workload: {batch: 1.0e+308}\n", "workload"),
+        ("workload: {hidden: 1.0e+200}\n", "workload"),
+        ("workload: {seq_len: 1.0e+200}\n", "workload"),
+        ("workload: {batch: 1.0e+300}\n", "workload"),
+    ])
+    def test_overflowing_profile_names_its_section(self, profile, section, tmp_path, capsys):
+        # jittered rows included: every row is checked before anything is written
+        path = tmp_path / "profile.yaml"
+        path.write_text(profile)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep-latency", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
+        assert not out.exists()
+
     def test_noise_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "seed.yaml"
         path.write_text("sweep: {noise_trials: 5, noise_seed: -1}\n")
@@ -647,3 +669,35 @@ def test_every_latency_key_is_honoured_or_rejected(path, tmp_path):
     half = value // 2 if isinstance(value, int) else value / 2
     changed = _sweep_file(_with(text, path, half), tmp_path, "changed")
     assert changed is None or changed != _sweep_file(text, tmp_path, "edge")
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_DIMENSION = st.one_of(st.integers(1, 4096), st.integers(1, 10 ** 400))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_latency_never_exits_2(data):
+    """Any finite, positive profile runs (exit 0) or is rejected before output (exit 1)."""
+    total = data.draw(st.integers(2, 64))
+    layer_min = data.draw(st.integers(1, total - 1))
+    profile = {
+        "network": {"uplink_bps": data.draw(_POSITIVE), "downlink_bps": data.draw(_POSITIVE),
+                    "rtt_seconds": data.draw(st.floats(0.0, 1.7976931348623157e308))},
+        "device": {"client_flops_per_s": data.draw(_POSITIVE),
+                   "server_flops_per_s": data.draw(_POSITIVE),
+                   "flops_utilization": data.draw(st.floats(5e-324, 1.0))},
+        "workload": {"batch": data.draw(_DIMENSION), "seq_len": data.draw(_DIMENSION),
+                     "hidden": data.draw(_DIMENSION), "total_layers": total,
+                     "bytes_per_activation": data.draw(_DIMENSION)},
+        "sweep": {"layer_min": layer_min, "layer_max": data.draw(st.integers(layer_min, total - 1)),
+                  "noise_trials": data.draw(st.integers(0, 20)),
+                  "noise_frac": data.draw(st.floats(0.0, 1.0)),
+                  "noise_seed": data.draw(st.integers(0, 2 ** 64 - 1))},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "profile.yaml", Path(tmp) / "sw"
+        path.write_text(yaml.safe_dump(profile))
+        rc = cli.main(["sweep-latency", "--config", str(path), "--out", str(out)])
+        assert rc in (0, 1)
+        assert (rc == 0) == out.exists()

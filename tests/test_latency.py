@@ -77,6 +77,9 @@ class TestOverlapCount:
         tl = round_timeline(EDGE_NET, dev, MODEL_1B, 4)
         assert tl.t_client_fwd > tl.idle_window
         assert tl.p_max == 0
+        # a sustained speed that underflows to zero takes forever, never divides by it
+        dev = DeviceProfile(client_flops_per_s=5e-324, flops_utilization=0.1)
+        assert round_timeline(EDGE_NET, dev, MODEL_1B, 4).p_max == 0
 
     def test_non_decreasing_in_rtt_and_server_time(self):
         base = _pmax(EDGE_NET, EDGE_DEV, 4)

@@ -437,20 +437,36 @@ class TestTrafficLaws:
             assert np.mean(losses[-k:]) < np.mean(losses[:k]), proto
 
     def test_sfl_symmetric_clients_average_to_single_update(self):
-        # identical data on both clients: the averaged model equals either update
+        # identical data on both clients: the averaged model equals one
+        # client's update, computed directly from theta0, its batch and its feedback
         cfg = m.SplitModelConfig((2, 2, 1), "identity", 1, "squared_error", bias=False)
         hp = HyperParams(eta=0.05, M=2, K=2, batch_size=2, zo=ZoConfig())
         x = np.array([[1.0, 0.5], [0.25, -1.0]])
         y = np.array([[1.0], [0.0]])
         ds = m.Batch(np.vstack([x, x]), np.vstack([y, y]))
         theta0 = m.init_params(cfg, 12)
-        server = ServerState(theta_s=theta0[cfg.d_c:].copy(),
-                             theta_c_global=theta0[: cfg.d_c].copy())
+        theta_c, theta_s = theta0[: cfg.d_c], theta0[cfg.d_c:]
+        server = ServerState(theta_s=theta_s.copy(), theta_c_global=theta_c.copy())
         clients = {
-            1: ClientState(1, theta0[: cfg.d_c].copy(), np.array([0, 1])),
-            2: ClientState(2, theta0[: cfg.d_c].copy(), np.array([2, 3])),
+            1: ClientState(1, theta_c.copy(), np.array([0, 1])),
+            2: ClientState(2, theta_c.copy(), np.array([2, 3])),
         }
         sim = Simulation("sfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 9)
         run_round(sim)
-        assert sim.server.theta_c_global.tobytes() == sim.clients[1].theta_c.tobytes()
-        assert sim.clients[1].theta_c.tobytes() == sim.clients[2].theta_c.tobytes()
+        batch = draw_batch(ds, clients[1].shard, hp.batch_size,
+                           prng.derive_stream(9, prng.STREAM_BATCH, 0, 1))
+        z = m.client_forward(theta_c, batch, cfg)
+        lam = m.server_forward_backward(theta_s, z, batch.labels, cfg)[2]
+        g_c = m.client_backward_from_lambda(theta_c, batch, lam, cfg)
+        assert sim.server.theta_c_global.tobytes() == (theta_c - hp.eta * g_c).tobytes()
+
+    @pytest.mark.parametrize("proto", ["sfl", "zosfl"])
+    def test_baseline_rounds_leave_client_state_unchanged(self, proto):
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+        sim = runner.build_simulation(cfg)
+        before = {cid: (c.theta_c.tobytes(), c.t_sync, c.opt_state)
+                  for cid, c in sim.clients.items()}
+        for _ in range(3):
+            run_round(sim)
+        assert {cid: (c.theta_c.tobytes(), c.t_sync, c.opt_state)
+                for cid, c in sim.clients.items()} == before
