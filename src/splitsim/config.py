@@ -245,9 +245,15 @@ def config_to_dict(cfg) -> dict:
     return out
 
 
+# libyaml's parser when PyYAML was built with it. Both loaders build values
+# with the same SafeConstructor and Resolver, so a config parses to the
+# same values; only a syntax error's message drops the source snippet.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -38,7 +38,10 @@ class SplitModelConfig:
     n + 1 entries. Layers [0, cut_index) live on the client; the cut
     activation has width layer_dims[cut_index]. The final layer is always
     linear; every other layer applies the configured activation.
-    d_c and d_s, the client and server parameter counts, are computed once.
+    d_c and d_s, the client and server parameter counts, are computed once,
+    and so is the layer plan: per half (client, server), one
+    (w_lo, w_hi, (in, out), bias slice or None) per layer, offsets taken
+    within that half's flat vector.
     """
 
     layer_dims: tuple[int, ...]
@@ -48,6 +51,7 @@ class SplitModelConfig:
     bias: bool = True
     d_c: int = field(init=False, repr=False, compare=False)
     d_s: int = field(init=False, repr=False, compare=False)
+    layer_plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = tuple(self.layer_dims)
@@ -69,6 +73,20 @@ class SplitModelConfig:
         counts = [self.layer_param_count(i) for i in range(self.n_layers)]
         object.__setattr__(self, "d_c", sum(counts[:self.cut_index]))
         object.__setattr__(self, "d_s", sum(counts[self.cut_index:]))
+        object.__setattr__(self, "layer_plan", (
+            self._half_plan(0, self.cut_index),
+            self._half_plan(self.cut_index, self.n_layers),
+        ))
+
+    def _half_plan(self, lo: int, hi: int) -> tuple:
+        plan, off = [], 0
+        for i in range(lo, hi):
+            ni, no = self.layer_dims[i], self.layer_dims[i + 1]
+            w_hi = off + ni * no
+            bias = slice(w_hi, w_hi + no) if self.bias else None
+            plan.append((off, w_hi, (ni, no), bias))
+            off = w_hi + no if self.bias else w_hi
+        return tuple(plan)
 
     @property
     def n_layers(self) -> int:
@@ -152,23 +170,15 @@ def _unpack(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
     A stack of vectors, theta of shape (..., n), gives W of shape
     (..., in, out) and b of shape (..., 1, out).
     """
-    lo, hi, expected = ((0, cfg.cut_index, cfg.d_c) if client
-                        else (cfg.cut_index, cfg.n_layers, cfg.d_s))
+    plan, expected = (cfg.layer_plan[0], cfg.d_c) if client else (cfg.layer_plan[1], cfg.d_s)
     if theta.ndim < 1 or theta.shape[-1] != expected:
         raise DimensionMismatchError(
             f"parameter vector has length {theta.shape}, expected ({expected},)"
         )
     lead = theta.shape[:-1]
-    params = []
-    off = 0
-    for i in range(lo, hi):
-        ni, no = cfg.layer_dims[i], cfg.layer_dims[i + 1]
-        w = theta[..., off:off + ni * no].reshape(lead + (ni, no))
-        off += ni * no
-        b = theta[..., None, off:off + no] if cfg.bias else None
-        off += no if cfg.bias else 0
-        params.append((w, b))
-    return params
+    return [(theta[..., w_lo:w_hi].reshape(lead + shape),
+             None if bias is None else theta[..., None, bias])
+            for w_lo, w_hi, shape, bias in plan]
 
 
 # -----------------------------------------------------------------------------
@@ -221,7 +231,7 @@ def _server_forward_cached(theta_s, z, cfg):
     params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, client=False)
     hs, pres = _forward(params, np.asarray(z, dtype=np.float64), cfg, linear_last=True)
     for k, pre in enumerate(pres):
-        if not np.all(np.isfinite(pre)):
+        if not np.isfinite(pre).all():
             raise NumericalError(f"non-finite values after server layer {cfg.cut_index + k}")
     return params, hs, pres
 
@@ -258,14 +268,18 @@ def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig, with_grad: 
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != b:
         raise DimensionMismatchError("class labels must be a (B,) index vector")
-    shifted = y_hat - y_hat.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(b), y]))
+    # Each reduction below gives the bits of the plain numpy spelling with
+    # fewer calls: the row max (exact) runs down the contiguous columns of
+    # the transpose, much faster than along 2-wide rows; np.add.reduce is
+    # what np.sum calls; its total over b is np.mean's own computation.
+    shifted = y_hat - np.ascontiguousarray(y_hat.T).max(axis=0)[:, None]
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    rows = np.arange(b)
+    loss = float(np.add.reduce(log_z - shifted[rows, y]) / b)
     if not with_grad:
         return loss, None
-    probs = np.exp(shifted - log_z[:, None])
-    grad = probs
-    grad[np.arange(b), y] -= 1.0
+    grad = np.exp(shifted - log_z[:, None])
+    grad[rows, y] -= 1.0
     return loss, grad / b
 
 
@@ -354,7 +368,11 @@ def evaluate_model(theta: np.ndarray, batch: Batch, cfg: SplitModelConfig):
     z = client_forward(theta[: cfg.d_c], batch, cfg)
     _, hs, _ = _server_forward_cached(theta[cfg.d_c:], z, cfg)
     loss, _ = _loss_and_grad(hs[-1], batch.labels, cfg, with_grad=False)
-    acc = None
-    if cfg.loss == "softmax_cross_entropy":
-        acc = float(np.mean(hs[-1].argmax(axis=1) == batch.labels))
+    acc = _accuracy(hs[-1], batch.labels) if cfg.loss == "softmax_cross_entropy" else None
     return loss, acc
+
+
+def _accuracy(y_hat: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose top output is the label: an exact count and one
+    rounded division, the bits of np.mean over the matches."""
+    return float(np.count_nonzero(y_hat.argmax(axis=1) == labels) / labels.shape[0])

@@ -8,8 +8,10 @@ gaussian_block is the one Gaussian generator. gaussian_vector reads a memo
 of its rows: a round fills the memo with one block for all the directions
 it will ask for (prefetch_gaussians), and a miss is filled with a one-row
 block. Since every row is a pure function of (seed, dim), the memo changes
-no value. It is a least-recently used cache bounded in bytes (MEMO_BYTES),
-and the vectors it returns are read-only because callers share them.
+no value. It is bounded in bytes (MEMO_BYTES): entries leave in fill
+order, and a hit reorders nothing; prefetch_gaussians marks its whole set
+most recently used, and every round and replay chunk prefetches before it
+reads. The vectors it returns are read-only because callers share them.
 
 Normal variates come from a Box-Muller transform applied to 53-bit uniforms
 read off the counter stream. This transform is part of the on-disk/replay
@@ -90,15 +92,20 @@ def _counters(n: int) -> np.ndarray:
     return table
 
 
+# the splitmix64 constants as numpy scalars, built once
+_U30, _U27, _U31, _U11 = (np.uint64(n) for n in (30, 27, 31, 11))
+_U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
+
+
 def _uniforms_from_state(x: np.ndarray) -> np.ndarray:
     """Open-(0, 1) uniforms from counter states; x is overwritten."""
     # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
-    x >>= np.uint64(11)
+    x ^= x >> _U30
+    x *= _U_MIX_A
+    x ^= x >> _U27
+    x *= _U_MIX_B
+    x ^= x >> _U31
+    x >>= _U11
     u = x.astype(np.float64)
     u += 0.5
     u *= 2.0 ** -53
@@ -129,22 +136,17 @@ def gaussian_block(seeds, dim: int) -> np.ndarray:
 
 
 class _GaussianMemo:
-    """LRU of read-only Gaussian vectors keyed by (seed, dim), bounded in bytes.
+    """Read-only Gaussian vectors keyed by (seed, dim), bounded in bytes.
 
-    Every entry owns its buffer, so held is exactly the bytes kept alive.
+    Entries leave in the order they were placed, by a fill or a miss; a
+    read does not move one, and only fill marks held entries most recently
+    used. Every entry owns its buffer, so held is exactly the bytes kept
+    alive.
     """
 
     def __init__(self):
         self.held = 0
         self.entries: OrderedDict = OrderedDict()
-
-    def get(self, seed: int, dim: int) -> np.ndarray:
-        key = (seed, dim)
-        vec = self.entries.get(key)
-        if vec is None:
-            return self._generate([seed], dim)[0]
-        self.entries.move_to_end(key)
-        return vec
 
     def fill(self, seeds, dim: int):
         """Generate, as one block, the (seed, dim) entries not yet held.
@@ -191,14 +193,17 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
     The result is read-only: it may be the memo's copy, shared by every
     caller that asks for the same (seed, dim).
     """
-    return _MEMO.get(seed & _MASK, dim)
+    seed &= _MASK
+    vec = _MEMO.entries.get((seed, dim))
+    return _MEMO._generate([seed], dim)[0] if vec is None else vec
 
 
 def prefetch_gaussians(seeds, dim: int):
     """Fill the gaussian_vector memo for every seed with one gaussian_block.
 
     Generates nothing unless the whole set fits in MEMO_BYTES. Seeds
-    already held become the most recently used. Changes no value:
+    already held become the most recently used, so the set leaves the memo
+    last. Changes no value:
     later gaussian_vector calls return the same bits, served from the memo
     while it still holds them.
     """

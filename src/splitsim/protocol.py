@@ -171,9 +171,9 @@ def _partial_shuffle(pool: list, k: int, seed: int) -> list:
     """The first k items of a Fisher-Yates shuffle of pool, in place, driven
     by uniform_stream(seed, k)."""
     n = len(pool)
-    u = prng.uniform_stream(seed, k)
-    for i in range(k):
-        j = i + int(u[i] * (n - i))
+    # Python floats: the same IEEE products as numpy scalars, read faster
+    for i, u in enumerate(prng.uniform_stream(seed, k).tolist()):
+        j = i + int(u * (n - i))
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 

@@ -2,7 +2,8 @@
 
 The composite loss and the analytic client gradient are oracles for
 finite-difference and estimator checks; the zeroth-order client path never
-calls them.
+calls them. The reference kernels below are the plain numpy spellings that
+model.py's faster kernels must match byte for byte.
 """
 
 import numpy as np
@@ -40,3 +41,63 @@ def analytic_client_gradient(theta: np.ndarray, batch: Batch, cfg: SplitModelCon
     z = client_forward(theta[: cfg.d_c], batch, cfg)
     _, _, lam = server_forward_backward(theta[cfg.d_c:], z, batch.labels, cfg)
     return client_backward_from_lambda(theta[: cfg.d_c], batch, lam, cfg)
+
+
+# -----------------------------------------------------------------------------
+# Reference kernels: the plain spellings of model._unpack, _loss_and_grad
+# and _accuracy
+# -----------------------------------------------------------------------------
+
+def unpack_reference(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
+    """(W, b) views of one half, found by walking the layer offsets."""
+    lo, hi, expected = ((0, cfg.cut_index, cfg.d_c) if client
+                        else (cfg.cut_index, cfg.n_layers, cfg.d_s))
+    if theta.ndim < 1 or theta.shape[-1] != expected:
+        raise DimensionMismatchError(
+            f"parameter vector has length {theta.shape}, expected ({expected},)"
+        )
+    lead = theta.shape[:-1]
+    params = []
+    off = 0
+    for i in range(lo, hi):
+        ni, no = cfg.layer_dims[i], cfg.layer_dims[i + 1]
+        w = theta[..., off:off + ni * no].reshape(lead + (ni, no))
+        off += ni * no
+        b = theta[..., None, off:off + no] if cfg.bias else None
+        off += no if cfg.bias else 0
+        params.append((w, b))
+    return params
+
+
+def loss_and_grad_reference(y_hat: np.ndarray, labels, cfg: SplitModelConfig,
+                            with_grad: bool = True):
+    """Batch-mean loss and its output gradient through np.max, np.sum and np.mean."""
+    b = y_hat.shape[0]
+    if cfg.loss == "squared_error":
+        y = np.asarray(labels, dtype=np.float64)
+        if y.ndim == 1:
+            y = y[:, None]
+        if y.shape != y_hat.shape:
+            raise DimensionMismatchError(
+                f"labels {y.shape} do not match outputs {y_hat.shape}"
+            )
+        diff = y_hat - y
+        loss = float(np.sum(diff * diff) / b)
+        return loss, 2.0 * diff / b if with_grad else None
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != b:
+        raise DimensionMismatchError("class labels must be a (B,) index vector")
+    shifted = y_hat - y_hat.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=1))
+    loss = float(np.mean(log_z - shifted[np.arange(b), y]))
+    if not with_grad:
+        return loss, None
+    probs = np.exp(shifted - log_z[:, None])
+    grad = probs
+    grad[np.arange(b), y] -= 1.0
+    return loss, grad / b
+
+
+def accuracy_reference(y_hat: np.ndarray, labels: np.ndarray) -> float:
+    """np.mean of the rows whose top output is the label."""
+    return float(np.mean(y_hat.argmax(axis=1) == labels))

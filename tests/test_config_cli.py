@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import cli, runner
+from splitsim import cli, config, runner
 from splitsim.config import (
     DataConfig,
     LatencyProfileConfig,
@@ -280,6 +280,62 @@ class TestParsing:
     def test_latency_non_numeric_sweep_rejected(self):
         with pytest.raises(ConfigError):
             parse_latency_profile("sweep: {layer_min: two}\n")
+
+
+# YAML the pure-Python and the libyaml parser must read alike: an anchor
+# with its alias and a merge, a duplicate key (the last one wins), YAML 1.1
+# scalars and a string PyYAML leaves unresolved
+EDGE_DOCUMENT = """
+base: &base {x: 1, y: [1, 2]}
+alias: *base
+merged: {<<: *base, y: 3}
+dup: 1
+dup: 2
+inf: .inf
+ninf: -.Inf
+underscored: 1_000
+hex: 0x1F
+yes_flag: yes
+no_flag: No
+nothing: ~
+unresolved: 1e-3
+quoted: '012'
+"""
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("text", [
+        SHIPPED.read_text(), LATENCY_EDGE.read_text(), GOOD, REGRESSION, EDGE_DOCUMENT,
+    ])
+    def test_loads_as_the_pure_python_loader_does(self, text):
+        fast = yaml.load(text, Loader=config._LOADER)
+        # repr tells True from 1 and 1000 from 1000.0, which == does not
+        assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_edge_document_values(self):
+        raw = yaml.load(EDGE_DOCUMENT, Loader=config._LOADER)
+        assert raw["alias"] == {"x": 1, "y": [1, 2]}
+        assert raw["merged"] == {"x": 1, "y": 3}
+        assert (raw["dup"], raw["inf"], raw["ninf"]) == (2, math.inf, -math.inf)
+        assert (raw["underscored"], raw["hex"]) == (1000, 31)
+        assert (raw["yes_flag"], raw["no_flag"], raw["nothing"]) == (True, False, None)
+        assert (raw["unresolved"], raw["quoted"]) == ("1e-3", "012")
+
+    def test_libyaml_is_used_when_built(self):
+        # a silent fall-back to the pure-Python parser fails here
+        if yaml.__with_libyaml__:
+            assert config._LOADER is yaml.CSafeLoader
+        else:
+            assert config._LOADER is yaml.SafeLoader
+
+    def test_malformed_run_config_exits_1_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text(GOOD.replace("partition: {mode: iid}", "partition: {mode: iid"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        # the parser stops on the line after the unclosed mapping
+        line = GOOD.splitlines().index("partition: {mode: iid}") + 2
+        assert f": parse error at line {line}: " in capsys.readouterr().err
 
 
 @pytest.fixture()

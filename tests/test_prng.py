@@ -187,6 +187,22 @@ class TestGaussianMemo:
         assert list(memo.entries)[-5:] == [(seed, 144) for seed in seeds[::-1]]
         assert all(memo.entries[key] is vec for key, vec in entries)
 
+    def test_recency_comes_from_prefetch_only(self, monkeypatch):
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        seeds = [derive_stream(31, i) for i in range(4)]
+        prefetch_gaussians(seeds, 144)
+        order = list(prng._MEMO.entries)
+        # a hit returns the held vector and moves no entry
+        for seed in seeds[::-1]:
+            assert gaussian_vector(seed, 144) is prng._MEMO.entries[(seed, 144)]
+        assert list(prng._MEMO.entries) == order
+        # a miss appends its one entry
+        gaussian_vector(derive_stream(32), 144)
+        assert list(prng._MEMO.entries) == order + [(derive_stream(32), 144)]
+        # a prefetch of held seeds marks them most recently used
+        prefetch_gaussians(seeds[:2], 144)
+        assert list(prng._MEMO.entries)[-2:] == [(seed, 144) for seed in seeds[:2]]
+
     def test_fill_after_eviction(self):
         dim = 144
         seeds = [derive_stream(27, i) for i in range(5)]
