@@ -49,8 +49,8 @@ def _positive_int(text: str) -> int:
 def _load(path: str, parse, what: str):
     """Read and parse one YAML document; any failure is a usage error."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return parse(text)
@@ -58,12 +58,14 @@ def _load(path: str, parse, what: str):
         raise _UsageError(f"invalid {what} {path}: {exc}") from exc
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _load_experiment(args) -> ExperimentConfig:
+    cfg = _load(args.config, parse_config, "config")
     # report-traffic has no --seed: its closed-form table never reads the seed
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, root_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=str(args.out))
+    runner.out_path(cfg.output_dir)  # a bad output location fails before any work
     return cfg
 
 
@@ -73,7 +75,7 @@ def _print_written(paths: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
+    cfg = _load_experiment(args)
     result = runner.run_experiment(cfg)
     paths = runner.write_outputs(result, cfg.output_dir)
     if result.records:
@@ -90,6 +92,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep_latency(args) -> int:
     prof = (LatencyProfileConfig() if args.config is None
             else _load(args.config, parse_latency_profile, "profile"))
+    out = runner.out_path(args.out)
     sweep = prof.sweep
     layers = range(sweep.layer_min, sweep.layer_max + 1)
     rows = [latency.round_timeline(prof.network, prof.device, prof.workload, lc)
@@ -101,14 +104,14 @@ def _cmd_sweep_latency(args) -> int:
         table += [(lc, *latency.noisy_pmax_stats(
             prof.network, prof.device, prof.workload, lc,
             sweep.noise_frac, sweep.noise_trials, sweep.noise_seed)) for lc in layers]
-    _print_written(runner.write_files(args.out, {"sweep": ("latency_sweep.csv", table)}))
+    _print_written(runner.write_files(out, {"sweep": ("latency_sweep.csv", table)}))
     for row in rows:
         print(f"client_layers={row.client_layers} p_max={row.p_max}")
     return 0
 
 
 def _cmd_diagnose_estimator(args) -> int:
-    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
+    cfg = _load_experiment(args)
     sim = runner.build_simulation(cfg)
     batch = protocol.draw_batch(sim.dataset, sim.clients[1].shard, cfg.hp.batch_size,
                                 prng.derive_stream(cfg.root_seed, prng.STREAM_BATCH, 0, 1))
@@ -140,7 +143,7 @@ def _cmd_diagnose_estimator(args) -> int:
 
 
 def _cmd_report_traffic(args) -> int:
-    cfg = _apply_overrides(_load(args.config, parse_config, "config"), args)
+    cfg = _load_experiment(args)
     protocols = PROTOCOLS if args.all_protocols else (cfg.protocol,)
     table = [("protocol", "kind", "direction", "bytes_per_round")]
     for proto in protocols:

@@ -70,13 +70,11 @@ class SplitModelConfig:
             raise ValueError(
                 f"cut_index must lie strictly inside [0, {self.n_layers}]"
             )
-        counts = [self.layer_param_count(i) for i in range(self.n_layers)]
-        object.__setattr__(self, "d_c", sum(counts[:self.cut_index]))
-        object.__setattr__(self, "d_s", sum(counts[self.cut_index:]))
-        object.__setattr__(self, "layer_plan", (
-            self._half_plan(0, self.cut_index),
-            self._half_plan(self.cut_index, self.n_layers),
-        ))
+        client, d_c = self._half_plan(0, self.cut_index)
+        server, d_s = self._half_plan(self.cut_index, self.n_layers)
+        object.__setattr__(self, "d_c", d_c)
+        object.__setattr__(self, "d_s", d_s)
+        object.__setattr__(self, "layer_plan", (client, server))
 
     def _half_plan(self, lo: int, hi: int) -> tuple:
         plan, off = [], 0
@@ -86,7 +84,7 @@ class SplitModelConfig:
             bias = slice(w_hi, w_hi + no) if self.bias else None
             plan.append((off, w_hi, (ni, no), bias))
             off = w_hi + no if self.bias else w_hi
-        return tuple(plan)
+        return tuple(plan), off
 
     @property
     def n_layers(self) -> int:
@@ -103,12 +101,6 @@ class SplitModelConfig:
     @property
     def cut_width(self) -> int:
         return self.layer_dims[self.cut_index]
-
-    def layer_param_count(self, i: int) -> int:
-        n = self.layer_dims[i] * self.layer_dims[i + 1]
-        if self.bias:
-            n += self.layer_dims[i + 1]
-        return n
 
     @property
     def d(self) -> int:
@@ -151,16 +143,6 @@ def _act(name: str, x: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(x)
     return np.maximum(x, 0.0)
-
-
-def _act_deriv(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(pre)
-    if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    # relu subgradient at 0 is defined as 0
-    return (pre > 0.0).astype(np.float64)
 
 
 def _unpack(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
@@ -209,7 +191,12 @@ def _backward(params, hs, pres, delta, cfg, linear_last):
     for k in range(last, -1, -1):
         w, b = params[k]
         if not (linear_last and k == last):
-            delta = delta * _act_deriv(cfg.activation, pres[k])
+            if cfg.activation == "tanh":
+                h = hs[k + 1]
+                delta = delta * (1.0 - h * h)
+            elif cfg.activation == "relu":
+                # relu subgradient at 0 is defined as 0
+                delta = delta * (pres[k] > 0.0)
         if b is not None:
             pieces.append(delta.sum(axis=0))
         pieces.append((hs[k].T @ delta).ravel())

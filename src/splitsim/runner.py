@@ -154,10 +154,19 @@ def file_text(lines) -> str:
                      for line in lines) + "\n"
 
 
-def write_files(out_dir, files: dict) -> dict:
-    """Write {label: (file name, lines)} into out_dir, made if missing; a
-    missing or empty out_dir means DEFAULT_OUT_DIR. Return {label: path}."""
+def out_path(out_dir) -> Path:
+    """Where write_files writes: out_dir, or DEFAULT_OUT_DIR when it is
+    missing or empty; a ConfigError when the nearest existing path is a file."""
     out = Path(out_dir or DEFAULT_OUT_DIR)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output location {out} is not a directory: {nearest} is a file")
+    return out
+
+
+def write_files(out_dir, files: dict) -> dict:
+    """Write {label: (file name, lines)} into out_path(out_dir); return {label: path}."""
+    out = out_path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for label, (name, lines) in files.items():

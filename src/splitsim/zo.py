@@ -50,9 +50,9 @@ def zo_scalars(theta_c: np.ndarray, lam: np.ndarray, z_anchor: np.ndarray, batch
         raise DimensionMismatchError(
             f"lambda {lam.shape} and anchor {z_anchor.shape} disagree"
         )
-    directions = np.array([perturb_fn(seed, cfg.d_c) for seed in seeds])
-    perturbed = theta_c + zo.mu * directions
-    z_tilde = np.array([model.client_forward(theta, batch, cfg) for theta in perturbed])
+    # one direction at a time, as a MeZO client holds it: no (P, d_c) block
+    z_tilde = np.array([model.client_forward(theta_c + zo.mu * perturb_fn(seed, cfg.d_c),
+                                             batch, cfg) for seed in seeds])
     values = np.einsum("nbd,bd->n", z_tilde - z_anchor, lam)
     if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite scalar projection")

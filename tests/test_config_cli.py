@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import cli, config, runner
+from splitsim import cli, config, latency, runner
 from splitsim.config import (
     DataConfig,
     LatencyProfileConfig,
@@ -338,6 +338,18 @@ class TestYamlLoader:
         assert f": parse error at line {line}: " in capsys.readouterr().err
 
 
+SUBCOMMANDS = ["run", "sweep-latency", "diagnose-estimator", "report-traffic"]
+
+
+def _config_args(sub, config_file):
+    """sweep-latency runs on its default profile; the rest read config_file."""
+    return [] if sub == "sweep-latency" else ["--config", str(config_file)]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output location was checked")
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "exp.yaml"
@@ -499,6 +511,10 @@ class TestCli:
          "partition: alpha is read under mode dirichlet only"),
         (_with(GOOD, "partition.mode", "dirichlet"),
          "partition: alpha is required under mode dirichlet"),
+        # top-level fields out of range
+        (_with(GOOD, "protocol", "fedavg"),
+         "protocol must be one of ('hosfl', 'sfl', 'zosfl'), got 'fedavg'"),
+        (_with(GOOD, "sample_budget", -1), "sample_budget must be non-negative"),
     ])
     def test_removed_unread_or_missing_key_is_usage_error(self, text, message, tmp_path,
                                                           capsys):
@@ -507,6 +523,46 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_non_utf8_config_is_usage_error(self, sub, tmp_path, capsys):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"\xff" + GOOD.encode())
+        out = tmp_path / "o"
+        assert cli.main([sub, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and f" {path}: " in err
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    # None: no --out and no output_dir, so the files would go to out/, as in write_files
+    @pytest.mark.parametrize("out", [None, "out", "out/sub"])
+    def test_output_location_that_is_a_file_fails_before_any_work(
+            self, sub, out, config_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        blocker = tmp_path / runner.DEFAULT_OUT_DIR
+        blocker.write_text("kept\n")
+        monkeypatch.setattr(runner, "build_simulation", _no_work)
+        monkeypatch.setattr(latency, "round_timeline", _no_work)
+        monkeypatch.setattr(cli, "closed_form_traffic", _no_work)
+        args = [sub, *_config_args(sub, config_file)] + ([] if out is None else ["--out", out])
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: output location {out or 'out'} is not a directory: out is a file\n")
+        assert blocker.read_text() == "kept\n"
+
+    def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "diverge.yaml"
+        path.write_text(_with(_with(_with(REGRESSION.replace("protocol: hosfl", "protocol: sfl"),
+                                          "model.layer_dims", [4, 4, 1]),
+                                    "model.activation", "identity"), "hp.eta", 50.0))
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("runtime error: non-finite ")
+        assert not out.exists()
 
     def test_report_traffic_takes_no_seed(self, config_file, tmp_path, capsys):
         out = tmp_path / "rt"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import splitsim.model as m
 from splitsim import prng, runner
 from splitsim.config import parse_config
-from splitsim.errors import ProtocolViolationError, StalenessError
+from splitsim.errors import NumericalError, ProtocolViolationError, StalenessError
 from splitsim.protocol import (
     AdamState,
     ClientState,
@@ -138,6 +138,15 @@ class TestWorkedRound:
         run_round(sim)
         assert sim.server.theta_c_global.item() == 2.5
         assert sim.server.theta_s.item() == 1.5
+
+    def test_overflowing_scalar_mean_aborts_the_round(self):
+        # finite scalars of two clients sum to inf in Python floats, silently
+        sim = runner.build_simulation(parse_config(BASE_CONFIG))
+        huge = (1e308,) * sim.hp.zo.P
+        with mock.patch("splitsim.protocol.zo_scalars", return_value=huge):
+            with pytest.raises(NumericalError, match="non-finite aggregated scalar"):
+                run_round(sim)
+        assert sim.server.history == {}
 
 
 class TestDeterminismAndReplay:
@@ -347,6 +356,15 @@ class TestBatchingAndBudget:
                      np.zeros((10, 1)))
         batch = draw_batch(ds, np.arange(10), 10, 3)
         assert sorted(batch.inputs[:, 0].tolist()) == [float(2 * i) for i in range(10)]
+
+    def test_draw_batch_with_replacement_from_a_small_shard(self):
+        # a shard smaller than the batch is drawn from with replacement
+        ds = m.Batch(np.arange(40, dtype=float).reshape(20, 2), np.zeros((20, 1)))
+        shard = np.array([3, 7, 11])
+        a = draw_batch(ds, shard, 8, 5)
+        assert a.size == 8
+        assert a.inputs.tobytes() == draw_batch(ds, shard, 8, 5).inputs.tobytes()
+        assert set((a.inputs[:, 0] / 2).astype(int).tolist()) <= {3, 7, 11}
 
     def test_empty_shard_rejected(self):
         ds = m.Batch(np.ones((4, 1)), np.ones((4, 1)))

@@ -1,5 +1,7 @@
 """Zeroth-order estimator: worked values, oracles, and theory-bound checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,27 @@ class TestScalarProjections:
         with pytest.raises(DimensionMismatchError):
             zo_scalars(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)),
                        np.ones((1, 1)), [1, 2], ZoConfig(P=3, mu=1e-3), LINEAR_1D)
+
+
+class TestWorkingSet:
+    def test_zo_scalars_holds_one_direction_at_a_time(self, monkeypatch):
+        # a MeZO-style client holds one direction and one perturbed copy
+        # beyond theta_c; a (P, d_c) block alone would be 5 x 8 * d_c bytes
+        cfg = SplitModelConfig((256, 512, 2), "tanh", 1)
+        rng = _rng(3)
+        theta_c = rng.standard_normal(cfg.d_c) / 16.0
+        x = rng.standard_normal((16, 256))
+        z = client_forward(theta_c, x, cfg)
+        lam = rng.standard_normal(z.shape)
+        seeds = [prng.derive_stream(9, p) for p in range(5)]
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        tracemalloc.start()
+        try:
+            zo_scalars(theta_c, lam, z, x, seeds, ZoConfig(P=5), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * cfg.d_c
 
 
 class TestReconstruction:
