@@ -193,7 +193,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # an overflowing run fails on its own finiteness checks with one
+        # message; numpy's warnings would only repeat it on stderr. This
+        # changes no value, and library callers still see the warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

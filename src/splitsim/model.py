@@ -119,12 +119,14 @@ class Batch:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        # an ndarray that already has the dtype is kept as it is, not copied
+        if type(self.inputs) is not np.ndarray or self.inputs.dtype != np.float64:
+            self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise DimensionMismatchError("batch inputs must be a non-empty 2-D matrix")
         labels = np.asarray(self.labels)
-        if np.issubdtype(labels.dtype, np.integer):
-            self.labels = labels.astype(np.int64)
+        if labels.dtype.kind in "iu":  # any integer dtype
+            self.labels = labels.astype(np.int64, copy=False)
         else:
             self.labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
             if self.labels.shape[0] == 1 and self.inputs.shape[0] != 1:

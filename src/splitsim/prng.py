@@ -60,7 +60,18 @@ def derive_stream(root: int, *parts: int) -> int:
     Chained splitmix64 over the coordinate tuple; distinct tuples map to
     distinct seeds except with ~2**-64 probability.
     """
-    h = mix64(root)
+    return extend_stream(mix64(root), *parts)
+
+
+def extend_stream(prefix: int, *parts: int) -> int:
+    """derive_stream's chain continued from a seed it returned:
+    extend_stream(derive_stream(root, *a), *b) == derive_stream(root, *a, *b).
+
+    A round derives its (root, tag, t) prefix once and extends it per
+    perturbation, client or half; every seed stays a pure function of
+    (root, tag, coordinates).
+    """
+    h = prefix
     for v in parts:
         h = mix64((h + _GOLDEN + (v & _MASK)) & _MASK)
     return h
@@ -220,12 +231,17 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 # -----------------------------------------------------------------------------
 
 def ordered_mean(vectors) -> np.ndarray:
-    """Mean of equal-length vectors, accumulated left-to-right then scaled once."""
+    """Mean of equal-length vectors, accumulated left-to-right then scaled once.
+
+    The sum starts from vectors[0] + 0.0, a new array with the bits of
+    0.0 + vectors[0] (a -0.0 entry becomes 0.0), so the inputs are never
+    written and no zeros are built.
+    """
     vectors = list(vectors)
     if not vectors:
         raise ValueError("ordered_mean of empty sequence")
-    acc = np.zeros_like(np.asarray(vectors[0], dtype=np.float64))
-    for v in vectors:
+    acc = np.asarray(vectors[0], dtype=np.float64) + 0.0
+    for v in vectors[1:]:
         if np.shape(v) != acc.shape:
             raise DimensionMismatchError(
                 f"ordered_mean: shape mismatch {np.shape(v)} vs {acc.shape}"

@@ -31,14 +31,15 @@ left-to-right accumulation, so results do not depend on completion order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model, prng
 from .errors import NumericalError, ProtocolViolationError, StalenessError
-from .prng import (derive_stream, gaussian_vector, ordered_mean, ordered_mean_scalar,
-                   prefetch_gaussians)
+from .prng import (derive_stream, extend_stream, gaussian_vector, ordered_mean,
+                   ordered_mean_scalar, prefetch_gaussians)
 from .traffic import FLOAT_BYTES, SEED_BYTES, MessageKind, TrafficLedger, label_payload_bytes
 from .zo import ZoConfig, reconstruct_gradient, zo_scalars
 
@@ -76,19 +77,31 @@ class AdamState:
     step: int = 0
 
 
+def _subtract_run(theta: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """theta - deltas[0] - deltas[1] - ..., subtracted left to right.
+
+    One row is one subtraction. A longer run is one np.subtract.reduce down
+    the rows of [theta; deltas]: the same subtractions in the same order
+    (subtract has no pairwise reduction), into a new (d,) array, so nothing
+    keeps the (n + 1, d) block alive. np.subtract.accumulate gives the same
+    bits, but down axis 0 it runs about 4x slower than this reduce.
+    """
+    if len(deltas) == 1:
+        return theta - deltas[0]
+    return np.subtract.reduce(np.concatenate((theta[None], deltas)))
+
+
 def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, eta: float):
     """A run of optimizer transitions at learning rate eta, one per row of grads.
 
     Returns (new_theta, new_state), bitwise equal to taking the rows one step
-    at a time. sgd takes one theta - eta * g per row. adam computes the terms
-    that depend only on g, the bias corrections and the steps for all rows
-    at once, and runs the m/v recurrences and the theta subtraction row by
-    row, in order.
+    at a time. sgd subtracts eta * g for each row g in turn. adam computes
+    the terms that depend only on g, the bias corrections and the steps for
+    all rows at once, runs the m/v recurrences row by row, in order, then
+    subtracts its steps in turn. Both subtract through _subtract_run.
     """
     if optimizer == "sgd":
-        for g in grads:
-            theta = theta - np.float64(eta) * g
-        return theta, state
+        return _subtract_run(theta, np.float64(eta) * grads), state
     if state is None:
         state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
     ms = (1.0 - ADAM_BETA1) * grads
@@ -98,15 +111,12 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, eta: 
         m_row += ADAM_BETA1 * m
         v_row += ADAM_BETA2 * v
         m, v = m_row, v_row
-    # per row: the two bias corrections (Python float powers)
     steps = range(state.step + 1, state.step + len(grads) + 1)
-    coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step) for step in steps])
-    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(coef)
-    ms /= coef[:, 0:1]
-    vs /= coef[:, 1:2]
-    for delta in eta * ms / (np.sqrt(vs) + ADAM_EPS):
-        theta = theta - delta
-    return theta, state
+    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(grads)
+    # per row: the two bias corrections (Python float powers), as columns
+    ms /= np.array([1.0 - ADAM_BETA1 ** step for step in steps])[:, None]
+    vs /= np.array([1.0 - ADAM_BETA2 ** step for step in steps])[:, None]
+    return _subtract_run(theta, eta * ms / (np.sqrt(vs) + ADAM_EPS)), state
 
 
 @dataclass
@@ -167,13 +177,26 @@ class Simulation:
 # Sampling and batching
 # -----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)  # one entry per (pool size, draw count) a run uses
+def _swap_spans(n: int, k: int) -> np.ndarray:
+    """n - i for each step i < k, as float64 (exact while n < 2**53)."""
+    spans = n - np.arange(k, dtype=np.float64)
+    spans.setflags(write=False)
+    return spans
+
+
 def _partial_shuffle(pool: list, k: int, seed: int) -> list:
     """The first k items of a Fisher-Yates shuffle of pool, in place, driven
-    by uniform_stream(seed, k)."""
-    n = len(pool)
-    # Python floats: the same IEEE products as numpy scalars, read faster
-    for i, u in enumerate(prng.uniform_stream(seed, k).tolist()):
-        j = i + int(u * (n - i))
+    by u = uniform_stream(seed, k).
+
+    Step i swaps pool[i] with pool[i + int(u[i] * (n - i))]. One numpy
+    expression gives every int(u[i] * (n - i)): the same float64 products
+    as Python's float * int, truncated toward zero as int() truncates. The
+    swaps then run in order.
+    """
+    offsets = (prng.uniform_stream(seed, k) * _swap_spans(len(pool), k)).astype(np.int64)
+    for i, off in enumerate(offsets.tolist()):
+        j = i + off
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 
@@ -306,8 +329,8 @@ def _local_steps_and_average(sim: Simulation, selected, grads: dict) -> float:
 def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """Hybrid: server first-order, clients seeded zeroth-order from broadcast scalars."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    seeds = tuple(derive_stream(sim.root_seed, prng.STREAM_PERTURBATION, t, p)
-                  for p in range(1, hp.zo.P + 1))
+    prefix = derive_stream(sim.root_seed, prng.STREAM_PERTURBATION, t)
+    seeds = tuple(extend_stream(prefix, p) for p in range(1, hp.zo.P + 1))
     prefetch_gaussians(seeds, cfg.d_c)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
@@ -371,8 +394,10 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     are averaged as in the first-order baseline.
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
-    seeds_c = [derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 1) for cid in selected]
-    seeds_s = [derive_stream(sim.root_seed, prng.STREAM_SPSA, t, cid, 2) for cid in selected]
+    prefix = derive_stream(sim.root_seed, prng.STREAM_SPSA, t)
+    per_client = [extend_stream(prefix, cid) for cid in selected]
+    seeds_c = [extend_stream(h, 1) for h in per_client]
+    seeds_s = [extend_stream(h, 2) for h in per_client]
     prefetch_gaussians(seeds_c, cfg.d_c)
     prefetch_gaussians(seeds_s, cfg.d_s)
     losses, server_grads, client_grads = [], [], {}
@@ -403,9 +428,10 @@ def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
         raise ValueError(f"unknown protocol {sim.protocol!r}")
     hp, t = sim.hp, sim.server.round
     selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
+    prefix = derive_stream(sim.root_seed, prng.STREAM_BATCH, t)
     batches = {
         cid: draw_batch(sim.dataset, sim.clients[cid].shard, hp.batch_size,
-                        derive_stream(sim.root_seed, prng.STREAM_BATCH, t, cid))
+                        extend_stream(prefix, cid))
         for cid in selected
     }
     losses, grad_norm = protocol_round(sim, t, selected, batches, perturb_fn)

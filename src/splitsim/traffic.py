@@ -42,10 +42,16 @@ class Message:
     receiver: str
 
 
+# snapshot keys, in MessageKind order
+_KIND_NAMES = tuple(kind.value for kind in MessageKind)
+
+
 class TrafficLedger:
     """Cumulative byte counts keyed by message kind; monotone by construction.
 
     With trace=True every transmission is also kept as a Message record.
+    totals holds every kind from the start, in MessageKind order, and record
+    only updates it, so its values line up with _KIND_NAMES.
     """
 
     def __init__(self, trace: bool = False):
@@ -58,7 +64,8 @@ class TrafficLedger:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("byte counts must be non-negative")
-        kind = MessageKind(kind)
+        if not isinstance(kind, MessageKind):
+            kind = MessageKind(kind)  # a kind's value names it; anything else raises
         self.totals[kind] += nbytes
         if self.messages is not None:
             self.messages.append(Message(kind, nbytes, sender, receiver))
@@ -70,7 +77,7 @@ class TrafficLedger:
         return snap
 
     def snapshot(self) -> dict:
-        return {kind.value: self.totals[kind] for kind in MessageKind}
+        return dict(zip(_KIND_NAMES, self.totals.values()))
 
     @property
     def total_bytes(self) -> int:

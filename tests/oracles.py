@@ -2,12 +2,14 @@
 
 The composite loss and the analytic client gradient are oracles for
 finite-difference and estimator checks; the zeroth-order client path never
-calls them. The reference kernels below are the plain numpy spellings that
-model.py's faster kernels must match byte for byte.
+calls them. The reference kernels below are the plain spellings that the
+faster kernels of model.py, prng.py, protocol.py and traffic.py must match
+byte for byte.
 """
 
 import numpy as np
 
+from splitsim import prng
 from splitsim.errors import DimensionMismatchError
 from splitsim.model import (
     Batch,
@@ -17,6 +19,8 @@ from splitsim.model import (
     server_forward_backward,
     server_loss,
 )
+from splitsim.protocol import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
+from splitsim.traffic import MessageKind
 
 
 def full_loss(theta: np.ndarray, batch, cfg: SplitModelConfig) -> float:
@@ -101,3 +105,69 @@ def loss_and_grad_reference(y_hat: np.ndarray, labels, cfg: SplitModelConfig,
 def accuracy_reference(y_hat: np.ndarray, labels: np.ndarray) -> float:
     """np.mean of the rows whose top output is the label."""
     return float(np.mean(y_hat.argmax(axis=1) == labels))
+
+
+# -----------------------------------------------------------------------------
+# Reference spellings of the per-round helpers: the seed chain, the swap
+# loop, the optimizer run, the mean and the ledger snapshot
+# -----------------------------------------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def derive_stream_reference(root: int, *parts: int) -> int:
+    """The whole splitmix64 chain from the root, no prefix shared."""
+    h = prng.mix64(root)
+    for v in parts:
+        h = prng.mix64((h + 0x9E3779B97F4A7C15 + (v & MASK64)) & MASK64)
+    return h
+
+
+def partial_shuffle_reference(pool: list, k: int, seed: int) -> list:
+    """Fisher-Yates over Python floats, one swap index at a time."""
+    n = len(pool)
+    for i, u in enumerate(prng.uniform_stream(seed, k).tolist()):
+        j = i + int(u * (n - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def opt_step_reference(optimizer: str, state, theta: np.ndarray, grads: np.ndarray,
+                       eta: float):
+    """Optimizer transitions row by row: one theta subtraction per row, adam's
+    bias corrections from a list-of-tuples array."""
+    if optimizer == "sgd":
+        for g in grads:
+            theta = theta - np.float64(eta) * g
+        return theta, state
+    if state is None:
+        state = AdamState(np.zeros_like(theta), np.zeros_like(theta))
+    ms = (1.0 - ADAM_BETA1) * grads
+    vs = (1.0 - ADAM_BETA2) * grads * grads
+    m, v = state.m, state.v
+    for m_row, v_row in zip(ms, vs):
+        m_row += ADAM_BETA1 * m
+        v_row += ADAM_BETA2 * v
+        m, v = m_row, v_row
+    steps = range(state.step + 1, state.step + len(grads) + 1)
+    coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step) for step in steps])
+    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(coef)
+    ms /= coef[:, 0:1]
+    vs /= coef[:, 1:2]
+    for delta in eta * ms / (np.sqrt(vs) + ADAM_EPS):
+        theta = theta - delta
+    return theta, state
+
+
+def ordered_mean_reference(vectors) -> np.ndarray:
+    """Left-to-right sum started from zeros, scaled once."""
+    vectors = list(vectors)
+    acc = np.zeros_like(np.asarray(vectors[0], dtype=np.float64))
+    for v in vectors:
+        acc += v
+    return acc / np.float64(len(vectors))
+
+
+def snapshot_reference(ledger) -> dict:
+    """Kind name -> cumulative bytes, looked up kind by kind."""
+    return {kind.value: ledger.totals[kind] for kind in MessageKind}

@@ -24,7 +24,7 @@ from splitsim.config import (
     parse_latency_profile,
 )
 from splitsim.data import PARTITION_MODES, PartitionSpec
-from splitsim.errors import ConfigError
+from splitsim.errors import ConfigError, NumericalError
 from splitsim.latency import DeviceProfile, NetworkProfile, WorkloadProfile
 from splitsim.traffic import MessageKind
 
@@ -463,8 +463,7 @@ class TestCli:
         # blob centers scaled by 1e308 overflow to inf
         path = tmp_path / "huge.yaml"
         path.write_text(GOOD.replace("separation: 3.0", "separation: 1.0e308"))
-        with np.errstate(over="ignore"):
-            rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "non-finite inputs; lower data.separation" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -552,17 +551,25 @@ class TestCli:
             f"error: output location {out or 'out'} is not a directory: out is a file\n")
         assert blocker.read_text() == "kept\n"
 
+    DIVERGING = _with(_with(_with(REGRESSION.replace("protocol: hosfl", "protocol: sfl"),
+                                  "model.layer_dims", [4, 4, 1]),
+                            "model.activation", "identity"), "hp.eta", 50.0)
+
     def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "diverge.yaml"
-        path.write_text(_with(_with(_with(REGRESSION.replace("protocol: hosfl", "protocol: sfl"),
-                                          "model.layer_dims", [4, 4, 1]),
-                                    "model.activation", "identity"), "hp.eta", 50.0))
+        path.write_text(self.DIVERGING)
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        # the command line itself keeps numpy's overflow warnings off stderr
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("runtime error: non-finite ")
+        assert capsys.readouterr().err == (
+            "runtime error: non-finite loss at the output layer\n")
         assert not out.exists()
+
+    def test_diverging_run_warns_library_callers(self):
+        cfg = parse_config(self.DIVERGING)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError):
+            runner.run_experiment(cfg)
 
     def test_report_traffic_takes_no_seed(self, config_file, tmp_path, capsys):
         out = tmp_path / "rt"

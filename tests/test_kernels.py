@@ -1,9 +1,11 @@
-"""model.py's fast kernels against their plain numpy spellings, bit for bit.
+"""The fast kernels against their plain spellings, bit for bit.
 
 The layer plan, the softmax reductions and the accuracy count are rewritten
-for fewer numpy calls per pass; each must give exactly the bytes of the
-reference in tests/oracles.py. Both sides run on the same host, so these
-checks hold wherever the suite runs, unlike the golden pins.
+for fewer numpy calls per pass, and so are the per-round helpers outside
+the model passes: the shared seed prefixes, the swap indices, the optimizer
+run, ordered_mean and the ledger snapshot. Each must give exactly the bytes
+of the reference in tests/oracles.py. Both sides run on the same host, so
+these checks hold wherever the suite runs, unlike the golden pins.
 """
 
 import contextlib
@@ -16,12 +18,22 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import model, runner
+from splitsim import model, prng, protocol, runner
 from splitsim.config import parse_config
 from splitsim.errors import DimensionMismatchError
 from splitsim.model import ACTIVATIONS, LOSSES, Batch, SplitModelConfig
+from splitsim.traffic import MessageKind, TrafficLedger
 
-from oracles import accuracy_reference, loss_and_grad_reference, unpack_reference
+from oracles import (
+    accuracy_reference,
+    derive_stream_reference,
+    loss_and_grad_reference,
+    opt_step_reference,
+    ordered_mean_reference,
+    partial_shuffle_reference,
+    snapshot_reference,
+    unpack_reference,
+)
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "blobs_hosfl.yaml"
 
@@ -175,3 +187,105 @@ def test_run_equals_reference_run(shape, proto, tmp_path):
     assert sorted(fast) == sorted(reference) == ["checksum", "metrics", "traffic"]
     for label, path in fast.items():
         assert path.read_bytes() == reference[label].read_bytes(), label
+
+
+# -----------------------------------------------------------------------------
+# Per-round helpers outside the model passes
+# -----------------------------------------------------------------------------
+
+def _tied(draw, rng, shape, scale):
+    """Uniform entries in [-scale, scale], some taken from a pool of both
+    signed zeros, +-scale and a few drawn floats, so exact ties and -0.0
+    turn up often."""
+    pool = np.array([0.0, -0.0, -0.0, scale, -scale]
+                    + draw(st.lists(st.floats(-scale, scale), min_size=1, max_size=3)))
+    x = rng.uniform(-scale, scale, shape)
+    tied = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    x[tied] = rng.choice(pool, int(tied.sum()))
+    return x
+
+
+_coords = st.integers(-2**70, 2**70)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coords, st.lists(_coords, max_size=5), st.data())
+def test_extended_seed_matches_whole_chain(root, parts, data):
+    cut = data.draw(st.integers(0, len(parts)))
+    want = derive_stream_reference(root, *parts)
+    assert prng.derive_stream(root, *parts) == want
+    assert prng.extend_stream(prng.derive_stream(root, *parts[:cut]), *parts[cut:]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10_000), st.integers(0, 2**64 - 1), st.data())
+def test_swap_draws_match_reference(n, seed, data):
+    k = data.draw(st.one_of(st.integers(0, min(n, 40)), st.integers(0, n)))
+    pool, want_pool = list(range(n)), list(range(n))
+    got = protocol._partial_shuffle(pool, k, seed)
+    assert got == partial_shuffle_reference(want_pool, k, seed)
+    assert pool == want_pool  # the same swaps, in place
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(protocol.OPTIMIZERS), st.integers(1, 130), st.integers(1, 300),
+       st.integers(0, 10**6), st.integers(0, 2**32 - 1), st.data())
+def test_opt_step_matches_row_by_row(optimizer, n, d, step0, seed, data):
+    rng = _rng(seed)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    theta, grads = _tied(data.draw, rng, d, scale), _tied(data.draw, rng, (n, d), scale)
+    m0, v0 = _tied(data.draw, rng, d, scale), np.abs(_tied(data.draw, rng, d, scale))
+    eta = data.draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 50.0]))
+    inputs = theta.tobytes(), grads.tobytes()
+
+    def state():
+        if optimizer == "sgd":
+            return None
+        return protocol.AdamState(m0.copy(), v0.copy(), step0) if step0 else None
+
+    got, got_state = protocol._opt_step(optimizer, state(), theta, grads, eta)
+    want, want_state = opt_step_reference(optimizer, state(), theta, grads, eta)
+    assert (theta.tobytes(), grads.tobytes()) == inputs
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.base is None  # owns its memory: no (n + 1, d) block kept alive
+    if optimizer == "adam":
+        assert got_state.m.tobytes() == want_state.m.tobytes()
+        assert got_state.v.tobytes() == want_state.v.tobytes()
+        assert got_state.step == want_state.step == step0 + n
+    else:
+        assert got_state is want_state is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
+def test_ordered_mean_matches_zero_started_sum(count, d, seed, data):
+    rng = _rng(seed)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    vectors = [_tied(data.draw, rng, d, scale) for _ in range(count)]
+    if data.draw(st.booleans()):  # leading columns that are -0.0 in every vector
+        cols = data.draw(st.integers(1, d))
+        for v in vectors:
+            v[:cols] = -0.0
+    before = [v.tobytes() for v in vectors]
+    got = prng.ordered_mean(vectors)
+    assert got.tobytes() == ordered_mean_reference(vectors).tobytes()
+    assert [v.tobytes() for v in vectors] == before
+    assert not any(np.shares_memory(got, v) for v in vectors)
+
+
+def test_ordered_mean_of_negative_zero_is_positive_zero():
+    for vectors in ([np.array([-0.0])], [np.array([-0.0]), np.array([-0.0])]):
+        got = prng.ordered_mean(vectors)
+        assert got.tobytes() == ordered_mean_reference(vectors).tobytes() == b"\0" * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(MessageKind)), st.integers(0, 2**40),
+                          st.booleans()), max_size=30))
+def test_snapshot_matches_reference(records):
+    ledger = TrafficLedger()
+    for kind, nbytes, by_name in records:
+        ledger.record(kind.value if by_name else kind, nbytes)
+    got = ledger.snapshot()
+    want = snapshot_reference(ledger)
+    assert got == want and list(got) == list(want)

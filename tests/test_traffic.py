@@ -72,6 +72,26 @@ class TestLedger:
         assert led.close_round() == led.snapshot()
         assert [s["ScalarUp"] for s in led.per_round] == [8, 16]
 
+    def test_kind_given_by_name_counts_under_its_kind(self):
+        led = TrafficLedger(trace=True)
+        led.record("GradDown", 12)
+        assert led.totals[MessageKind.GRAD_DOWN] == 12
+        assert led.messages[0].kind is MessageKind.GRAD_DOWN
+        assert led.total_bytes == 12
+
+    def test_unknown_kind_rejected(self):
+        led = TrafficLedger()
+        with pytest.raises(ValueError):
+            led.record("Bogus", 8)
+        assert led.total_bytes == 0
+
+    def test_snapshot_keys_in_kind_order(self):
+        led = TrafficLedger()
+        for kind in reversed(MessageKind):
+            led.record(kind, 1)
+        assert list(led.snapshot()) == [k.value for k in MessageKind]
+        assert list(led.close_round()) == [k.value for k in MessageKind]
+
 
 class TestClosedForm:
     def test_hybrid_scalar_uplink_independent_of_dimension(self):
