@@ -8,6 +8,12 @@ the server half, or a stack of client parameter vectors at once) and
 _backward runs the chain rule back through it, so every public pass is a
 thin wrapper and the stacked forward matches the single one byte for byte.
 
+The server passes and the client backward also take a leading stack axis:
+n activations (n, B, D) or n client input batches (n, B, n_in), with
+labels (n, B) or (n, B, C), and for server_loss optionally an (n, d_s)
+stack of server halves. One call then serves n clients, and slice i has
+the bits of the solo call on slice i.
+
 Parameter layout: layers are packed in order into one flat float64 vector,
 each layer as row-major weights (in_dim x out_dim) followed by the bias
 (out_dim) when biases are enabled. The split point divides the flat vector
@@ -187,9 +193,15 @@ def _forward(params, x, cfg, linear_last):
 def _backward(params, hs, pres, delta, cfg, linear_last):
     """Chain rule from delta = gradient w.r.t. the output back through what
     _forward ran on one parameter vector (not a stack). Returns the flat
-    parameter gradient (layout as in _unpack) and the gradient w.r.t. x."""
+    parameter gradient (layout as in _unpack) and the gradient w.r.t. x.
+
+    Data stacked along a leading axis, hs[k] of shape (n, B, width), gives
+    one flat gradient per slice, (n, len), each with the bits of its slice
+    run alone: every product is one matrix product per slice.
+    """
     pieces = []
     last = len(params) - 1
+    lead = delta.shape[:-2]
     for k in range(last, -1, -1):
         w, b = params[k]
         if not (linear_last and k == last):
@@ -200,23 +212,25 @@ def _backward(params, hs, pres, delta, cfg, linear_last):
                 # relu subgradient at 0 is defined as 0
                 delta = delta * (pres[k] > 0.0)
         if b is not None:
-            pieces.append(delta.sum(axis=0))
-        pieces.append((hs[k].T @ delta).ravel())
+            pieces.append(delta.sum(axis=-2))
+        pieces.append((hs[k].swapaxes(-1, -2) @ delta).reshape(lead + (-1,)))
         delta = delta @ w.T
-    return np.concatenate(pieces[::-1]), delta
+    return np.concatenate(pieces[::-1], axis=-1), delta
 
 
 def _client_forward_cached(theta_c, batch, cfg):
     x = batch.inputs if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
-    if x.shape[1] != cfg.n_in:
+    if x.shape[-1] != cfg.n_in:
         raise DimensionMismatchError(
-            f"inputs have width {x.shape[1]}, model expects {cfg.n_in}"
+            f"inputs have width {x.shape[-1]}, model expects {cfg.n_in}"
         )
     params = _unpack(np.asarray(theta_c, dtype=np.float64), cfg, client=True)
     return (params, *_forward(params, x, cfg, linear_last=False))
 
 
 def _server_forward_cached(theta_s, z, cfg):
+    """Server layers on z; the first layer with a non-finite value anywhere
+    in it, in any slice of a stack, raises NumericalError."""
     params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, client=False)
     hs, pres = _forward(params, np.asarray(z, dtype=np.float64), cfg, linear_last=True)
     for k, pre in enumerate(pres):
@@ -239,45 +253,102 @@ def client_forward(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndar
     return _client_forward_cached(theta_c, batch, cfg)[1][-1]
 
 
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Column sums of a class-major (C, N) block, with the bits of
+    np.add.reduce(e.T, axis=1) on the row-major (N, C) copy.
+
+    That reduction starts from 0.0 and adds each row pairwise: one by one
+    below 8 classes; up to 128 as 8 running sums over blocks of 8, combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    leftovers one by one; above 128 as the sums of two halves, the first
+    cut to a multiple of 8. The same additions run here on whole rows of
+    the class-major block, each a contiguous (N,) vector. Each partial sum
+    starts from 0.0 through np.add.reduce, so a sum of -0.0 entries is 0.0
+    as there.
+    """
+    c = len(e)
+    if c < 8:
+        return np.add.reduce(e, axis=0)
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sum(e[:half]) + _class_sum(e[half:])
+    whole = c - c % 8
+    r = np.add.reduce(e[:whole].reshape(whole // 8, 8, -1), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    acc = r[0] + r[1]
+    for row in e[whole:]:
+        acc += row
+    return acc
+
+
+def _batch_means(terms: np.ndarray, b: int, lead: tuple):
+    """Batch mean of each slice's terms, a float for a solo pass and an (n,)
+    array for a stack of n: np.add.reduce over the slice, as np.sum and
+    np.mean call it, then one division."""
+    if not lead:
+        return float(np.add.reduce(terms, axis=None) / b)
+    return np.add.reduce(terms.reshape(lead[0], -1), axis=1) / b
+
+
 def _loss_and_grad(y_hat: np.ndarray, labels, cfg: SplitModelConfig, with_grad: bool = True):
     """Batch-mean loss and its gradient w.r.t. the network output (None
-    unless with_grad is set)."""
-    b = y_hat.shape[0]
+    unless with_grad is set).
+
+    y_hat is one (B, C) output, with (B,) or (B, C) labels, or an (n, B, C)
+    stack with (n, B) or (n, B, C) labels; a stack gives an (n,) array of
+    losses. The elementwise work runs on all n * B rows at once, then each
+    slice takes its own batch mean, so slice i has the bits of the solo call.
+    """
+    b, c = y_hat.shape[-2:]
+    lead = y_hat.shape[:-2]
     if cfg.loss == "squared_error":
         y = np.asarray(labels, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
+        if y.ndim == y_hat.ndim - 1:
+            y = y[..., None]
         if y.shape != y_hat.shape:
             raise DimensionMismatchError(
                 f"labels {y.shape} do not match outputs {y_hat.shape}"
             )
         diff = y_hat - y
-        loss = float(np.sum(diff * diff) / b)
+        loss = _batch_means(diff * diff, b, lead)
         return loss, 2.0 * diff / b if with_grad else None
     y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != b:
-        raise DimensionMismatchError("class labels must be a (B,) index vector")
-    # Each reduction below gives the bits of the plain numpy spelling with
-    # fewer calls: the row max (exact) runs down the contiguous columns of
-    # the transpose, much faster than along 2-wide rows; np.add.reduce is
-    # what np.sum calls; its total over b is np.mean's own computation.
-    shifted = y_hat - np.ascontiguousarray(y_hat.T).max(axis=0)[:, None]
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    rows = np.arange(b)
-    loss = float(np.add.reduce(log_z - shifted[rows, y]) / b)
+    if y.shape != y_hat.shape[:-1]:
+        raise DimensionMismatchError(
+            "class labels must be a (B,) index vector, or (n, B) for a stack")
+    # Class-major: the row max (exact) runs down the contiguous columns of
+    # the transposed copy, and the shift, exp and class sum along its
+    # contiguous rows, each with the bits of the row-major spelling.
+    shifted = np.ascontiguousarray(y_hat.reshape(-1, c).T)
+    shifted -= shifted.max(axis=0)
+    log_z = np.log(_class_sum(np.exp(shifted)))
+    y = y.reshape(-1)
+    rows = np.arange(len(y))
+    loss = _batch_means(log_z - shifted[y, rows], b, lead)
     if not with_grad:
         return loss, None
-    grad = np.exp(shifted - log_z[:, None])
-    grad[rows, y] -= 1.0
-    return loss, grad / b
+    grad = np.exp(shifted - log_z)
+    grad[y, rows] -= 1.0
+    return loss, np.divide(grad.T, b, order="C").reshape(y_hat.shape)
 
 
-def server_loss(theta_s: np.ndarray, z: np.ndarray, labels, cfg: SplitModelConfig) -> float:
-    """Forward-only batch-mean loss of the server half on a given activation."""
+def _check_loss(loss):
+    if not np.isfinite(loss).all():
+        raise NumericalError("non-finite loss at the output layer")
+
+
+def server_loss(theta_s: np.ndarray, z: np.ndarray, labels, cfg: SplitModelConfig):
+    """Forward-only batch-mean loss of the server half on a given activation.
+
+    A stack of n activations (n, B, D) and labels, with one server half or
+    an (n, d_s) stack of them (slice i on theta_s[i]), gives an (n,) array
+    of losses. Non-finite values raise NumericalError: the first server
+    layer with one in any slice, else the loss.
+    """
     _, hs, _ = _server_forward_cached(theta_s, z, cfg)
     loss, _ = _loss_and_grad(hs[-1], labels, cfg, with_grad=False)
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss at the output layer")
+    _check_loss(loss)
     return loss
 
 
@@ -287,16 +358,20 @@ def server_forward_backward(theta_s: np.ndarray, z: np.ndarray, labels, cfg: Spl
     Returns the batch-mean loss, the gradient of that loss w.r.t. the flat
     server parameters, and lambda = gradient w.r.t. the cut activation
     (B x D, scaled by the same batch-mean convention).
+
+    A stack of n activations (n, B, D) with (n, B) or (n, B, C) labels gives
+    (n,) losses, (n, d_s) gradients and (n, B, D) feedback, slice i with the
+    bits of the solo call. When several slices go non-finite, the error names
+    the first server layer that does in any slice, else the loss.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != cfg.cut_width:
+    if z.ndim not in (2, 3) or z.shape[-1] != cfg.cut_width:
         raise DimensionMismatchError(
-            f"activation has shape {z.shape}, expected (B, {cfg.cut_width})"
+            f"activation has shape {z.shape}, expected ([n,] B, {cfg.cut_width})"
         )
     params, hs, pres = _server_forward_cached(theta_s, z, cfg)
     loss, delta = _loss_and_grad(hs[-1], labels, cfg)
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss at the output layer")
+    _check_loss(loss)
     g_s, lam = _backward(params, hs, pres, delta, cfg, linear_last=True)
     return loss, g_s, lam
 
@@ -310,7 +385,9 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
     """Chain-rule product of the client Jacobian with activation feedback.
 
     Backpropagates lam (B x D) through the client layers, returning the
-    gradient w.r.t. the flat client parameters.
+    gradient w.r.t. the flat client parameters. Inputs stacked as
+    (n, B, n_in), with lam (n, B, D), give one gradient per slice, (n, d_c),
+    each with the bits of the solo call.
     """
     params, hs, pres = _client_forward_cached(theta_c, batch, cfg)
     lam = np.asarray(lam, dtype=np.float64)

@@ -5,6 +5,10 @@ batches and advances the round. A small per-protocol function does the
 rest, from shared phases: activation upload, server first-order step,
 model pull, local step and ordered average.
 
+The server half runs once per round for all K clients: their activations
+(and, for zosfl, the 2K perturbed server halves) cross it as one stack, and
+each client's slice has the bits of its own solo pass.
+
 The hybrid protocol runs four phases per round. Synchronized clients
 upload cut activations. The server backpropagates and returns per-client
 activation feedback. Clients project P seeded perturbations into scalars.
@@ -291,16 +295,13 @@ def _server_step(sim: Simulation, grad: np.ndarray):
 
 
 def _server_first_order(sim: Simulation, selected, activations, batches):
-    """Server backward per client, feedback downlink, one averaged server step."""
-    losses, lams, server_grads = [], {}, []
+    """One stacked server backward for the K clients, feedback downlink, one
+    averaged server step. Returns the K losses and the (K, B, D) feedback."""
+    losses, server_grads, lams = model.server_forward_backward(
+        sim.server.theta_s, np.array(activations),
+        np.array([batches[cid].labels for cid in selected]), sim.model_cfg)
     for cid in selected:
-        loss, g_s, lam = model.server_forward_backward(
-            sim.server.theta_s, activations[cid], batches[cid].labels, sim.model_cfg
-        )
-        losses.append(loss)
-        lams[cid] = lam
-        server_grads.append(g_s)
-        sim.ledger.record(MessageKind.GRAD_DOWN, lam.size * FLOAT_BYTES,
+        sim.ledger.record(MessageKind.GRAD_DOWN, lams[0].size * FLOAT_BYTES,
                           "server", f"client:{cid}")
     _server_step(sim, ordered_mean(server_grads))
     return losses, lams
@@ -313,17 +314,18 @@ def _pull_model(sim: Simulation, cid: int) -> np.ndarray:
     return sim.server.theta_c_global
 
 
-def _local_steps_and_average(sim: Simulation, selected, grads: dict) -> float:
-    """Each client steps the pulled model along grads[cid] and uploads it;
-    the uploads become the global model. Returns |mean grad|."""
+def _local_steps_and_average(sim: Simulation, selected, grads) -> float:
+    """Each client steps the pulled model along its row of grads (in
+    selected order) and uploads it; the uploads become the global model.
+    Returns |mean grad|."""
     hp, theta_c = sim.hp, sim.server.theta_c_global
     updated = []
-    for cid in selected:
-        updated.append(_opt_step(hp.optimizer, None, theta_c, grads[cid][None], hp.eta)[0])
+    for cid, grad in zip(selected, grads):
+        updated.append(_opt_step(hp.optimizer, None, theta_c, grad[None], hp.eta)[0])
         sim.ledger.record(MessageKind.MODEL_UP, sim.model_cfg.d_c * FLOAT_BYTES,
                           f"client:{cid}", "server")
     sim.server.theta_c_global = ordered_mean(updated)
-    return float(np.linalg.norm(ordered_mean([grads[cid] for cid in selected])))
+    return float(np.linalg.norm(ordered_mean(grads)))
 
 
 def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
@@ -334,16 +336,16 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     prefetch_gaussians(seeds, cfg.d_c)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
-    activations = {}
+    activations = []
     for cid in selected:
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
-        activations[cid] = model.client_forward(client.theta_c, batches[cid], cfg)
-        _upload(sim, cid, activations[cid].size)
+        activations.append(model.client_forward(client.theta_c, batches[cid], cfg))
+        _upload(sim, cid, activations[-1].size)
     losses, lams = _server_first_order(sim, selected, activations, batches)
 
     projections = []
-    for cid in selected:
-        projections.append(zo_scalars(sim.clients[cid].theta_c, lams[cid], activations[cid],
+    for cid, lam, z in zip(selected, lams, activations):
+        projections.append(zo_scalars(sim.clients[cid].theta_c, lam, z,
                                       batches[cid], seeds, hp.zo, cfg, perturb_fn))
         ledger.record(MessageKind.SCALAR_UP, hp.zo.P * FLOAT_BYTES, f"client:{cid}", "server")
 
@@ -370,17 +372,24 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
 
 
 def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
-    """First-order baseline: client backprop via feedback, then model averaging."""
+    """First-order baseline: client backprop via feedback, then model averaging.
+
+    The K clients' backward passes run as one stacked call on the pulled
+    model, each slice with the bits of that client's own pass."""
     cfg = sim.model_cfg
-    activations = {}
+    activations = []
     for cid in selected:
-        activations[cid] = model.client_forward(_pull_model(sim, cid), batches[cid], cfg)
-        _upload(sim, cid, activations[cid].size)
+        activations.append(model.client_forward(_pull_model(sim, cid), batches[cid], cfg))
+        _upload(sim, cid, activations[-1].size)
     losses, lams = _server_first_order(sim, selected, activations, batches)
-    grads = {cid: model.client_backward_from_lambda(sim.server.theta_c_global, batches[cid],
-                                                    lams[cid], cfg)
-             for cid in selected}
+    grads = model.client_backward_from_lambda(
+        sim.server.theta_c_global, np.array([batches[cid].inputs for cid in selected]),
+        lams, cfg)
     return losses, _local_steps_and_average(sim, selected, grads)
+
+
+# the two signs of a zosfl client's perturbed server halves, plus then minus
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
@@ -392,6 +401,10 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     returns the central-difference scalar. Both halves then step along
     their own perturbation scaled by that shared scalar, and client models
     are averaged as in the first-order baseline.
+
+    The server evaluates all 2K perturbed halves in one stacked pass, after
+    every upload: theta_s + mu * u_s * (+1.0 or -1.0) has the bits of
+    theta_s + mu * u_s and theta_s - mu * u_s.
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
     prefix = derive_stream(sim.root_seed, prng.STREAM_SPSA, t)
@@ -400,20 +413,27 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     seeds_s = [extend_stream(h, 2) for h in per_client]
     prefetch_gaussians(seeds_c, cfg.d_c)
     prefetch_gaussians(seeds_s, cfg.d_s)
-    losses, server_grads, client_grads = [], [], {}
+    directions_c, directions_s, z, labels = [], [], [], []
     for cid, seed_c, seed_s in zip(selected, seeds_c, seeds_s):
         theta_c, batch = _pull_model(sim, cid), batches[cid]
         u_c, u_s = perturb_fn(seed_c, cfg.d_c), perturb_fn(seed_s, cfg.d_s)
-        z_plus = model.client_forward(theta_c + mu * u_c, batch, cfg)
-        z_minus = model.client_forward(theta_c - mu * u_c, batch, cfg)
-        _upload(sim, cid, 2 * z_plus.size)
-        loss_plus = model.server_loss(server.theta_s + mu * u_s, z_plus, batch.labels, cfg)
-        loss_minus = model.server_loss(server.theta_s - mu * u_s, z_minus, batch.labels, cfg)
+        z.append(model.client_forward(theta_c + mu * u_c, batch, cfg))
+        z.append(model.client_forward(theta_c - mu * u_c, batch, cfg))
+        _upload(sim, cid, 2 * z[-1].size)
+        directions_c.append(u_c)
+        directions_s.append(u_s)
+        labels += [batch.labels, batch.labels]
+    halves = server.theta_s + (mu * np.array(directions_s))[:, None] * _PLUS_MINUS
+    pair_losses = model.server_loss(halves.reshape(-1, cfg.d_s), np.array(z),
+                                    np.array(labels), cfg).reshape(-1, 2).tolist()
+    losses, server_grads, client_grads = [], [], []
+    for cid, (loss_plus, loss_minus), u_c, u_s in zip(selected, pair_losses,
+                                                       directions_c, directions_s):
         sim.ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
         losses.append(0.5 * (loss_plus + loss_minus))
         diff = (loss_plus - loss_minus) / (2.0 * mu)
         server_grads.append(diff * u_s)
-        client_grads[cid] = diff * u_c
+        client_grads.append(diff * u_c)
     _server_step(sim, ordered_mean(server_grads))
     return losses, _local_steps_and_average(sim, selected, client_grads)
 

@@ -161,9 +161,13 @@ def _projection_block(theta_c, lam, z_anchor, batch, directions, mu, cfg):
     return np.einsum("nbd,bd->n", z_tilde - z_anchor[None], lam)
 
 
-# trials estimator_diagnostics draws and projects as one block. The chunks
+# trials whose estimates estimator_diagnostics sums as one block. The chunks
 # group its sums, so the reported figures depend on this value.
 DIAG_CHUNK = 20000
+# trials it draws and projects at once within a chunk: this bounds the
+# directions, perturbed stack and activations it holds, and no figure
+# depends on it
+DIAG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,10 @@ def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
     """Monte Carlo over fresh seeds: mean estimate vs the analytic gradient.
 
     Each trial draws P fresh directions, forms the P-average estimate, and
-    contributes to the running mean estimate and mean squared norm.
+    contributes to the running mean estimate and mean squared norm. The
+    estimates of a chunk are built DIAG_BLOCK trials at a time, each row with
+    the bits it has when the whole chunk is projected at once, and then
+    summed over the chunk.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -192,13 +199,15 @@ def estimator_diagnostics(cfg: model.SplitModelConfig, theta: np.ndarray,
     done = 0
     while done < n_trials:
         n = min(DIAG_CHUNK, n_trials - done)
-        seeds = [prng.derive_stream(seed, prng.STREAM_DIAG, done + t, p)
-                 for t in range(n) for p in range(zo.P)]
-        u = gaussian_block(seeds, cfg.d_c).reshape(n, zo.P, cfg.d_c)
-        v = _projection_block(theta_c, lam, z, batch,
-                              u.reshape(n * zo.P, cfg.d_c), zo.mu, cfg)
-        v = v.reshape(n, zo.P)
-        g_hat = np.einsum("np,npd->nd", v, u) / (zo.P * zo.mu)
+        g_hat = np.empty((n, cfg.d_c))
+        for lo in range(0, n, DIAG_BLOCK):
+            hi = min(n, lo + DIAG_BLOCK)
+            seeds = [prng.derive_stream(seed, prng.STREAM_DIAG, done + t, p)
+                     for t in range(lo, hi) for p in range(zo.P)]
+            u = gaussian_block(seeds, cfg.d_c)
+            v = _projection_block(theta_c, lam, z, batch, u, zo.mu, cfg)
+            g_hat[lo:hi] = np.einsum("np,npd->nd", v.reshape(hi - lo, zo.P),
+                                     u.reshape(hi - lo, zo.P, cfg.d_c)) / (zo.P * zo.mu)
         sum_g += g_hat.sum(axis=0)
         sum_sq += float(np.sum(g_hat * g_hat))
         done += n

@@ -9,7 +9,7 @@ byte for byte.
 
 import numpy as np
 
-from splitsim import prng
+from splitsim import prng, zo
 from splitsim.errors import DimensionMismatchError
 from splitsim.model import (
     Batch,
@@ -49,7 +49,7 @@ def analytic_client_gradient(theta: np.ndarray, batch: Batch, cfg: SplitModelCon
 
 # -----------------------------------------------------------------------------
 # Reference kernels: the plain spellings of model._unpack, _loss_and_grad
-# and _accuracy
+# and _accuracy. The first two take a leading stack axis as the fast ones do.
 # -----------------------------------------------------------------------------
 
 def unpack_reference(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
@@ -75,7 +75,17 @@ def unpack_reference(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
 
 def loss_and_grad_reference(y_hat: np.ndarray, labels, cfg: SplitModelConfig,
                             with_grad: bool = True):
-    """Batch-mean loss and its output gradient through np.max, np.sum and np.mean."""
+    """Batch-mean loss and its output gradient through np.max, np.sum and np.mean.
+
+    An (n, B, C) stack runs the plain (B, C) spelling slice by slice: an
+    (n,) array of losses and the (n, B, C) gradients.
+    """
+    if y_hat.ndim == 3:
+        labels = np.asarray(labels)
+        solo = [loss_and_grad_reference(y_hat[i], labels[i], cfg, with_grad)
+                for i in range(len(y_hat))]
+        losses = np.array([loss for loss, _ in solo])
+        return losses, np.stack([grad for _, grad in solo]) if with_grad else None
     b = y_hat.shape[0]
     if cfg.loss == "squared_error":
         y = np.asarray(labels, dtype=np.float64)
@@ -171,3 +181,36 @@ def ordered_mean_reference(vectors) -> np.ndarray:
 def snapshot_reference(ledger) -> dict:
     """Kind name -> cumulative bytes, looked up kind by kind."""
     return {kind.value: ledger.totals[kind] for kind in MessageKind}
+
+
+# -----------------------------------------------------------------------------
+# Reference spelling of the Monte Carlo estimator diagnostics
+# -----------------------------------------------------------------------------
+
+def estimator_diagnostics_reference(cfg: SplitModelConfig, theta: np.ndarray, batch: Batch,
+                                    zo_cfg, n_trials: int, seed: int = 0):
+    """Each DIAG_CHUNK chunk's directions, perturbed stack and activations
+    built whole, then projected and summed."""
+    theta_c, z, lam, g_true = zo._anchor(theta, batch, cfg)
+    sum_g = np.zeros(cfg.d_c)
+    sum_sq = 0.0
+    done = 0
+    while done < n_trials:
+        n = min(zo.DIAG_CHUNK, n_trials - done)
+        seeds = [prng.derive_stream(seed, prng.STREAM_DIAG, done + t, p)
+                 for t in range(n) for p in range(zo_cfg.P)]
+        u = prng.gaussian_block(seeds, cfg.d_c).reshape(n, zo_cfg.P, cfg.d_c)
+        v = zo._projection_block(theta_c, lam, z, batch,
+                                 u.reshape(n * zo_cfg.P, cfg.d_c), zo_cfg.mu, cfg)
+        v = v.reshape(n, zo_cfg.P)
+        g_hat = np.einsum("np,npd->nd", v, u) / (zo_cfg.P * zo_cfg.mu)
+        sum_g += g_hat.sum(axis=0)
+        sum_sq += float(np.sum(g_hat * g_hat))
+        done += n
+    mean_g = sum_g / n_trials
+    bias = mean_g - g_true
+    return zo.EstimatorDiagnostics(
+        empirical_bias_sq=float(bias @ bias),
+        empirical_second_moment=sum_sq / n_trials,
+        true_g_c_norm_sq=float(g_true @ g_true),
+    )

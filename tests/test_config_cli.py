@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import cli, config, latency, runner
+from splitsim import cli, config, latency, prng, protocol, runner
 from splitsim.config import (
     DataConfig,
     LatencyProfileConfig,
@@ -570,6 +570,47 @@ class TestCli:
         cfg = parse_config(self.DIVERGING)
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError):
             runner.run_experiment(cfg)
+
+    _build = staticmethod(runner.build_simulation)  # kept from before any monkeypatch
+
+    @classmethod
+    def _one_client_overflows(cls, cfg):
+        """The simulation of cfg with the round-0 server half scaled by 1e10
+        and the inputs of the first client sampled in round 0 by 1e300: that
+        client's identity layers carry about 1e300 to the cut, where the
+        server layer overflows, while the other client's server layer stays
+        finite."""
+        sim = cls._build(cfg)
+        first = protocol.sample_clients(cfg.hp.M, cfg.hp.K, prng.derive_stream(
+            cfg.root_seed, prng.STREAM_SAMPLING, 0))[0]
+        sim.dataset.inputs[sim.clients[first].shard] *= 1e300
+        sim.server.theta_s *= 1e10
+        return sim
+
+    OVERFLOWING = _with(GOOD, "model.activation", "identity")
+
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_one_client_overflowing_in_the_stack_is_numerical_error(self, proto):
+        cfg = parse_config(self.OVERFLOWING.replace("protocol: hosfl", f"protocol: {proto}"))
+        sim = self._one_client_overflows(cfg)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NumericalError, match="non-finite values after server layer 1"):
+            protocol.run_round(sim)
+
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_one_client_overflowing_is_runtime_error(self, proto, tmp_path, capsys,
+                                                     monkeypatch):
+        path = tmp_path / "overflow.yaml"
+        path.write_text(self.OVERFLOWING.replace("protocol: hosfl", f"protocol: {proto}"))
+        monkeypatch.setattr(runner, "build_simulation", self._one_client_overflows)
+        out = tmp_path / "o"
+        # a numpy warning here would raise under the suite's filterwarnings
+        # and print its own message instead
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "runtime error: non-finite values after server layer 1\n")
+        assert not out.exists()
 
     def test_report_traffic_takes_no_seed(self, config_file, tmp_path, capsys):
         out = tmp_path / "rt"

@@ -4,8 +4,10 @@ The layer plan, the softmax reductions and the accuracy count are rewritten
 for fewer numpy calls per pass, and so are the per-round helpers outside
 the model passes: the shared seed prefixes, the swap indices, the optimizer
 run, ordered_mean and the ledger snapshot. Each must give exactly the bytes
-of the reference in tests/oracles.py. Both sides run on the same host, so
-these checks hold wherever the suite runs, unlike the golden pins.
+of the reference in tests/oracles.py. The server passes and the client
+backward also take a stack of clients, and each slice must give exactly the
+bytes of the solo call. Both sides run on the same host, so these checks
+hold wherever the suite runs, unlike the golden pins.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from splitsim import model, prng, protocol, runner
 from splitsim.config import parse_config
-from splitsim.errors import DimensionMismatchError
+from splitsim.errors import DimensionMismatchError, NumericalError
 from splitsim.model import ACTIVATIONS, LOSSES, Batch, SplitModelConfig
 from splitsim.traffic import MessageKind, TrafficLedger
 
@@ -72,9 +74,12 @@ def outputs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(outputs())
-def test_loss_and_grad_matches_reference(drawn):
+@given(outputs(), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_loss_and_grad_matches_reference(drawn, n, seed):
     y_hat, classes, targets = drawn
+    # a stack of n slices: the drawn one and n - 1 row shuffles of it
+    rng = _rng(seed)
+    order = [np.arange(len(y_hat))] + [rng.permutation(len(y_hat)) for _ in range(n - 1)]
     for loss, labels in (("softmax_cross_entropy", classes), ("squared_error", targets)):
         cfg = SplitModelConfig((2, 3, y_hat.shape[1]), loss=loss)
         for with_grad in (True, False):
@@ -82,11 +87,35 @@ def test_loss_and_grad_matches_reference(drawn):
             want, want_grad = loss_and_grad_reference(y_hat.copy(), labels, cfg, with_grad)
             assert type(got) is float
             assert _f64_bytes(got) == _f64_bytes(want)
+            stack = np.stack([y_hat[o] for o in order])
+            label_stack = np.stack([labels[o] for o in order])
+            got_n, grad_n = model._loss_and_grad(stack.copy(), label_stack, cfg, with_grad)
+            want_n, want_grad_n = loss_and_grad_reference(stack.copy(), label_stack, cfg,
+                                                          with_grad)
+            assert got_n.shape == want_n.shape == (n,)
+            assert got_n.tobytes() == want_n.tobytes()
             if with_grad:
                 assert grad.shape == want_grad.shape
                 assert grad.tobytes() == want_grad.tobytes()
+                assert grad_n.shape == want_grad_n.shape == stack.shape
+                assert grad_n.tobytes() == want_grad_n.tobytes()
             else:
                 assert grad is None and want_grad is None
+                assert grad_n is None and want_grad_n is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_class_sum_matches_row_reduction(c, rows, seed, data):
+    # the class-major sum against np.add.reduce along the rows of the
+    # row-major copy; mixed signs, ties and -0.0 so that every order shows
+    rng = _rng(seed)
+    x = _tied(data.draw, rng, (rows, c), data.draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    x *= 10.0 ** rng.integers(-6, 7, x.shape)
+    if data.draw(st.booleans()):
+        x[data.draw(st.integers(0, rows - 1))] = -0.0
+    got = model._class_sum(np.ascontiguousarray(x.T))
+    assert got.tobytes() == np.add.reduce(x, axis=1).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,8 +182,76 @@ def test_evaluate_model_matches_reference(net, b):
         assert _f64_bytes(got[1]) == _f64_bytes(want[1])
 
 
+@st.composite
+def stacked_networks(draw):
+    """A split network of 2 to 5 layers with C in [2, 12] outputs, its
+    parameters, and a stack of n in [1, 9] client batches of B in [1, 300]
+    rows with their labels."""
+    hidden = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    dims = (*hidden, draw(st.integers(2, 12)))
+    cfg = SplitModelConfig(dims, draw(st.sampled_from(ACTIVATIONS)),
+                           draw(st.integers(1, len(dims) - 2)),
+                           draw(st.sampled_from(LOSSES)), draw(st.booleans()))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n, b = draw(st.integers(1, 9)), draw(st.integers(1, 300))
+    if cfg.loss == "softmax_cross_entropy":
+        labels = rng.integers(0, cfg.n_out, (n, b))
+    else:
+        labels = rng.standard_normal((n, b, cfg.n_out))
+    return cfg, rng.standard_normal(cfg.d), rng.standard_normal((n, b, cfg.n_in)), labels
+
+
+def _same_float(got, want):
+    assert type(got) is float
+    assert _f64_bytes(got) == np.asarray(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_networks())
+def test_stacked_passes_match_solo_calls(drawn):
+    cfg, theta, x, labels = drawn
+    theta_c, theta_s = theta[:cfg.d_c], theta[cfg.d_c:]
+    halves = theta_s + 0.01 * _rng(len(x)).standard_normal((len(x), cfg.d_s))
+    z = model.client_forward(theta_c, x, cfg)
+    losses, g_s, lam = model.server_forward_backward(theta_s, z, labels, cfg)
+    g_c = model.client_backward_from_lambda(theta_c, x, lam, cfg)
+    shared = model.server_loss(theta_s, z, labels, cfg)
+    own = model.server_loss(halves, z, labels, cfg)
+    assert (losses.shape, g_s.shape, lam.shape) == ((len(x),), (len(x), cfg.d_s), z.shape)
+    assert g_c.shape == (len(x), cfg.d_c) and shared.shape == own.shape == (len(x),)
+    for i in range(len(x)):
+        z_i = model.client_forward(theta_c, x[i], cfg)
+        assert z_i.tobytes() == z[i].tobytes()
+        loss, g, lam_i = model.server_forward_backward(theta_s, z_i, labels[i], cfg)
+        _same_float(loss, losses[i])
+        assert g.shape == (cfg.d_s,) and g.tobytes() == g_s[i].tobytes()
+        assert lam_i.shape == z_i.shape and lam_i.tobytes() == lam[i].tobytes()
+        g_ci = model.client_backward_from_lambda(theta_c, x[i], lam_i, cfg)
+        assert g_ci.shape == (cfg.d_c,) and g_ci.tobytes() == g_c[i].tobytes()
+        _same_float(model.server_loss(theta_s, z_i, labels[i], cfg), shared[i])
+        _same_float(model.server_loss(halves[i], z_i, labels[i], cfg), own[i])
+
+
+def test_stack_reports_first_failing_layer_then_loss():
+    # slice 0 overflows only at its loss, slice 1 in server layer 1: the
+    # stack names the layer, though slice 0 alone names the loss
+    cfg = SplitModelConfig((1, 1, 1, 1), "identity", 1, "squared_error", bias=False)
+    theta_s = np.array([1e10, 1.0])
+    z = np.array([[[1e200]], [[1e300]]])
+    labels = np.array([[-1e210], [0.0]])
+    with np.errstate(over="ignore"):
+        for call in (model.server_loss, model.server_forward_backward):
+            for acts, targets, message in (
+                    (z[0], labels[0], "non-finite loss"),
+                    (z[:1], labels[:1], "non-finite loss"),
+                    (z, labels, "non-finite values after server layer 1")):
+                with pytest.raises(NumericalError, match=message):
+                    call(theta_s, acts, targets, cfg)
+
+
 # Shapes the golden pins do not run, as edits of the shipped config
 SHAPES = {
+    "three-clients": {"hp": {"K": 3}},
     "twelve-classes": {"model": {"layer_dims": [8, 16, 12]}},
     "batch-of-one": {"hp": {"batch_size": 1}},
     "relu-cut-2": {"model": {"layer_dims": [8, 16, 9, 5], "activation": "relu",

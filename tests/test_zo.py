@@ -19,6 +19,8 @@ from splitsim.zo import (
     zo_scalars,
 )
 
+from oracles import estimator_diagnostics_reference
+
 
 def _forced_ones(seed, dim):
     return np.ones(dim)
@@ -272,7 +274,48 @@ class TestTheoryBounds:
             theory_bounds(0, 1, 0.1, 1.0)
 
 
+def _shipped_geometry(seed):
+    """The shipped model, 8 -> 16 -> 2 tanh (d_c = 144), at random
+    parameters, with one batch of 16."""
+    rng = _rng(seed)
+    cfg = SplitModelConfig((8, 16, 2), "tanh", 1, "softmax_cross_entropy")
+    batch = Batch(rng.standard_normal((16, 8)), rng.integers(0, 2, 16))
+    return cfg, rng.standard_normal(cfg.d), batch
+
+
+def _diag_bytes(diag) -> list:
+    return [np.float64(v).tobytes() for v in vars(diag).values()]
+
+
 class TestEstimatorDiagnostics:
+    def test_blocks_match_whole_chunk_spelling(self, monkeypatch):
+        cfg, theta, batch = _shipped_geometry(12)
+        zo_cfg = ZoConfig(P=5, mu=1e-3)
+        # chunks of 700, 700 and 600 trials, each ending inside a block
+        monkeypatch.setattr(zo, "DIAG_CHUNK", 700)
+        got = estimator_diagnostics(cfg, theta, batch, zo_cfg, n_trials=2000, seed=3)
+        want = estimator_diagnostics_reference(cfg, theta, batch, zo_cfg, n_trials=2000,
+                                               seed=3)
+        assert _diag_bytes(got) == _diag_bytes(want)
+
+    def test_blocks_bound_the_working_set(self, monkeypatch):
+        # one chunk of 2,000 trials
+        cfg, theta, batch = _shipped_geometry(13)
+        zo_cfg, n = ZoConfig(P=5, mu=1e-3), 2000
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        tracemalloc.start()
+        try:
+            got = estimator_diagnostics(cfg, theta, batch, zo_cfg, n_trials=n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _diag_bytes(got) == _diag_bytes(estimator_diagnostics_reference(
+            cfg, theta, batch, zo_cfg, n_trials=n, seed=4))
+        # built whole, the chunk's directions and two of its activation
+        # arrays alone take 52 MB here
+        whole = n * zo_cfg.P * (cfg.d_c + 2 * batch.size * cfg.cut_width) * 8
+        assert peak <= whole / 4
+
     def test_linear_client_unbiased(self):
         # linear client: v = mu u.g exactly, so the estimator mean converges to g
         rng = _rng(5)
