@@ -72,13 +72,8 @@ def iid_partition(n: int, m: int, seed: int) -> list:
     """Random equal split of indices 0..n-1, sizes differing by at most one."""
     if m < 1:
         raise ValueError("need at least one shard")
-    perm = _rng(seed).permutation(n)
-    sizes = [n // m + (1 if i < n % m else 0) for i in range(m)]
-    shards, off = [], 0
-    for s in sizes:
-        shards.append(np.sort(perm[off:off + s]))
-        off += s
-    return shards
+    # array_split puts the n % m shards one larger first
+    return [np.sort(p) for p in np.array_split(_rng(seed).permutation(n), m)]
 
 
 def dirichlet_partition(labels, m: int, alpha: float, seed: int) -> list:

@@ -5,14 +5,17 @@ activation, and gradients are computed by explicit chain rule. This keeps
 every operation bitwise deterministic and dependency-free. One layer stack
 does all the arithmetic: _forward runs any run of layers (the client half,
 the server half, or a stack of client parameter vectors at once) and
-_backward runs the chain rule back through it, so every public pass is a
-thin wrapper and the stacked forward matches the single one byte for byte.
+_backward runs the chain rule back through it from the layer outputs
+alone, so every public pass is a thin wrapper and the stacked forward
+matches the single one byte for byte.
 
 The server passes and the client backward also take a leading stack axis:
 n activations (n, B, D) or n client input batches (n, B, n_in), with
 labels (n, B) or (n, B, C), and for server_loss optionally an (n, d_s)
 stack of server halves. One call then serves n clients, and slice i has
-the bits of the solo call on slice i.
+the bits of the solo call on slice i. The client backward is a stacked
+vector-Jacobian product: feedback with extra leading axes runs through one
+forward, which is how client_jacobian gets all its rows in one call.
 
 Parameter layout: layers are packed in order into one flat float64 vector,
 each layer as row-major weights (in_dim x out_dim) followed by the bias
@@ -177,8 +180,9 @@ def _unpack(theta: np.ndarray, cfg: SplitModelConfig, client: bool):
 
 def _forward(params, x, cfg, linear_last):
     """(hs, pres): hs[k] is the input of layer k, hs[-1] the stack output,
-    pres[k] the pre-activation of layer k. The last layer skips the
-    activation when linear_last is set."""
+    pres[k] the pre-activation of layer k, which only the server's
+    finiteness check reads. The last layer skips the activation when
+    linear_last is set."""
     hs, pres = [x], []
     last = len(params) - 1
     for k, (w, b) in enumerate(params):
@@ -190,14 +194,17 @@ def _forward(params, x, cfg, linear_last):
     return hs, pres
 
 
-def _backward(params, hs, pres, delta, cfg, linear_last):
+def _backward(params, hs, delta, cfg, linear_last):
     """Chain rule from delta = gradient w.r.t. the output back through what
-    _forward ran on one parameter vector (not a stack). Returns the flat
-    parameter gradient (layout as in _unpack) and the gradient w.r.t. x.
+    _forward ran on one parameter vector (not a stack), reading only the
+    layer outputs: tanh' is 1 - h * h, and relu's mask h > 0.0 is true
+    exactly where the pre-activation is > 0.0. Returns the flat parameter
+    gradient (layout as in _unpack) and delta at the first layer's
+    pre-activation, whose product with W.T is the gradient w.r.t. x.
 
-    Data stacked along a leading axis, hs[k] of shape (n, B, width), gives
-    one flat gradient per slice, (n, len), each with the bits of its slice
-    run alone: every product is one matrix product per slice.
+    Leading axes on hs or delta, (..., B, width), give one flat gradient per
+    leading index, each with the bits of its slice run alone: every product
+    is one matrix product per slice.
     """
     pieces = []
     last = len(params) - 1
@@ -205,16 +212,16 @@ def _backward(params, hs, pres, delta, cfg, linear_last):
     for k in range(last, -1, -1):
         w, b = params[k]
         if not (linear_last and k == last):
+            h = hs[k + 1]
             if cfg.activation == "tanh":
-                h = hs[k + 1]
                 delta = delta * (1.0 - h * h)
             elif cfg.activation == "relu":
-                # relu subgradient at 0 is defined as 0
-                delta = delta * (pres[k] > 0.0)
+                delta = delta * (h > 0.0)
         if b is not None:
             pieces.append(delta.sum(axis=-2))
         pieces.append((hs[k].swapaxes(-1, -2) @ delta).reshape(lead + (-1,)))
-        delta = delta @ w.T
+        if k:
+            delta = delta @ w.T
     return np.concatenate(pieces[::-1], axis=-1), delta
 
 
@@ -229,10 +236,17 @@ def _client_forward_cached(theta_c, batch, cfg):
 
 
 def _server_forward_cached(theta_s, z, cfg):
-    """Server layers on z; the first layer with a non-finite value anywhere
-    in it, in any slice of a stack, raises NumericalError."""
+    """Server layers on z, one (B, D) activation or an (n, B, D) stack; any
+    other shape raises DimensionMismatchError. The first layer with a
+    non-finite value anywhere in it, in any slice of a stack, raises
+    NumericalError."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (2, 3) or z.shape[-1] != cfg.cut_width:
+        raise DimensionMismatchError(
+            f"activation has shape {z.shape}, expected ([n,] B, {cfg.cut_width})"
+        )
     params = _unpack(np.asarray(theta_s, dtype=np.float64), cfg, client=False)
-    hs, pres = _forward(params, np.asarray(z, dtype=np.float64), cfg, linear_last=True)
+    hs, pres = _forward(params, z, cfg, linear_last=True)
     for k, pre in enumerate(pres):
         if not np.isfinite(pre).all():
             raise NumericalError(f"non-finite values after server layer {cfg.cut_index + k}")
@@ -257,29 +271,13 @@ def _class_sum(e: np.ndarray) -> np.ndarray:
     """Column sums of a class-major (C, N) block, with the bits of
     np.add.reduce(e.T, axis=1) on the row-major (N, C) copy.
 
-    That reduction starts from 0.0 and adds each row pairwise: one by one
-    below 8 classes; up to 128 as 8 running sums over blocks of 8, combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    leftovers one by one; above 128 as the sums of two halves, the first
-    cut to a multiple of 8. The same additions run here on whole rows of
-    the class-major block, each a contiguous (N,) vector. Each partial sum
-    starts from 0.0 through np.add.reduce, so a sum of -0.0 entries is 0.0
-    as there.
+    Below 8 classes that reduction adds the classes one by one from 0.0,
+    which the class-major block does on whole contiguous (N,) rows. From 8
+    on it sums pairwise, so the row-major copy is made and reduced.
     """
-    c = len(e)
-    if c < 8:
+    if len(e) < 8:
         return np.add.reduce(e, axis=0)
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _class_sum(e[:half]) + _class_sum(e[half:])
-    whole = c - c % 8
-    r = np.add.reduce(e[:whole].reshape(whole // 8, 8, -1), axis=0)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    acc = r[0] + r[1]
-    for row in e[whole:]:
-        acc += row
-    return acc
+    return np.add.reduce(np.ascontiguousarray(e.T), axis=1)
 
 
 def _batch_means(terms: np.ndarray, b: int, lead: tuple):
@@ -343,8 +341,9 @@ def server_loss(theta_s: np.ndarray, z: np.ndarray, labels, cfg: SplitModelConfi
 
     A stack of n activations (n, B, D) and labels, with one server half or
     an (n, d_s) stack of them (slice i on theta_s[i]), gives an (n,) array
-    of losses. Non-finite values raise NumericalError: the first server
-    layer with one in any slice, else the loss.
+    of losses. An activation of any other shape raises
+    DimensionMismatchError. Non-finite values raise NumericalError: the
+    first server layer with one in any slice, else the loss.
     """
     _, hs, _ = _server_forward_cached(theta_s, z, cfg)
     loss, _ = _loss_and_grad(hs[-1], labels, cfg, with_grad=False)
@@ -364,16 +363,11 @@ def server_forward_backward(theta_s: np.ndarray, z: np.ndarray, labels, cfg: Spl
     bits of the solo call. When several slices go non-finite, the error names
     the first server layer that does in any slice, else the loss.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (2, 3) or z.shape[-1] != cfg.cut_width:
-        raise DimensionMismatchError(
-            f"activation has shape {z.shape}, expected ([n,] B, {cfg.cut_width})"
-        )
-    params, hs, pres = _server_forward_cached(theta_s, z, cfg)
+    params, hs, _ = _server_forward_cached(theta_s, z, cfg)
     loss, delta = _loss_and_grad(hs[-1], labels, cfg)
     _check_loss(loss)
-    g_s, lam = _backward(params, hs, pres, delta, cfg, linear_last=True)
-    return loss, g_s, lam
+    g_s, delta = _backward(params, hs, delta, cfg, linear_last=True)
+    return loss, g_s, delta @ params[0][0].T
 
 
 # -----------------------------------------------------------------------------
@@ -387,29 +381,30 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
     Backpropagates lam (B x D) through the client layers, returning the
     gradient w.r.t. the flat client parameters. Inputs stacked as
     (n, B, n_in), with lam (n, B, D), give one gradient per slice, (n, d_c),
-    each with the bits of the solo call.
+    each with the bits of the solo call. Feedback with more leading axes,
+    (..., *z.shape), gives one gradient per leading index from the one
+    forward, each with the bits of the call on that feedback alone.
     """
-    params, hs, pres = _client_forward_cached(theta_c, batch, cfg)
+    params, hs, _ = _client_forward_cached(theta_c, batch, cfg)
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != hs[-1].shape:
+    z_shape = hs[-1].shape
+    if lam.shape[lam.ndim - len(z_shape):] != z_shape:
         raise DimensionMismatchError(
-            f"lambda has shape {lam.shape}, expected {hs[-1].shape}"
+            f"lambda has shape {lam.shape}, expected {z_shape} after any leading axes"
         )
-    return _backward(params, hs, pres, lam, cfg, linear_last=False)[0]
+    return _backward(params, hs, lam, cfg, linear_last=False)[0]
 
 
 def client_jacobian(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
     """Dense Jacobian of the stacked cut activation w.r.t. client parameters.
 
-    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]: one forward,
-    then one backward per unit feedback. Desk-scale only, used to measure
-    regularity constants.
+    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]: one
+    client_backward_from_lambda call on the B * D unit feedbacks, stacked.
+    Desk-scale only, used to measure regularity constants.
     """
-    params, hs, pres = _client_forward_cached(theta_c, batch, cfg)
-    b_sz, d = hs[-1].shape
+    b_sz, d = len(batch.inputs if isinstance(batch, Batch) else batch), cfg.cut_width
     units = np.eye(b_sz * d).reshape(b_sz * d, b_sz, d)
-    rows = [_backward(params, hs, pres, unit, cfg, linear_last=False)[0] for unit in units]
-    return np.stack(rows).reshape(b_sz, d, cfg.d_c)
+    return client_backward_from_lambda(theta_c, batch, units, cfg).reshape(b_sz, d, cfg.d_c)
 
 
 # -----------------------------------------------------------------------------

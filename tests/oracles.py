@@ -3,13 +3,13 @@
 The composite loss and the analytic client gradient are oracles for
 finite-difference and estimator checks; the zeroth-order client path never
 calls them. The reference kernels below are the plain spellings that the
-faster kernels of model.py, prng.py, protocol.py and traffic.py must match
-byte for byte.
+faster or shorter kernels of model.py, prng.py, protocol.py and traffic.py
+must match byte for byte.
 """
 
 import numpy as np
 
-from splitsim import prng, zo
+from splitsim import model, prng, zo
 from splitsim.errors import DimensionMismatchError
 from splitsim.model import (
     Batch,
@@ -115,6 +115,58 @@ def loss_and_grad_reference(y_hat: np.ndarray, labels, cfg: SplitModelConfig,
 def accuracy_reference(y_hat: np.ndarray, labels: np.ndarray) -> float:
     """np.mean of the rows whose top output is the label."""
     return float(np.mean(y_hat.argmax(axis=1) == labels))
+
+
+# -----------------------------------------------------------------------------
+# Reference spellings of the backward passes: the chain rule with relu's mask
+# from the stored pre-activations and the input gradient formed after every
+# layer, and the Jacobian as one backward per unit feedback
+# -----------------------------------------------------------------------------
+
+def backward_reference(params, hs, pres, delta, cfg: SplitModelConfig, linear_last: bool):
+    """(flat parameter gradient, gradient w.r.t. x) through what model._forward
+    ran; a leading stack axis on the data gives one gradient per slice."""
+    pieces = []
+    last = len(params) - 1
+    lead = delta.shape[:-2]
+    for k in range(last, -1, -1):
+        w, b = params[k]
+        if not (linear_last and k == last):
+            if cfg.activation == "tanh":
+                h = hs[k + 1]
+                delta = delta * (1.0 - h * h)
+            elif cfg.activation == "relu":
+                delta = delta * (pres[k] > 0.0)
+        if b is not None:
+            pieces.append(delta.sum(axis=-2))
+        pieces.append((hs[k].swapaxes(-1, -2) @ delta).reshape(lead + (-1,)))
+        delta = delta @ w.T
+    return np.concatenate(pieces[::-1], axis=-1), delta
+
+
+def server_forward_backward_reference(theta_s, z, labels, cfg: SplitModelConfig):
+    """(loss, server gradient, feedback): the cut feedback is the input
+    gradient the reference backward forms."""
+    params, hs, pres = model._server_forward_cached(theta_s, z, cfg)
+    loss, delta = model._loss_and_grad(hs[-1], labels, cfg)
+    return (loss, *backward_reference(params, hs, pres, delta, cfg, linear_last=True))
+
+
+def client_backward_reference(theta_c, batch, lam, cfg: SplitModelConfig):
+    """The client gradient for feedback of the forward's own shape."""
+    params, hs, pres = model._client_forward_cached(theta_c, batch, cfg)
+    return backward_reference(params, hs, pres, np.asarray(lam, dtype=np.float64), cfg,
+                              linear_last=False)[0]
+
+
+def client_jacobian_reference(theta_c, batch, cfg: SplitModelConfig):
+    """(B, D, d_c): one forward, then one backward per unit feedback, stacked."""
+    params, hs, pres = model._client_forward_cached(theta_c, batch, cfg)
+    b_sz, d = hs[-1].shape
+    units = np.eye(b_sz * d).reshape(b_sz * d, b_sz, d)
+    rows = [backward_reference(params, hs, pres, unit, cfg, linear_last=False)[0]
+            for unit in units]
+    return np.stack(rows).reshape(b_sz, d, cfg.d_c)
 
 
 # -----------------------------------------------------------------------------

@@ -4,10 +4,12 @@ The layer plan, the softmax reductions and the accuracy count are rewritten
 for fewer numpy calls per pass, and so are the per-round helpers outside
 the model passes: the shared seed prefixes, the swap indices, the optimizer
 run, ordered_mean and the ledger snapshot. Each must give exactly the bytes
-of the reference in tests/oracles.py. The server passes and the client
-backward also take a stack of clients, and each slice must give exactly the
-bytes of the solo call. Both sides run on the same host, so these checks
-hold wherever the suite runs, unlike the golden pins.
+of the reference in tests/oracles.py, and so must the backward passes,
+which read relu's mask from the layer output and leave the cut feedback to
+their caller. The server passes and the client backward also take a stack
+of clients, and each slice must give exactly the bytes of the solo call.
+Both sides run on the same host, so these checks hold wherever the suite
+runs, unlike the golden pins.
 """
 
 import contextlib
@@ -28,11 +30,14 @@ from splitsim.traffic import MessageKind, TrafficLedger
 
 from oracles import (
     accuracy_reference,
+    client_backward_reference,
+    client_jacobian_reference,
     derive_stream_reference,
     loss_and_grad_reference,
     opt_step_reference,
     ordered_mean_reference,
     partial_shuffle_reference,
+    server_forward_backward_reference,
     snapshot_reference,
     unpack_reference,
 )
@@ -247,6 +252,65 @@ def test_stack_reports_first_failing_layer_then_loss():
                     (z, labels, "non-finite values after server layer 1")):
                 with pytest.raises(NumericalError, match=message):
                     call(theta_s, acts, targets, cfg)
+
+
+@st.composite
+def backward_networks(draw):
+    """A split network of 2 to 5 layers, its parameters, and a stack of n in
+    [1, 4] client batches of B in [1, 12] rows with their labels. Some
+    examples draw inputs and weights from small integers, so relu
+    pre-activations hit exactly 0.0 (and -0.0) and the mask's edge shows."""
+    hidden = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    dims = (*hidden, draw(st.integers(2, 6)))
+    cfg = SplitModelConfig(dims, draw(st.sampled_from(ACTIVATIONS)),
+                           draw(st.integers(1, len(dims) - 2)),
+                           draw(st.sampled_from(LOSSES)), draw(st.booleans()))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        theta = rng.integers(-2, 3, cfg.d).astype(np.float64)
+        x = rng.integers(-2, 3, (n, b, cfg.n_in)).astype(np.float64)
+    else:
+        theta, x = rng.standard_normal(cfg.d), rng.standard_normal((n, b, cfg.n_in))
+    if cfg.loss == "softmax_cross_entropy":
+        labels = rng.integers(0, cfg.n_out, (n, b))
+    else:
+        labels = rng.standard_normal((n, b, cfg.n_out))
+    return cfg, theta, x, labels
+
+
+def _same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(backward_networks())
+def test_backward_passes_match_reference(drawn):
+    # relu's mask from the layer output and the cut feedback formed by the
+    # caller give the bits of the mask from the pre-activation and the input
+    # gradient formed inside the chain rule
+    cfg, theta, x, labels = drawn
+    theta_c, theta_s = theta[:cfg.d_c], theta[cfg.d_c:]
+    z = model.client_forward(theta_c, x, cfg)
+    for acts, targets in ((z, labels), (z[0], labels[0])):
+        got = model.server_forward_backward(theta_s, acts, targets, cfg)
+        want = server_forward_backward_reference(theta_s, acts, targets, cfg)
+        for got_part, want_part in zip(got, want):
+            _same_array(got_part, want_part)
+    lam = model.server_forward_backward(theta_s, z, labels, cfg)[2]
+    # solo and stacked: feedback of the forward's own shape
+    for inputs, feedback in ((x, lam), (x[0], lam[0])):
+        _same_array(model.client_backward_from_lambda(theta_c, inputs, feedback, cfg),
+                    client_backward_reference(theta_c, inputs, feedback, cfg))
+    # an extra feedback axis over one forward: one reference call per feedback
+    for inputs, feedback in ((x[0], lam), (x, np.stack([lam, lam[::-1]]))):
+        _same_array(model.client_backward_from_lambda(theta_c, inputs, feedback, cfg),
+                    np.stack([client_backward_reference(theta_c, inputs, f, cfg)
+                              for f in feedback]))
+    batch = Batch(x[0], labels[0])
+    _same_array(model.client_jacobian(theta_c, batch, cfg),
+                client_jacobian_reference(theta_c, batch, cfg))
 
 
 # Shapes the golden pins do not run, as edits of the shipped config

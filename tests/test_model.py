@@ -254,6 +254,23 @@ class TestErrorsAndDeterminism:
             server_forward_backward(np.array([1.0]), np.array([[np.inf]]),
                                     np.array([[0.0]]), cfg)
 
+    @pytest.mark.parametrize("call", [server_loss, server_forward_backward])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 16), (4, 15), (3, 4, 17), (16,)])
+    def test_server_passes_reject_activation_shape(self, call, shape):
+        # a 4-D stack or a wrong cut width, in either pass
+        cfg = SplitModelConfig((8, 16, 2), "tanh", 1, "softmax_cross_entropy")
+        labels = np.zeros(shape[:-1], dtype=np.int64)
+        with pytest.raises(DimensionMismatchError, match="activation has shape"):
+            call(np.zeros(cfg.d_s), np.ones(shape), labels, cfg)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (2,), (3, 4, 3), (3, 5, 2)])
+    def test_feedback_with_wrong_trailing_shape(self, shape):
+        # leading axes are free; the trailing axes must be the forward's (4, 2)
+        cfg = SplitModelConfig((3, 2, 2), "tanh", 1)
+        with pytest.raises(DimensionMismatchError, match="lambda has shape"):
+            model.client_backward_from_lambda(np.zeros(cfg.d_c), np.ones((4, 3)),
+                                              np.ones(shape), cfg)
+
     def test_cut_index_validation(self):
         with pytest.raises(ValueError):
             SplitModelConfig((2, 2, 1), "tanh", 0)
