@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import latency, prng, protocol, runner, zo
+from . import latency, model, prng, protocol, runner, zo
 from .config import (
     ExperimentConfig,
     LatencyProfileConfig,
@@ -113,8 +113,10 @@ def _cmd_sweep_latency(args) -> int:
 def _cmd_diagnose_estimator(args) -> int:
     cfg = _load_experiment(args)
     sim = runner.build_simulation(cfg)
-    batch = protocol.draw_batch(sim.dataset, sim.clients[1].shard, cfg.hp.batch_size,
-                                prng.derive_stream(cfg.root_seed, prng.STREAM_BATCH, 0, 1))
+    # client 1's round-0 batch
+    rows = protocol.draw_batch([sim.clients[1].shard], cfg.hp.batch_size,
+                               [prng.derive_stream(cfg.root_seed, prng.STREAM_BATCH, 0, 1)])[0]
+    batch = model.Batch(sim.dataset.inputs[rows], sim.dataset.labels[rows])
     theta = np.concatenate([sim.server.theta_c_global, sim.server.theta_s])
     diag = zo.estimator_diagnostics(cfg.model, theta, batch, cfg.hp.zo,
                                     n_trials=args.trials, seed=cfg.root_seed)

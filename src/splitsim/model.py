@@ -15,7 +15,7 @@ labels (n, B) or (n, B, C), and for server_loss optionally an (n, d_s)
 stack of server halves. One call then serves n clients, and slice i has
 the bits of the solo call on slice i. The client backward is a stacked
 vector-Jacobian product: feedback with extra leading axes runs through one
-forward, which is how client_jacobian gets all its rows in one call.
+forward, which is how client_jacobian gets a block of rows per call.
 
 Parameter layout: layers are packed in order into one flat float64 vector,
 each layer as row-major weights (in_dim x out_dim) followed by the bias
@@ -395,16 +395,31 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
     return _backward(params, hs, lam, cfg, linear_last=False)[0]
 
 
+# Bytes of unit feedback client_jacobian runs through one stacked backward;
+# the backward holds a few arrays of that size per client layer.
+JACOBIAN_BLOCK_BYTES = 512 * 1024
+
+
 def client_jacobian(theta_c: np.ndarray, batch, cfg: SplitModelConfig) -> np.ndarray:
     """Dense Jacobian of the stacked cut activation w.r.t. client parameters.
 
-    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]: one
-    client_backward_from_lambda call on the B * D unit feedbacks, stacked.
+    Returns (B, D, d_c); row (b, k) is the gradient of z[b, k]. The B * D
+    unit feedbacks run through client_backward_from_lambda in blocks of at
+    most JACOBIAN_BLOCK_BYTES (at least one unit each); each row has the
+    bits of the call on its unit alone, so the block size changes no value.
     Desk-scale only, used to measure regularity constants.
     """
     b_sz, d = len(batch.inputs if isinstance(batch, Batch) else batch), cfg.cut_width
-    units = np.eye(b_sz * d).reshape(b_sz * d, b_sz, d)
-    return client_backward_from_lambda(theta_c, batch, units, cfg).reshape(b_sz, d, cfg.d_c)
+    n_units = b_sz * d
+    per_block = max(1, JACOBIAN_BLOCK_BYTES // (8 * n_units))
+    jac = np.empty((n_units, cfg.d_c))
+    for lo in range(0, n_units, per_block):
+        hi = min(n_units, lo + per_block)
+        units = np.zeros((hi - lo, n_units))
+        units[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        jac[lo:hi] = client_backward_from_lambda(theta_c, batch,
+                                                 units.reshape(hi - lo, b_sz, d), cfg)
+    return jac.reshape(b_sz, d, cfg.d_c)
 
 
 # -----------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Every random quantity in the simulator derives from a 64-bit root seed via
 the splitmix64 finalizer, so any draw can be regenerated from
 (root, stream tag, integer coordinates) alone. There is no global RNG state.
+derive_stream and extend_stream also take integer arrays, and
+uniform_stream an array of seeds: one seed, or one row of uniforms, per
+element, each with the bits of the scalar call on that element.
 
 gaussian_block is the one Gaussian generator. gaussian_vector reads a memo
 of its rows: a round fills the memo with one block for all the directions
@@ -54,23 +57,41 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_stream(root: int, *parts: int) -> int:
+def derive_stream(root, *parts):
     """Derive a child seed from a root seed and integer coordinates.
 
     Chained splitmix64 over the coordinate tuple; distinct tuples map to
-    distinct seeds except with ~2**-64 probability.
+    distinct seeds except with ~2**-64 probability. The root and any
+    coordinate may be an integer array instead (see extend_stream).
     """
+    if isinstance(root, np.ndarray):
+        return extend_stream(_mix(root.astype(np.uint64)), *parts)
     return extend_stream(mix64(root), *parts)
 
 
-def extend_stream(prefix: int, *parts: int) -> int:
+def extend_stream(prefix, *parts):
     """derive_stream's chain continued from a seed it returned:
     extend_stream(derive_stream(root, *a), *b) == derive_stream(root, *a, *b).
 
     A round derives its (root, tag, t) prefix once and extends it per
     perturbation, client or half; every seed stays a pure function of
     (root, tag, coordinates).
+
+    When the prefix or a coordinate is an integer array, the chain runs on
+    uint64 arrays broadcast together and returns one seed per element, each
+    equal to the chain of Python ints on that element's values (a negative
+    coordinate taken mod 2**64, as v & _MASK takes it). Only in-place array
+    ops touch the state, so its wrap-around raises no overflow warning.
     """
+    if isinstance(prefix, np.ndarray) or np.ndarray in map(type, parts):
+        shape = np.broadcast_shapes(np.shape(prefix), *map(np.shape, parts))
+        h = np.empty(shape, dtype=np.uint64)
+        h[...] = prefix & _MASK if isinstance(prefix, int) else prefix
+        for v in parts:
+            h += _U_GOLDEN
+            h += np.uint64(v & _MASK) if isinstance(v, int) else v.astype(np.uint64)
+            _mix(h)
+        return h
     h = prefix
     for v in parts:
         h = mix64((h + _GOLDEN + (v & _MASK)) & _MASK)
@@ -105,17 +126,23 @@ def _counters(n: int) -> np.ndarray:
 
 # the splitmix64 constants as numpy scalars, built once
 _U30, _U27, _U31, _U11 = (np.uint64(n) for n in (30, 27, 31, 11))
-_U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U_GOLDEN, _U_MIX_A, _U_MIX_B = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
-def _uniforms_from_state(x: np.ndarray) -> np.ndarray:
-    """Open-(0, 1) uniforms from counter states; x is overwritten."""
-    # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2**64
+def _mix(x: np.ndarray) -> np.ndarray:
+    """mix64 on every element of a uint64 array, in place; uint64 array
+    arithmetic wraps mod 2**64. Returns x."""
     x ^= x >> _U30
     x *= _U_MIX_A
     x ^= x >> _U27
     x *= _U_MIX_B
     x ^= x >> _U31
+    return x
+
+
+def _uniforms_from_state(x: np.ndarray) -> np.ndarray:
+    """Open-(0, 1) uniforms from counter states; x is overwritten."""
+    _mix(x)
     x >>= _U11
     u = x.astype(np.float64)
     u += 0.5
@@ -221,8 +248,14 @@ def prefetch_gaussians(seeds, dim: int):
     _MEMO.fill([s & _MASK for s in seeds], dim)
 
 
-def uniform_stream(seed: int, n: int) -> np.ndarray:
-    """n uniforms in (0, 1) from the counter stream of one seed."""
+def uniform_stream(seed, n: int) -> np.ndarray:
+    """n uniforms in (0, 1) from the counter stream of one seed.
+
+    An array of seeds gives one row of n per seed, (*seed.shape, n), each
+    row the stream of its seed alone.
+    """
+    if isinstance(seed, np.ndarray):
+        return _uniforms_from_state(seed.astype(np.uint64, copy=False)[..., None] + _counters(n))
     return _uniforms_from_state(_counters(n) + np.uint64(seed & _MASK))
 
 

@@ -5,6 +5,16 @@ batches and advances the round. A small per-protocol function does the
 rest, from shared phases: activation upload, server first-order step,
 model pull, local step and ordered average.
 
+Clients and batches are drawn a window of rounds at a time: the first
+round outside the current window draws it, in one sample_clients and one
+draw_batch call over all its rounds (build_simulation draws nothing). A
+window holds as many rounds' (K, B) batch rows as fit WINDOW_BYTES, and at
+least one round, in the smallest unsigned type that holds a dataset row
+index; each pool the draw shuffles is bounded by the same bytes. Every
+draw is a pure function of (root seed, round, client id), and its seed is
+the one a round drawn alone derives, so a window changes no value, only
+when the draw is made.
+
 The server half runs once per round for all K clients: their activations
 (and, for zosfl, the 2K perturbed server halves) cross it as one stack, and
 each client's slice has the bits of its own solo pass.
@@ -35,7 +45,6 @@ left-to-right accumulation, so results do not depend on completion order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,54 +184,117 @@ class Simulation:
     clients: dict
     ledger: TrafficLedger
     root_seed: int
+    # (start, clients, rows): the draws of upcoming rounds (_round_draws)
+    window: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # -----------------------------------------------------------------------------
 # Sampling and batching
 # -----------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)  # one entry per (pool size, draw count) a run uses
-def _swap_spans(n: int, k: int) -> np.ndarray:
-    """n - i for each step i < k, as float64 (exact while n < 2**53)."""
-    spans = n - np.arange(k, dtype=np.float64)
-    spans.setflags(write=False)
-    return spans
+# Bytes a window of drawn rounds holds, its (rounds, K, B) batch rows, and
+# the most any pool of items being shuffled holds while it draws (a pool of
+# one row may be larger). 32 KiB is 512 rounds at K=2, B=16 on a dataset of
+# fewer than 65,536 rows, whose row indices are held as uint16.
+WINDOW_BYTES = 32 * 1024
 
 
-def _partial_shuffle(pool: list, k: int, seed: int) -> list:
-    """The first k items of a Fisher-Yates shuffle of pool, in place, driven
-    by u = uniform_stream(seed, k).
+def _pool_chunks(sizes: np.ndarray):
+    """(lo, hi) runs of rows whose pools, sizes[lo:hi] items end to end, fit
+    WINDOW_BYTES as int64 together; a run is at least one row."""
+    lo, held = 0, 0
+    for hi, size in enumerate(sizes.tolist()):
+        if held + size > WINDOW_BYTES // 8 and hi > lo:
+            yield lo, hi
+            lo, held = hi, 0
+        held += size
+    if lo < len(sizes):
+        yield lo, len(sizes)
 
-    Step i swaps pool[i] with pool[i + int(u[i] * (n - i))]. One numpy
-    expression gives every int(u[i] * (n - i)): the same float64 products
-    as Python's float * int, truncated toward zero as int() truncates. The
-    swaps then run in order.
+
+def _partial_shuffle(pools: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The first k items of a Fisher-Yates shuffle of each of len(u) pools,
+    row r driven by the k uniforms u[r]; returns (len(u), k).
+
+    pools holds the pools end to end, sizes[r] items for row r, and is
+    shuffled in place. Step i swaps item i of every pool with its item
+    i + int(u[r, i] * (sizes[r] - i)), all rows at once; one numpy
+    expression gives every offset, the same float64 products as Python's
+    float * int, truncated toward zero as int() truncates. A pool smaller
+    than k is drawn from with replacement instead, on the same uniforms:
+    draw i is its item int(u[r, i] * sizes[r]), and nothing is swapped.
     """
-    offsets = (prng.uniform_stream(seed, k) * _swap_spans(len(pool), k)).astype(np.int64)
-    for i, off in enumerate(offsets.tolist()):
-        j = i + off
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    k = u.shape[1]
+    starts = (np.cumsum(sizes) - sizes)[:, None]
+    full = (sizes >= k)[:, None]
+    steps = np.arange(k) * full  # 0 in a row drawn with replacement
+    offsets = (u * (sizes[:, None] - steps)).astype(np.int64)
+    # step i swaps item swap_i[r, i] with swap_j[r, i] (both its item 0 in a
+    # row drawn with replacement, so nothing moves there): one gather and one
+    # scatter of the 2 * rows items, as the rows' pools do not overlap
+    swap_i = starts + steps
+    swap_j = swap_i + offsets * full
+    for ij, ji in zip(np.hstack((swap_i.T, swap_j.T)), np.hstack((swap_j.T, swap_i.T))):
+        pools[ij] = pools[ji]
+    return pools[np.where(full, swap_i, starts + offsets)]
 
 
-def sample_clients(m: int, k: int, seed: int) -> list:
-    """K distinct client ids from 1..M, uniform without replacement, sorted."""
+def sample_clients(m: int, k: int, seeds) -> np.ndarray:
+    """K distinct client ids from 1..M per seed, uniform without replacement:
+    (len(seeds), K), one sorted row per seed."""
     if k > m:
         raise ValueError("cannot sample more clients than exist")
-    return sorted(_partial_shuffle(list(range(1, m + 1)), k, seed))
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    sizes = np.full(len(seeds), m)
+    picks = np.empty((len(seeds), k), dtype=np.int64)
+    for lo, hi in _pool_chunks(sizes):
+        pools = np.tile(np.arange(1, m + 1), hi - lo)
+        u = prng.uniform_stream(seeds[lo:hi], k)
+        picks[lo:hi] = _partial_shuffle(pools, sizes[lo:hi], u)
+    picks.sort(axis=1)
+    return picks
 
 
-def draw_batch(dataset: model.Batch, shard: np.ndarray, batch_size: int, seed: int) -> model.Batch:
-    """Deterministic batch from a client shard; without replacement when possible."""
-    n = len(shard)
-    if n == 0:
+def draw_batch(shards: list, batch_size: int, seeds, dtype=np.int64) -> np.ndarray:
+    """Dataset row indices of one batch per seed: (len(seeds), batch_size)
+    of dtype, row r drawn from the shard shards[r] (a shard may repeat),
+    without replacement when the shard has batch_size rows or more."""
+    sizes = np.array([len(shard) for shard in shards], dtype=np.int64)
+    if not sizes.all():
         raise ProtocolViolationError("sampled client has an empty data shard")
-    if n >= batch_size:
-        idx = np.asarray(_partial_shuffle(shard.tolist(), batch_size, seed), dtype=np.int64)
-    else:
-        u = prng.uniform_stream(seed, batch_size)
-        idx = shard[(u * n).astype(np.int64)]
-    return model.Batch(dataset.inputs[idx], dataset.labels[idx])
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    rows = np.empty((len(sizes), batch_size), dtype=dtype)
+    for lo, hi in _pool_chunks(sizes):
+        pools = np.concatenate(shards[lo:hi])
+        u = prng.uniform_stream(seeds[lo:hi], batch_size)
+        rows[lo:hi] = _partial_shuffle(pools, sizes[lo:hi], u)
+    return rows
+
+
+def _round_draws(sim: Simulation, t: int):
+    """Round t's sorted client ids and their (K, B) batch rows.
+
+    They are read from sim.window, (start, clients, rows) for rounds start,
+    start + 1, ...; a round outside it draws a new window from round t in
+    one sample_clients and one draw_batch call. The window is as many
+    rounds as their (K, B) batch rows fit WINDOW_BYTES, and at least one,
+    each row held in the smallest unsigned type that holds every dataset
+    row index. Every seed is the one a round drawn alone derives,
+    (root, STREAM_SAMPLING, t) and (root, STREAM_BATCH, t, cid).
+    """
+    start, clients, rows = sim.window or (t, (), None)
+    if not 0 <= t - start < len(clients):
+        sim.window = rows = None  # freed first, so the new rows can reuse its memory
+        hp, root, start = sim.hp, sim.root_seed, t
+        index = np.min_scalar_type(sim.dataset.size - 1)  # holds every dataset row index
+        rounds = max(1, WINDOW_BYTES // (index.itemsize * hp.K * hp.batch_size))
+        ts = np.arange(t, t + rounds, dtype=np.uint64)
+        clients = sample_clients(hp.M, hp.K, derive_stream(root, prng.STREAM_SAMPLING, ts))
+        seeds = extend_stream(derive_stream(root, prng.STREAM_BATCH, ts)[:, None], clients)
+        shards = [sim.clients[cid].shard for cid in clients.ravel().tolist()]
+        rows = draw_batch(shards, hp.batch_size, seeds.ravel(), index).reshape(rounds, hp.K, -1)
+        sim.window = start, clients, rows
+    return clients[t - start].tolist(), rows[t - start]
 
 
 # -----------------------------------------------------------------------------
@@ -446,14 +518,10 @@ def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
     protocol_round = _ROUNDS.get(sim.protocol)
     if protocol_round is None:
         raise ValueError(f"unknown protocol {sim.protocol!r}")
-    hp, t = sim.hp, sim.server.round
-    selected = sample_clients(hp.M, hp.K, derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t))
-    prefix = derive_stream(sim.root_seed, prng.STREAM_BATCH, t)
-    batches = {
-        cid: draw_batch(sim.dataset, sim.clients[cid].shard, hp.batch_size,
-                        extend_stream(prefix, cid))
-        for cid in selected
-    }
+    hp, t, dataset = sim.hp, sim.server.round, sim.dataset
+    selected, rows = _round_draws(sim, t)
+    batches = {cid: model.Batch(dataset.inputs[idx], dataset.labels[idx])
+               for cid, idx in zip(selected, rows)}
     losses, grad_norm = protocol_round(sim, t, selected, batches, perturb_fn)
     sim.server.round = t + 1
     return RoundMetrics(t, sim.protocol, ordered_mean_scalar(losses), grad_norm,

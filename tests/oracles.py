@@ -171,7 +171,8 @@ def client_jacobian_reference(theta_c, batch, cfg: SplitModelConfig):
 
 # -----------------------------------------------------------------------------
 # Reference spellings of the per-round helpers: the seed chain, the swap
-# loop, the optimizer run, the mean and the ledger snapshot
+# loop, one round's clients and batches, the optimizer run, the mean and the
+# ledger snapshot
 # -----------------------------------------------------------------------------
 
 MASK64 = (1 << 64) - 1
@@ -192,6 +193,32 @@ def partial_shuffle_reference(pool: list, k: int, seed: int) -> list:
         j = i + int(u * (n - i))
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+def sample_clients_reference(m: int, k: int, seed: int) -> list:
+    """One round's K client ids: a Fisher-Yates of the list 1..M, sorted."""
+    return sorted(partial_shuffle_reference(list(range(1, m + 1)), k, seed))
+
+
+def draw_batch_reference(shard: np.ndarray, batch_size: int, seed: int) -> list:
+    """One batch's dataset rows: a Fisher-Yates of the shard as a list, or,
+    from a shard smaller than the batch, shard[int(u * n)] for each uniform."""
+    n = len(shard)
+    if n >= batch_size:
+        return partial_shuffle_reference(shard.tolist(), batch_size, seed)
+    return [int(shard[int(u * n)]) for u in prng.uniform_stream(seed, batch_size).tolist()]
+
+
+def round_draws_reference(sim, t: int):
+    """Round t's sorted client ids and each one's batch rows, drawn alone
+    from seeds derived along the whole chain."""
+    hp, root = sim.hp, sim.root_seed
+    selected = sample_clients_reference(
+        hp.M, hp.K, derive_stream_reference(root, prng.STREAM_SAMPLING, t))
+    rows = [draw_batch_reference(sim.clients[cid].shard, hp.batch_size,
+                                 derive_stream_reference(root, prng.STREAM_BATCH, t, cid))
+            for cid in selected]
+    return selected, rows
 
 
 def opt_step_reference(optimizer: str, state, theta: np.ndarray, grads: np.ndarray,

@@ -581,8 +581,8 @@ class TestCli:
         server layer overflows, while the other client's server layer stays
         finite."""
         sim = cls._build(cfg)
-        first = protocol.sample_clients(cfg.hp.M, cfg.hp.K, prng.derive_stream(
-            cfg.root_seed, prng.STREAM_SAMPLING, 0))[0]
+        first = int(protocol.sample_clients(cfg.hp.M, cfg.hp.K, [prng.derive_stream(
+            cfg.root_seed, prng.STREAM_SAMPLING, 0)])[0, 0])
         sim.dataset.inputs[sim.clients[first].shard] *= 1e300
         sim.server.theta_s *= 1e10
         return sim

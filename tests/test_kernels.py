@@ -2,8 +2,9 @@
 
 The layer plan, the softmax reductions and the accuracy count are rewritten
 for fewer numpy calls per pass, and so are the per-round helpers outside
-the model passes: the shared seed prefixes, the swap indices, the optimizer
-run, ordered_mean and the ledger snapshot. Each must give exactly the bytes
+the model passes: the shared seed prefixes, the seed chain over arrays, the
+swap indices, a window of rounds' clients and batches, the optimizer run,
+ordered_mean and the ledger snapshot. Each must give exactly the bytes
 of the reference in tests/oracles.py, and so must the backward passes,
 which read relu's mask from the layer output and leave the cut feedback to
 their caller. The server passes and the client backward also take a stack
@@ -13,15 +14,17 @@ runs, unlike the golden pins.
 """
 
 import contextlib
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from splitsim import data as data_mod
 from splitsim import model, prng, protocol, runner
 from splitsim.config import parse_config
 from splitsim.errors import DimensionMismatchError, NumericalError
@@ -37,6 +40,7 @@ from oracles import (
     opt_step_reference,
     ordered_mean_reference,
     partial_shuffle_reference,
+    round_draws_reference,
     server_forward_backward_reference,
     snapshot_reference,
     unpack_reference,
@@ -313,6 +317,23 @@ def test_backward_passes_match_reference(drawn):
                 client_jacobian_reference(theta_c, batch, cfg))
 
 
+def test_client_jacobian_blocks_bound_memory():
+    # the B * D = 2048 unit feedbacks at B=128 run in byte-bounded blocks:
+    # the same bytes as one backward per unit, in a small share of the 32 MB
+    # identity stack
+    cfg = SplitModelConfig((8, 16, 2))
+    theta_c = model.init_params(cfg, 3)[:cfg.d_c]
+    batch = Batch(_rng(4).standard_normal((128, 8)), np.zeros(128, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        jac = model.client_jacobian(theta_c, batch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    _same_array(jac, client_jacobian_reference(theta_c, batch, cfg))
+
+
 # Shapes the golden pins do not run, as edits of the shipped config
 SHAPES = {
     "three-clients": {"hp": {"K": 3}},
@@ -378,14 +399,97 @@ def test_extended_seed_matches_whole_chain(root, parts, data):
     assert prng.extend_stream(prng.derive_stream(root, *parts[:cut]), *parts[cut:]) == want
 
 
+# the 64-bit values at the ends and middle of the range, and any in between
+_u64 = st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_i64 = st.one_of(st.sampled_from([-2**63, -1, 0, 2**63 - 1]), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_u64, min_size=1, max_size=6), st.lists(_coords, max_size=4), st.data())
+def test_seed_chain_over_arrays_matches_scalar_chain(roots, parts, data):
+    # each coordinate is one Python int for every row, or a uint64 or int64
+    # array of per-row values; row i must be the scalar chain on row i's values
+    n = len(roots)
+    cols, arrays = [], []
+    for v in parts:
+        kind = data.draw(st.sampled_from(["int", "uint64", "int64"]))
+        if kind == "int":
+            cols.append([v] * n)
+            arrays.append(v)
+        else:
+            vals = data.draw(st.lists(_u64 if kind == "uint64" else _i64, min_size=n, max_size=n))
+            cols.append(vals)
+            arrays.append(np.array(vals, dtype=kind))
+    rows = [[col[i] for col in cols] for i in range(n)]
+    want = [derive_stream_reference(root, *row) for root, row in zip(roots, rows)]
+    root_array = np.array(roots, dtype=np.uint64)
+    got = prng.derive_stream(root_array, *arrays)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    cut = data.draw(st.integers(0, len(arrays)))
+    assert prng.extend_stream(prng.derive_stream(root_array, *arrays[:cut]),
+                              *arrays[cut:]).tolist() == want
+    # a Python-int root, and a 0-d root array, with the same coordinates
+    by_row = [derive_stream_reference(roots[0], *row) for row in rows]
+    got = prng.derive_stream(roots[0], *arrays)
+    if any(isinstance(a, np.ndarray) for a in arrays):
+        assert got.tolist() == by_row
+    else:
+        assert type(got) is int and [got] * n == by_row
+    got = prng.derive_stream(np.array(roots[0], dtype=np.uint64), *arrays)
+    assert got.shape == np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    assert np.broadcast_to(got, (n,)).tolist() == by_row
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10_000), st.integers(0, 2**64 - 1), st.data())
 def test_swap_draws_match_reference(n, seed, data):
     k = data.draw(st.one_of(st.integers(0, min(n, 40)), st.integers(0, n)))
-    pool, want_pool = list(range(n)), list(range(n))
-    got = protocol._partial_shuffle(pool, k, seed)
-    assert got == partial_shuffle_reference(want_pool, k, seed)
-    assert pool == want_pool  # the same swaps, in place
+    pool, want_pool = np.arange(n), list(range(n))
+    u = prng.uniform_stream(np.array([seed], dtype=np.uint64), k)
+    got = protocol._partial_shuffle(pool, np.array([n]), u)
+    assert got.tolist() == [partial_shuffle_reference(want_pool, k, seed)]
+    assert pool.tolist() == want_pool  # the same swaps, in place
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_window_draws_match_round_by_round(m, data):
+    # rounds drawn a window at a time give each round's clients and batch
+    # rows as the round drawn alone does; windows of w rounds, from an
+    # unaligned round, across at least two window boundaries
+    k = data.draw(st.integers(1, m))
+    b = data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    # iid shards of b - 1, b or b + 1 rows; dirichlet shards spread wider
+    n = m * b + data.draw(st.integers(-(m - 1), m - 1))
+    if data.draw(st.booleans()):
+        shards = data_mod.iid_partition(max(n, m), m, seed)
+    else:
+        labels = _rng(seed).integers(0, 3, max(n, m))
+        shards = data_mod.dirichlet_partition(labels, m, 1.0, seed)
+    assume(all(len(shard) for shard in shards))
+    clients = {cid: protocol.ClientState(cid, np.zeros(1), shard)
+               for cid, shard in enumerate(shards, start=1)}
+    hp = protocol.HyperParams(eta=0.1, M=m, K=k, batch_size=b)
+    # rows beyond the shards' make the row indices uint8, uint16 or uint32
+    size = max(n, m) + data.draw(st.sampled_from([0, 300, 70_000]))
+    dataset = Batch(np.zeros((size, 1)), np.zeros(size, dtype=np.int64))
+    sim = protocol.Simulation("sfl", None, hp, dataset, None, None, clients, None,
+                              data.draw(st.integers(0, 2**64 - 1)))
+    index = np.min_scalar_type(size - 1)
+    w = data.draw(st.integers(1, 4))
+    t0 = data.draw(st.integers(1, 10**6))
+    one_round = index.itemsize * k * b
+    window_bytes = one_round * w + data.draw(st.integers(0, one_round - 1))
+    starts = set()
+    with mock.patch.object(protocol, "WINDOW_BYTES", window_bytes):
+        for t in range(t0, t0 + 2 * w + 1 + data.draw(st.integers(0, 3))):
+            selected, rows = protocol._round_draws(sim, t)
+            want_selected, want_rows = round_draws_reference(sim, t)
+            assert selected == want_selected
+            assert rows.dtype == index and rows.tolist() == want_rows
+            starts.add(sim.window[0])
+    assert len(starts) >= 3 and max(starts) >= t0 + 2 * w
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Round orchestration: worked values, replay equivalence, traffic laws."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitsim.model as m
-from splitsim import prng, runner
+from splitsim import prng, protocol, runner
 from splitsim.config import parse_config
 from splitsim.errors import NumericalError, ProtocolViolationError, StalenessError
 from splitsim.protocol import (
@@ -55,24 +56,24 @@ def _worked_instance():
 
 class TestSampling:
     def test_full_set_when_k_equals_m(self):
-        assert sample_clients(5, 5, 123) == [1, 2, 3, 4, 5]
+        assert sample_clients(5, 5, [123]).tolist() == [[1, 2, 3, 4, 5]]
 
     def test_deterministic_and_sorted(self):
-        a = sample_clients(100, 10, 99)
-        assert a == sample_clients(100, 10, 99)
+        a = sample_clients(100, 10, [99])[0].tolist()
+        assert a == sample_clients(100, 10, [99])[0].tolist()
         assert a == sorted(a)
         assert len(set(a)) == 10
 
     def test_k_greater_than_m_rejected(self):
         with pytest.raises(ValueError):
-            sample_clients(3, 4, 0)
+            sample_clients(3, 4, [0])
 
     def test_uniform_selection_frequency(self):
         m_cl, k = 10, 3
         counts = np.zeros(m_cl + 1)
         rounds = 10000
-        for t in range(rounds):
-            for cid in sample_clients(m_cl, k, prng.derive_stream(1, t)):
+        for row in sample_clients(m_cl, k, [prng.derive_stream(1, t) for t in range(rounds)]):
+            for cid in row:
                 counts[cid] += 1
         freq = counts[1:] / rounds
         assert np.all(np.abs(freq - k / m_cl) / (k / m_cl) < 0.10)
@@ -334,12 +335,18 @@ class TestLargeDirections:
         monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
         replayed = 0
         for t in range(4):
-            selected = sample_clients(cfg.hp.M, cfg.hp.K,
-                                      prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t))
+            selected = sample_clients(cfg.hp.M, cfg.hp.K, [
+                prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t)])[0].tolist()
             replayed += sum(t - sim.clients[cid].t_sync for cid in selected)
             run_round(sim)
         assert rows and set(rows) == {1}
         assert replayed > 0  # under hosfl, catch-up replay ran too
+
+
+def _draw_one(ds, shard, batch_size, seed):
+    """The batch of one draw_batch row."""
+    rows = draw_batch([shard], batch_size, [seed])[0]
+    return m.Batch(ds.inputs[rows], ds.labels[rows])
 
 
 class TestBatchingAndBudget:
@@ -347,29 +354,29 @@ class TestBatchingAndBudget:
         ds = m.Batch(np.arange(40, dtype=float).reshape(20, 2),
                      np.zeros((20, 1)))
         shard = np.arange(20)
-        a = draw_batch(ds, shard, 8, 7)
-        b = draw_batch(ds, shard, 8, 7)
+        a = _draw_one(ds, shard, 8, 7)
+        b = _draw_one(ds, shard, 8, 7)
         assert a.inputs.tobytes() == b.inputs.tobytes()
 
     def test_draw_batch_without_replacement(self):
         ds = m.Batch(np.arange(20, dtype=float).reshape(10, 2),
                      np.zeros((10, 1)))
-        batch = draw_batch(ds, np.arange(10), 10, 3)
+        batch = _draw_one(ds, np.arange(10), 10, 3)
         assert sorted(batch.inputs[:, 0].tolist()) == [float(2 * i) for i in range(10)]
 
     def test_draw_batch_with_replacement_from_a_small_shard(self):
         # a shard smaller than the batch is drawn from with replacement
         ds = m.Batch(np.arange(40, dtype=float).reshape(20, 2), np.zeros((20, 1)))
         shard = np.array([3, 7, 11])
-        a = draw_batch(ds, shard, 8, 5)
+        a = _draw_one(ds, shard, 8, 5)
         assert a.size == 8
-        assert a.inputs.tobytes() == draw_batch(ds, shard, 8, 5).inputs.tobytes()
+        assert a.inputs.tobytes() == _draw_one(ds, shard, 8, 5).inputs.tobytes()
         assert set((a.inputs[:, 0] / 2).astype(int).tolist()) <= {3, 7, 11}
 
     def test_empty_shard_rejected(self):
         ds = m.Batch(np.ones((4, 1)), np.ones((4, 1)))
         with pytest.raises(ProtocolViolationError):
-            draw_batch(ds, np.array([], dtype=np.int64), 2, 0)
+            _draw_one(ds, np.array([], dtype=np.int64), 2, 0)
 
     def test_budget_round_arithmetic(self):
         hp = HyperParams(eta=0.1, M=1, K=1, batch_size=32, zo=ZoConfig())
@@ -383,6 +390,66 @@ class TestBatchingAndBudget:
         result = runner.run_experiment(cfg)
         assert result.records == []
         assert result.sim.server.theta_c_global.tobytes() == theta0
+
+
+class TestDrawWindow:
+    def test_one_draw_call_per_window(self, monkeypatch):
+        cfg = parse_config(BASE_CONFIG)
+        hp = cfg.hp
+        sim = runner.build_simulation(cfg)
+        assert sim.window is None  # nothing is drawn before the first round
+        index = np.min_scalar_type(sim.dataset.size - 1)
+        monkeypatch.setattr(protocol, "WINDOW_BYTES", index.itemsize * hp.K * hp.batch_size * 5)
+        calls = {"sample_clients": 0, "draw_batch": 0}
+        for name in calls:  # looked up in protocol's namespace, as the benchmark's hooks are
+            def counting(*args, _real=getattr(protocol, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(protocol, name, counting)
+        for _ in range(12):
+            run_round(sim)
+        assert calls == {"sample_clients": 3, "draw_batch": 3}
+        assert sim.window[0] == 10
+
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_window_size_changes_no_value(self, proto, monkeypatch):
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+
+        def run():
+            result = runner.run_experiment(cfg)
+            server = result.sim.server
+            return ([r.train_loss for r in result.records],
+                    server.theta_c_global.tobytes(), server.theta_s.tobytes())
+
+        whole = run()  # one window holds the run's 40 rounds
+        monkeypatch.setattr(protocol, "WINDOW_BYTES", 1)  # one round a window
+        assert run() == whole
+
+    def test_window_memory_is_bounded(self):
+        # M=5000, K=64, B=256 on 4,000 rows (uint16 indices): one round's
+        # rows fill the window's bytes, so a window is one round, and its
+        # pools are shuffled a few rows at a time. The peak is that round,
+        # the pool of 5,000 client ids and one pool chunk; this round's
+        # shards end to end are 0.9 MB, and its uniforms alone 128 KiB
+        m_cl, k, b = 5000, 64, 256
+        base = np.arange(4000)
+        clients = {cid: ClientState(cid, np.zeros(1), base[:100 + 37 * (cid % 100)])
+                   for cid in range(1, m_cl + 1)}
+        hp = HyperParams(eta=0.1, M=m_cl, K=k, batch_size=b)
+        dataset = m.Batch(np.zeros((4000, 1)), np.zeros(4000, dtype=np.int64))
+        sim = Simulation("sfl", None, hp, dataset, None, None, clients, None, 11)
+        protocol._round_draws(sim, 0)  # the counter tables, built once
+        tracemalloc.start()
+        try:
+            protocol._round_draws(sim, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        start, clients, rows = sim.window
+        one_round = 2 * k * b
+        assert (start, len(clients), rows.nbytes) == (1, 1, one_round)
+        assert one_round == protocol.WINDOW_BYTES
+        assert peak <= 6 * protocol.WINDOW_BYTES
 
 
 class TestCallCounts:
@@ -409,8 +476,8 @@ class TestCallCounts:
         replayed, synced = 0, {}
         rounds = planned_rounds(hp, cfg.sample_budget)
         for t in range(rounds):
-            for cid in sample_clients(hp.M, hp.K,
-                                      prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t)):
+            for cid in sample_clients(hp.M, hp.K, [
+                    prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, t)])[0].tolist():
                 replayed += t - synced.get(cid, 0)
                 synced[cid] = t + 1
         k, p = hp.K, hp.zo.P
@@ -471,8 +538,8 @@ class TestTrafficLaws:
         }
         sim = Simulation("sfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 9)
         run_round(sim)
-        batch = draw_batch(ds, clients[1].shard, hp.batch_size,
-                           prng.derive_stream(9, prng.STREAM_BATCH, 0, 1))
+        batch = _draw_one(ds, clients[1].shard, hp.batch_size,
+                          prng.derive_stream(9, prng.STREAM_BATCH, 0, 1))
         z = m.client_forward(theta_c, batch, cfg)
         lam = m.server_forward_backward(theta_s, z, batch.labels, cfg)[2]
         g_c = m.client_backward_from_lambda(theta_c, batch, lam, cfg)
