@@ -225,14 +225,26 @@ def _backward(params, hs, delta, cfg, linear_last):
     return np.concatenate(pieces[::-1], axis=-1), delta
 
 
-def _client_forward_cached(theta_c, batch, cfg):
+def _client_forward_cached(theta_c, batch, cfg, z=None):
+    """(params, hs, pres) of the client layers on batch. Given z, the cut
+    activation client_forward returned for the same parameters and inputs,
+    only the layers before the last run, and z stands in for the last
+    layer's output."""
     x = batch.inputs if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
     if x.shape[-1] != cfg.n_in:
         raise DimensionMismatchError(
             f"inputs have width {x.shape[-1]}, model expects {cfg.n_in}"
         )
     params = _unpack(np.asarray(theta_c, dtype=np.float64), cfg, client=True)
-    return (params, *_forward(params, x, cfg, linear_last=False))
+    if z is None:
+        return (params, *_forward(params, x, cfg, linear_last=False))
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != x.shape[:-1] + (cfg.cut_width,):
+        raise DimensionMismatchError(
+            f"activation has shape {z.shape}, expected {x.shape[:-1] + (cfg.cut_width,)}"
+        )
+    hs, pres = _forward(params[:-1], x, cfg, linear_last=False)
+    return params, hs + [z], pres
 
 
 def _server_forward_cached(theta_s, z, cfg):
@@ -375,7 +387,7 @@ def server_forward_backward(theta_s: np.ndarray, z: np.ndarray, labels, cfg: Spl
 # -----------------------------------------------------------------------------
 
 def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
-                                cfg: SplitModelConfig) -> np.ndarray:
+                                cfg: SplitModelConfig, z=None) -> np.ndarray:
     """Chain-rule product of the client Jacobian with activation feedback.
 
     Backpropagates lam (B x D) through the client layers, returning the
@@ -384,8 +396,12 @@ def client_backward_from_lambda(theta_c: np.ndarray, batch, lam: np.ndarray,
     each with the bits of the solo call. Feedback with more leading axes,
     (..., *z.shape), gives one gradient per leading index from the one
     forward, each with the bits of the call on that feedback alone.
+
+    z, when given, is the cut activation client_forward returned for these
+    parameters and inputs (stacked as the inputs are); the forward then
+    runs only the client layers before the last, none at cut_index 1.
     """
-    params, hs, _ = _client_forward_cached(theta_c, batch, cfg)
+    params, hs, _ = _client_forward_cached(theta_c, batch, cfg, z)
     lam = np.asarray(lam, dtype=np.float64)
     z_shape = hs[-1].shape
     if lam.shape[lam.ndim - len(z_shape):] != z_shape:

@@ -50,8 +50,9 @@ STREAM_DIAG = 9
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finalizer, the fixed 64-bit mixing hash."""
-    x &= _MASK
+    """splitmix64 finalizer, the fixed 64-bit mixing hash. x is any integer,
+    a numpy integer scalar too, taken mod 2**64."""
+    x = int(x) & _MASK
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK
     return x ^ (x >> 31)
@@ -62,7 +63,8 @@ def derive_stream(root, *parts):
 
     Chained splitmix64 over the coordinate tuple; distinct tuples map to
     distinct seeds except with ~2**-64 probability. The root and any
-    coordinate may be an integer array instead (see extend_stream).
+    coordinate may be a numpy integer scalar, taken as its int, or an
+    integer array (see extend_stream).
     """
     if isinstance(root, np.ndarray):
         return extend_stream(_mix(root.astype(np.uint64)), *parts)
@@ -92,9 +94,11 @@ def extend_stream(prefix, *parts):
             h += np.uint64(v & _MASK) if isinstance(v, int) else v.astype(np.uint64)
             _mix(h)
         return h
-    h = prefix
+    # Python ints throughout (a numpy integer scalar taken as its int), so
+    # nothing wraps in fixed width; mix64 takes the sum mod 2**64
+    h = int(prefix)
     for v in parts:
-        h = mix64((h + _GOLDEN + (v & _MASK)) & _MASK)
+        h = mix64(h + _GOLDEN + int(v))
     return h
 
 

@@ -37,7 +37,8 @@ exact same update code path as live rounds, which is what makes catch-up
 bit-exact. That path works on blocks: one stacked reconstruction rebuilds
 g_hat for a run of rounds (or for the K live clients and the server copy at
 once), and one optimizer pass applies a run of transitions, bit for bit as
-one at a time.
+one at a time. The history keeps only the rounds some client can still
+replay, those from the stalest client's t_sync on (ServerState, SyncCounts).
 
 All cross-client reductions consume inputs in ascending client id with
 left-to-right accumulation, so results do not depend on completion order.
@@ -45,6 +46,7 @@ left-to-right accumulation, so results do not depend on completion order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,14 +154,60 @@ class ClientState:
     opt_state: AdamState | None = None
 
 
+class SyncCounts:
+    """How many clients are counted at each t_sync, and the smallest such
+    t_sync: the catch-up floor, below which no client reads a RoundRecord.
+
+    Each client is counted at one position: its t_sync when the count was
+    made, then the t_sync each live round it takes part in gives it. Code
+    outside a round that moves a client on (a client_sync between rounds)
+    leaves it counted where it was, and its next round moves it from there.
+    So the floor lags the true smallest t_sync, which keeps records longer,
+    and never passes it, as a client's t_sync only moves forward.
+    """
+
+    def __init__(self, clients: dict):
+        self.at = {cid: client.t_sync for cid, client in clients.items()}
+        self.count = Counter(self.at.values())
+        self.floor = min(self.count, default=0)
+
+    def move(self, cid: int, t_sync: int):
+        """Count client cid at t_sync instead of where it was counted."""
+        old = self.at[cid]
+        self.count[old] -= 1
+        if not self.count[old]:
+            del self.count[old]
+        self.at[cid] = t_sync
+        self.count[t_sync] += 1
+
+    def raise_floor(self) -> range:
+        """Move the floor up to the smallest counted t_sync; returns the
+        rounds it passed, each once over a run (amortized O(1) a round)."""
+        low = self.floor
+        while self.floor not in self.count:
+            self.floor += 1
+        return range(low, self.floor)
+
+
 @dataclass
 class ServerState:
+    """The server half, the canonical copy of the client half, and the
+    catch-up history.
+
+    history maps round -> RoundRecord and holds only the rounds a client
+    can still replay: after each hosfl round it runs from sync.floor, the
+    stalest counted t_sync, to that round. sync is the SyncCounts the first
+    hosfl round makes of every client in Simulation.clients, so a client
+    registered later is not counted and may find its rounds gone.
+    """
+
     theta_s: np.ndarray
     theta_c_global: np.ndarray
     round: int = 0
     history: dict = field(default_factory=dict)
     opt_state_s: AdamState | None = None
     opt_state_c: AdamState | None = None
+    sync: SyncCounts | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -279,7 +327,9 @@ def _round_draws(sim: Simulation, t: int):
     one sample_clients and one draw_batch call. The window is as many
     rounds as their (K, B) batch rows fit WINDOW_BYTES, and at least one,
     each row held in the smallest unsigned type that holds every dataset
-    row index. Every seed is the one a round drawn alone derives,
+    row index. It ends before any later round that samples a client with
+    an empty shard, so draw_batch's ProtocolViolationError comes from the
+    round that samples it. Every seed is the one a round drawn alone derives,
     (root, STREAM_SAMPLING, t) and (root, STREAM_BATCH, t, cid).
     """
     start, clients, rows = sim.window or (t, (), None)
@@ -290,8 +340,13 @@ def _round_draws(sim: Simulation, t: int):
         rounds = max(1, WINDOW_BYTES // (index.itemsize * hp.K * hp.batch_size))
         ts = np.arange(t, t + rounds, dtype=np.uint64)
         clients = sample_clients(hp.M, hp.K, derive_stream(root, prng.STREAM_SAMPLING, ts))
-        seeds = extend_stream(derive_stream(root, prng.STREAM_BATCH, ts)[:, None], clients)
         shards = [sim.clients[cid].shard for cid in clients.ravel().tolist()]
+        lengths = list(map(len, shards))
+        if 0 in lengths:
+            rounds = max(1, lengths.index(0) // hp.K)
+            clients, shards = clients[:rounds], shards[:rounds * hp.K]
+        seeds = extend_stream(derive_stream(root, prng.STREAM_BATCH, ts[:rounds])[:, None],
+                              clients)
         rows = draw_batch(shards, hp.batch_size, seeds.ravel(), index).reshape(rounds, hp.K, -1)
         sim.window = start, clients, rows
     return clients[t - start].tolist(), rows[t - start]
@@ -316,6 +371,13 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     Replay costs no bytes. Every client hears every SeedDown and ScalarDown
     broadcast, which the ledger charges once per round, so the history it
     replays is already its own; no parameters move over the wire.
+
+    A run's server.history holds the rounds from the stalest counted
+    t_sync on (ServerState), so any client of the run can be synced to
+    any round up to the current one, between rounds or after the last.
+    A client this call moves between rounds stays counted at the t_sync
+    its last round gave it (SyncCounts), so the run keeps those rounds
+    until the client is sampled again.
     """
     if client.t_sync > target_round:
         raise ProtocolViolationError(
@@ -370,7 +432,7 @@ def _server_first_order(sim: Simulation, selected, activations, batches):
     """One stacked server backward for the K clients, feedback downlink, one
     averaged server step. Returns the K losses and the (K, B, D) feedback."""
     losses, server_grads, lams = model.server_forward_backward(
-        sim.server.theta_s, np.array(activations),
+        sim.server.theta_s, np.asarray(activations),
         np.array([batches[cid].labels for cid in selected]), sim.model_cfg)
     for cid in selected:
         sim.ledger.record(MessageKind.GRAD_DOWN, lams[0].size * FLOAT_BYTES,
@@ -431,15 +493,21 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     # call of K+1 rows, then each party takes its own optimizer step
     g_hat = reconstruct_gradient([v_bar] * (hp.K + 1), [seeds] * (hp.K + 1), hp.zo, cfg.d_c,
                                  perturb_fn)
+    if server.sync is None:
+        server.sync = SyncCounts(sim.clients)
     for row, cid in enumerate(selected):
         client = sim.clients[cid]
         client.theta_c, client.opt_state = _opt_step(
             hp.optimizer, client.opt_state, client.theta_c, g_hat[row:row + 1], hp.eta
         )
         client.t_sync = t + 1
+        server.sync.move(cid, t + 1)
     server.theta_c_global, server.opt_state_c = _opt_step(
         hp.optimizer, server.opt_state_c, server.theta_c_global, g_hat[hp.K:], hp.eta
     )
+    # no client replays a round below the stalest t_sync: drop those records
+    for tau in server.sync.raise_floor():
+        server.history.pop(tau, None)
     return losses, float(np.linalg.norm(g_hat[hp.K]))
 
 
@@ -447,16 +515,18 @@ def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     """First-order baseline: client backprop via feedback, then model averaging.
 
     The K clients' backward passes run as one stacked call on the pulled
-    model, each slice with the bits of that client's own pass."""
+    model, each slice with the bits of that client's own pass; it is handed
+    the K activations the clients uploaded, so no client forward reruns."""
     cfg = sim.model_cfg
     activations = []
     for cid in selected:
         activations.append(model.client_forward(_pull_model(sim, cid), batches[cid], cfg))
         _upload(sim, cid, activations[-1].size)
+    activations = np.array(activations)
     losses, lams = _server_first_order(sim, selected, activations, batches)
     grads = model.client_backward_from_lambda(
         sim.server.theta_c_global, np.array([batches[cid].inputs for cid in selected]),
-        lams, cfg)
+        lams, cfg, activations)
     return losses, _local_steps_and_average(sim, selected, grads)
 
 

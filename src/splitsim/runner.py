@@ -4,13 +4,15 @@ Outputs per run: metrics.jsonl (one self-describing JSON record per line,
 header first), traffic.csv (the breakdown table), checksum.txt (SHA-256 of
 the final parameter vectors). Every emitted byte is a pure function of the
 configuration and root seed. Every file splitsim writes, these and the other
-subcommands' files, goes through write_files and file_text.
+subcommands' files, goes through write_files, line by line, with the bytes
+file_text gives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -28,7 +30,9 @@ CHECKSUM_FILE = "checksum.txt"
 DEFAULT_OUT_DIR = "out"
 
 
-@dataclass
+# slots: a run holds one record per round, and a record with a __dict__
+# would keep one more dict each once anything reads its vars()
+@dataclass(slots=True)
 class MetricsRecord:
     round: int
     train_loss: float
@@ -37,6 +41,11 @@ class MetricsRecord:
     grad_norm: float
     samples_processed: int
     traffic: dict
+
+
+# a metrics.jsonl round row's keys, and the record's values in their order
+_ROW_KEYS = ("record", *(f.name for f in fields(MetricsRecord)))
+_row_values = operator.attrgetter(*_ROW_KEYS[1:])
 
 
 @dataclass
@@ -123,17 +132,25 @@ def _config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def metrics_lines(result: RunResult) -> list:
+def metrics_lines(result: RunResult):
+    """metrics.jsonl's lines, the header then one per round, each made as it
+    is read."""
     header = {
         "record": "header",
         "protocol": result.config.protocol,
         "root_seed": result.config.root_seed,
         "config_sha256": _config_digest(result.config),
-        "fields": [f.name for f in fields(MetricsRecord)],
+        "fields": list(_ROW_KEYS[1:]),
     }
-    # vars, not dataclasses.asdict: asdict deep-copies every traffic dict
-    return [json.dumps(header)] + [json.dumps({"record": "round", **vars(r)})
-                                   for r in result.records]
+    yield json.dumps(header)
+    # not dataclasses.asdict, which deep-copies every traffic dict
+    for r in result.records:
+        yield json.dumps(dict(zip(_ROW_KEYS, ("round", *_row_values(r)))))
+
+
+def traffic_lines(result: RunResult) -> list:
+    return [[f.name for f in fields(BreakdownRow)]] + [
+        astuple(r) for r in breakdown_report(result.sim.ledger)]
 
 
 def checksum_lines(result: RunResult) -> list:
@@ -146,12 +163,21 @@ def checksum_lines(result: RunResult) -> list:
     ]
 
 
+def _text_pieces(lines):
+    """file_text in pieces, one per line: each line after the first follows
+    its newline, and a last newline ends the text."""
+    newline = ""
+    for line in lines:
+        yield newline + (line if isinstance(line, str) else ",".join(map(str, line)))
+        newline = "\n"
+    yield "\n"
+
+
 def file_text(lines) -> str:
     """One newline-terminated line per item: a str as is, any other row as
     CSV cells joined by commas (str, not repr: numpy 2 reprs np.float64 as
     np.float64(...))."""
-    return "\n".join(line if isinstance(line, str) else ",".join(map(str, line))
-                     for line in lines) + "\n"
+    return "".join(_text_pieces(lines))
 
 
 def out_path(out_dir) -> Path:
@@ -165,22 +191,25 @@ def out_path(out_dir) -> Path:
 
 
 def write_files(out_dir, files: dict) -> dict:
-    """Write {label: (file name, lines)} into out_path(out_dir); return {label: path}."""
+    """Write {label: (file name, lines)} into out_path(out_dir); return {label: path}.
+
+    Each file gets the bytes of file_text(lines), written line by line as
+    lines yields them, so a write holds one line at a time, not the text.
+    """
     out = out_path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for label, (name, lines) in files.items():
         paths[label] = out / name
-        paths[label].write_text(file_text(lines))
+        with paths[label].open("w") as fh:
+            fh.writelines(_text_pieces(lines))
     return paths
 
 
 def write_outputs(result: RunResult, out_dir) -> dict:
     """Write metrics, traffic breakdown, and parameter checksums; return paths."""
-    traffic = [[f.name for f in fields(BreakdownRow)]] + [
-        astuple(r) for r in breakdown_report(result.sim.ledger)]
     return write_files(out_dir, {
         "metrics": (METRICS_FILE, metrics_lines(result)),
-        "traffic": (TRAFFIC_FILE, traffic),
+        "traffic": (TRAFFIC_FILE, traffic_lines(result)),
         "checksum": (CHECKSUM_FILE, checksum_lines(result)),
     })

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -756,6 +757,24 @@ class TestMetricsEmission:
         assert [r.traffic for r in result.records] == result.sim.ledger.per_round
         assert set(snap) == {k.value for k in MessageKind}
         assert snap["ScalarUp"] == 10 * 2 * 3 * 8  # rounds * K * P * bytes
+
+    def test_writing_outputs_holds_a_line_not_the_text(self, tmp_path):
+        # 2,000 rounds make 0.7 MB of metrics.jsonl; the write holds one
+        # line at a time and the file's buffers, with file_text's bytes
+        raw = yaml.safe_load(SHIPPED.read_text())
+        raw["sample_budget"] = 2000 * raw["hp"]["K"] * raw["hp"]["batch_size"]
+        result = runner.run_experiment(parse_config(yaml.safe_dump(raw)))
+        assert len(result.records) == 2000
+        tracemalloc.start()
+        try:
+            paths = runner.write_outputs(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        for label, lines in (("metrics", runner.metrics_lines), ("traffic", runner.traffic_lines),
+                             ("checksum", runner.checksum_lines)):
+            assert paths[label].read_bytes() == runner.file_text(lines(result)).encode()
 
     def test_checksum_stable(self):
         cfg = parse_config(GOOD)

@@ -307,6 +307,12 @@ def test_backward_passes_match_reference(drawn):
     for inputs, feedback in ((x, lam), (x[0], lam[0])):
         _same_array(model.client_backward_from_lambda(theta_c, inputs, feedback, cfg),
                     client_backward_reference(theta_c, inputs, feedback, cfg))
+    # handed the activations of the solo forwards (stacked, as the sfl round
+    # hands its K uploads), only the layers before the cut layer rerun
+    z_solo = np.array([model.client_forward(theta_c, inputs, cfg) for inputs in x])
+    for inputs, feedback, acts in ((x, lam, z_solo), (x[0], lam[0], z_solo[0])):
+        _same_array(model.client_backward_from_lambda(theta_c, inputs, feedback, cfg, acts),
+                    client_backward_reference(theta_c, inputs, feedback, cfg))
     # an extra feedback axis over one forward: one reference call per feedback
     for inputs, feedback in ((x[0], lam), (x, np.stack([lam, lam[::-1]]))):
         _same_array(model.client_backward_from_lambda(theta_c, inputs, feedback, cfg),
@@ -407,15 +413,22 @@ _i64 = st.one_of(st.sampled_from([-2**63, -1, 0, 2**63 - 1]), st.integers(-2**63
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_u64, min_size=1, max_size=6), st.lists(_coords, max_size=4), st.data())
 def test_seed_chain_over_arrays_matches_scalar_chain(roots, parts, data):
-    # each coordinate is one Python int for every row, or a uint64 or int64
-    # array of per-row values; row i must be the scalar chain on row i's values
+    # each coordinate is one Python int for every row, a numpy uint64 or
+    # int64 scalar of its bits mod 2**64, or a uint64 or int64 array of
+    # per-row values; row i must be the scalar chain on row i's values
     n = len(roots)
     cols, arrays = [], []
     for v in parts:
-        kind = data.draw(st.sampled_from(["int", "uint64", "int64"]))
+        kind = data.draw(st.sampled_from(["int", "np.uint64", "np.int64", "uint64", "int64"]))
         if kind == "int":
             cols.append([v] * n)
             arrays.append(v)
+        elif kind == "np.uint64":
+            cols.append([v] * n)
+            arrays.append(np.uint64(v % 2**64))
+        elif kind == "np.int64":
+            cols.append([v] * n)
+            arrays.append(np.int64((v + 2**63) % 2**64 - 2**63))
         else:
             vals = data.draw(st.lists(_u64 if kind == "uint64" else _i64, min_size=n, max_size=n))
             cols.append(vals)
@@ -428,13 +441,16 @@ def test_seed_chain_over_arrays_matches_scalar_chain(roots, parts, data):
     cut = data.draw(st.integers(0, len(arrays)))
     assert prng.extend_stream(prng.derive_stream(root_array, *arrays[:cut]),
                               *arrays[cut:]).tolist() == want
-    # a Python-int root, and a 0-d root array, with the same coordinates
+    # a Python-int root, the same root as a numpy uint64 scalar and as the
+    # int64 scalar of its bits (taken as its int, with no overflow warning),
+    # and a 0-d root array, with the same coordinates
     by_row = [derive_stream_reference(roots[0], *row) for row in rows]
-    got = prng.derive_stream(roots[0], *arrays)
-    if any(isinstance(a, np.ndarray) for a in arrays):
-        assert got.tolist() == by_row
-    else:
-        assert type(got) is int and [got] * n == by_row
+    for root in (roots[0], np.uint64(roots[0]), np.int64((roots[0] + 2**63) % 2**64 - 2**63)):
+        got = prng.derive_stream(root, *arrays)
+        if any(isinstance(a, np.ndarray) for a in arrays):
+            assert got.tolist() == by_row
+        else:
+            assert type(got) is int and [got] * n == by_row
     got = prng.derive_stream(np.array(roots[0], dtype=np.uint64), *arrays)
     assert got.shape == np.broadcast_shapes(*(np.shape(a) for a in arrays))
     assert np.broadcast_to(got, (n,)).tolist() == by_row

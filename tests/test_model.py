@@ -271,6 +271,14 @@ class TestErrorsAndDeterminism:
             model.client_backward_from_lambda(np.zeros(cfg.d_c), np.ones((4, 3)),
                                               np.ones(shape), cfg)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 2), (2, 4, 2)])
+    def test_backward_rejects_activation_of_other_shape(self, shape):
+        # handed activations must be the (4, 2) the inputs' forward gives
+        cfg = SplitModelConfig((3, 2, 2), "tanh", 1)
+        with pytest.raises(DimensionMismatchError, match="activation has shape"):
+            model.client_backward_from_lambda(np.zeros(cfg.d_c), np.ones((4, 3)),
+                                              np.ones((4, 2)), cfg, np.ones(shape))
+
     def test_cut_index_validation(self):
         with pytest.raises(ValueError):
             SplitModelConfig((2, 2, 1), "tanh", 0)

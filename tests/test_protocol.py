@@ -54,6 +54,33 @@ def _worked_instance():
     return Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), 7), cfg, hp
 
 
+def _hand_built(m_cl, k, optimizer="sgd", seed=5):
+    """A hosfl Simulation built from its parts: m_cl clients of 8 rows each."""
+    cfg = m.SplitModelConfig((3, 4, 2), "tanh", 1, "softmax_cross_entropy")
+    hp = HyperParams(eta=0.05, M=m_cl, K=k, batch_size=2, zo=ZoConfig(P=2, mu=1e-3),
+                     optimizer=optimizer)
+    rng = np.random.default_rng(seed)
+    ds = m.Batch(rng.standard_normal((8 * m_cl, 3)), rng.integers(0, 2, 8 * m_cl))
+    theta = m.init_params(cfg, seed)
+    theta_c = theta[:cfg.d_c]
+    server = ServerState(theta_s=theta[cfg.d_c:].copy(), theta_c_global=theta_c.copy())
+    clients = {cid: ClientState(cid, theta_c.copy(), np.arange(8 * cid - 8, 8 * cid))
+               for cid in range(1, m_cl + 1)}
+    return Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), seed)
+
+
+def _assert_caught_up(sim):
+    """Every client syncs to the current round, equal to the server copy."""
+    server = sim.server
+    for client in sim.clients.values():
+        client_sync(client, server.history, sim.hp, sim.model_cfg.d_c, server.round)
+        assert client.theta_c.tobytes() == server.theta_c_global.tobytes()
+        if sim.hp.optimizer == "adam":
+            assert client.opt_state.m.tobytes() == server.opt_state_c.m.tobytes()
+            assert client.opt_state.v.tobytes() == server.opt_state_c.v.tobytes()
+            assert client.opt_state.step == server.opt_state_c.step == server.round
+
+
 class TestSampling:
     def test_full_set_when_k_equals_m(self):
         assert sample_clients(5, 5, [123]).tolist() == [[1, 2, 3, 4, 5]]
@@ -82,9 +109,19 @@ class TestSampling:
 class TestWorkedRound:
     def test_hybrid_round_hand_values(self):
         sim, cfg, hp = _worked_instance()
-        metrics = run_round(sim, perturb_fn=_forced_ones)
+        # the one client is synced past round 0 when the round ends, so the
+        # round drops its record: keep it as the round writes it
+        written = []
+
+        def record(seeds, v_bar):
+            written.append(RoundRecord(seeds, v_bar))
+            return written[-1]
+
+        with mock.patch("splitsim.protocol.RoundRecord", side_effect=record):
+            metrics = run_round(sim, perturb_fn=_forced_ones)
+        assert sim.server.history == {}
         # lambda = 2*(2-0.5)*1 = 3; v = 3*mu*u = 0.3; ghat = 3; step = 0.01*3
-        assert sim.server.history[0].v_bar[0] == pytest.approx(0.3, rel=1e-12)
+        assert written[0].v_bar[0] == pytest.approx(0.3, rel=1e-12)
         assert sim.clients[1].theta_c.item() == pytest.approx(1.97, rel=1e-12)
         assert sim.server.theta_c_global.item() == pytest.approx(1.97, rel=1e-12)
         # g_s = 2*(2-0.5)*z = 6, so theta_s drops by 0.06
@@ -211,6 +248,37 @@ class TestDeterminismAndReplay:
             assert lagger.t_sync == t_sync
             assert lagger.theta_c.tobytes() == theta
 
+    @settings(max_examples=30, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adam"]), m_cl=st.integers(1, 7),
+           rounds=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_history_runs_from_the_stalest_client(self, optimizer, m_cl, rounds, seed, data):
+        # after every round the history is exactly the rounds from the
+        # stalest t_sync on, and every client still catches up bit for bit
+        k = data.draw(st.integers(1, m_cl), label="K")
+        sim = _hand_built(m_cl, k, optimizer, seed)
+        for t in range(rounds):
+            run_round(sim)
+            floor = min(c.t_sync for c in sim.clients.values())
+            assert sorted(sim.server.history) == list(range(floor, t + 1))
+        _assert_caught_up(sim)
+
+    def test_outside_sync_between_rounds_keeps_every_needed_round(self):
+        # a client synced between rounds stays counted where its last round
+        # left it: the history keeps its old rounds, never drops another's
+        sim = _hand_built(5, 1)
+        rng = np.random.default_rng(3)
+        held_longer = 0
+        for t in range(60):
+            run_round(sim)
+            moved = sim.clients[int(rng.integers(1, 6))]
+            client_sync(moved, sim.server.history, sim.hp, sim.model_cfg.d_c, t + 1)
+            for client in sim.clients.values():
+                assert set(range(client.t_sync, t + 1)) <= set(sim.server.history)
+            held_longer += min(sim.server.history, default=t + 1) < min(
+                c.t_sync for c in sim.clients.values())
+        assert held_longer > 0
+        _assert_caught_up(sim)
+
     def test_client_ahead_of_target_rejected(self):
         cfg = parse_config(BASE_CONFIG)
         sim = runner.run_experiment(cfg).sim
@@ -286,18 +354,22 @@ class TestBlockReplay:
     def test_stale_past_memo_window_one_block_per_chunk(self, optimizer, monkeypatch):
         text = BASE_CONFIG.replace("batch_size: 4,", f"batch_size: 4, optimizer: {optimizer},")
         cfg = parse_config(text)
-        sim = runner.run_experiment(cfg).sim
+        sim = runner.build_simulation(cfg)
+        # a client that never took part, and one from round 4 on, both
+        # registered before the rounds (never sampled: the ids pass M), so
+        # the run keeps the history they replay
+        client = ClientState(99, sim.server.theta_c_global.copy(), np.arange(1))
+        warm = ClientState(98, sim.server.theta_c_global.copy(), np.arange(1), t_sync=4)
+        sim.clients.update({98: warm, 99: client})
+        for _ in range(planned_rounds(cfg.hp, cfg.sample_budget)):
+            run_round(sim)
         rounds, p, d_c = sim.server.round, cfg.hp.zo.P, cfg.model.d_c
         assert rounds == 40
-        # a client that never took part
-        client = ClientState(99, runner.build_simulation(cfg).server.theta_c_global,
-                             np.arange(1))
         # a memo holding 8 rounds' directions, filled with rounds 4..11, so
         # the first chunk (rounds 0..7) finds half of its rows held and least
         # recently used: generating the other half must not evict them
         monkeypatch.setattr(prng, "MEMO_BYTES", 8 * p * d_c * 8)
         monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
-        warm = ClientState(98, sim.server.theta_c_global.copy(), np.arange(1), t_sync=4)
         client_sync(warm, sim.server.history, cfg.hp, d_c, 12)
         blocks = []
         real_block = prng.gaussian_block
@@ -393,6 +465,22 @@ class TestBatchingAndBudget:
 
 
 class TestDrawWindow:
+    def test_empty_shard_fails_in_the_round_that_samples_it(self):
+        # the window drawn at round 0 would hold the first round that
+        # samples the client sampled last; it ends before that round, which
+        # then raises
+        sim = _hand_built(4, 1)
+        picks = sample_clients(4, 1, prng.derive_stream(
+            sim.root_seed, prng.STREAM_SAMPLING, np.arange(100, dtype=np.uint64)))[:, 0]
+        first, cid = max((picks.tolist().index(cid), cid) for cid in range(1, 5))
+        assert first > 1
+        sim.clients[cid].shard = np.arange(0)
+        for _ in range(first):
+            run_round(sim)
+        with pytest.raises(ProtocolViolationError, match="empty data shard"):
+            run_round(sim)
+        assert sim.server.round == first
+
     def test_one_draw_call_per_window(self, monkeypatch):
         cfg = parse_config(BASE_CONFIG)
         hp = cfg.hp
