@@ -10,11 +10,14 @@ element, each with the bits of the scalar call on that element.
 gaussian_block is the one Gaussian generator. gaussian_vector reads a memo
 of its rows: a round fills the memo with one block for all the directions
 it will ask for (prefetch_gaussians), and a miss is filled with a one-row
-block. Since every row is a pure function of (seed, dim), the memo changes
-no value. It is bounded in bytes (MEMO_BYTES): entries leave in fill
-order, and a hit reorders nothing; prefetch_gaussians marks its whole set
-most recently used, and every round and replay chunk prefetches before it
-reads. The vectors it returns are read-only because callers share them.
+block. A block holds directions of several dims as rows of the widest, each
+cut to its own dim: the first d normals of a row are the d of
+gaussian_vector(seed, d), as they read counters 1..2*ceil(d/2) only. Since
+every row is a pure function of (seed, dim), the memo changes no value. It
+is bounded in bytes (MEMO_BYTES): entries leave in fill order, and a hit
+reorders nothing; prefetch_gaussians marks its whole set most recently
+used, and every round and replay chunk prefetches before it reads. The
+vectors it returns are read-only because callers share them.
 
 Normal variates come from a Box-Muller transform applied to 53-bit uniforms
 read off the counter stream. This transform is part of the on-disk/replay
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,6 +181,9 @@ def gaussian_block(seeds, dim: int) -> np.ndarray:
     return _box_muller(_uniforms_from_state(state), dim)
 
 
+_dim_of = itemgetter(1)  # the dim of a (seed, dim) key
+
+
 class _GaussianMemo:
     """Read-only Gaussian vectors keyed by (seed, dim), bounded in bytes.
 
@@ -190,32 +197,36 @@ class _GaussianMemo:
         self.held = 0
         self.entries: OrderedDict = OrderedDict()
 
-    def fill(self, seeds, dim: int):
-        """Generate, as one block, the (seed, dim) entries not yet held.
+    def fill(self, keys):
+        """Generate, as one block, the (seed, dim) entries of keys not yet held.
 
-        A set of seeds that does not fit the budget whole is left alone: its
+        A set of keys that does not fit the budget whole is left alone: its
         block would evict its own rows before they are read. Otherwise held
         entries are marked most recently used first, so the new rows evict
         other entries, not these, and the set is held whole when fill returns.
         """
-        seeds = dict.fromkeys(seeds)
-        if 8 * dim * len(seeds) > MEMO_BYTES:
+        keys = dict.fromkeys(keys)
+        if 8 * sum(map(_dim_of, keys)) > MEMO_BYTES:
             return
         missing = []
-        for s in seeds:
-            key = (s, dim)
+        for key in keys:
             if key in self.entries:
                 self.entries.move_to_end(key)
             else:
-                missing.append(s)
+                missing.append(key)
         if missing:
-            self._generate(missing, dim)
+            self._generate(missing)
 
-    def _generate(self, seeds: list, dim: int) -> list:
-        """Rows of gaussian_block(seeds, dim), each kept if it fits the budget."""
+    def _generate(self, keys: list) -> list:
+        """One row per (seed, dim) key: a row of gaussian_block over the keys'
+        seeds at their widest dim, cut to the key's dim and copied, and kept
+        if it fits the budget."""
+        dims = [dim for _, dim in keys]
+        if min(dims) < 0:
+            raise ValueError("dim must be non-negative")
         rows = []
-        for seed, row in zip(seeds, gaussian_block(seeds, dim)):
-            vec = row.copy()
+        for (seed, dim), row in zip(keys, gaussian_block([seed for seed, _ in keys], max(dims))):
+            vec = row[:dim].copy()
             vec.setflags(write=False)
             rows.append(vec)
             if vec.nbytes <= MEMO_BYTES:
@@ -237,19 +248,23 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
     """
     seed &= _MASK
     vec = _MEMO.entries.get((seed, dim))
-    return _MEMO._generate([seed], dim)[0] if vec is None else vec
+    return _MEMO._generate([(seed, dim)])[0] if vec is None else vec
 
 
-def prefetch_gaussians(seeds, dim: int):
+def prefetch_gaussians(seeds, dim):
     """Fill the gaussian_vector memo for every seed with one gaussian_block.
 
-    Generates nothing unless the whole set fits in MEMO_BYTES. Seeds
-    already held become the most recently used, so the set leaves the memo
-    last. Changes no value:
-    later gaussian_vector calls return the same bits, served from the memo
-    while it still holds them.
+    dim is one dim for every seed, or a sequence of one dim per seed; the
+    block is as wide as the widest, and each row is cut to its own dim.
+    Generates nothing unless the whole set fits in MEMO_BYTES, and only the
+    (seed, dim) pairs not already held. Held pairs become the most recently
+    used, so the set leaves the memo last. Changes no value: later
+    gaussian_vector calls return the same bits, served from the memo while
+    it still holds them.
     """
-    _MEMO.fill([s & _MASK for s in seeds], dim)
+    seeds = [s & _MASK for s in seeds]
+    dims = [dim] * len(seeds) if isinstance(dim, (int, np.integer)) else dim
+    _MEMO.fill(zip(seeds, dims, strict=True))
 
 
 def uniform_stream(seed, n: int) -> np.ndarray:

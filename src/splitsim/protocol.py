@@ -5,15 +5,18 @@ batches and advances the round. A small per-protocol function does the
 rest, from shared phases: activation upload, server first-order step,
 model pull, local step and ordered average.
 
-Clients and batches are drawn a window of rounds at a time: the first
-round outside the current window draws it, in one sample_clients and one
-draw_batch call over all its rounds (build_simulation draws nothing). A
-window holds as many rounds' (K, B) batch rows as fit WINDOW_BYTES, and at
-least one round, in the smallest unsigned type that holds a dataset row
-index; each pool the draw shuffles is bounded by the same bytes. Every
-draw is a pure function of (root seed, round, client id), and its seed is
-the one a round drawn alone derives, so a window changes no value, only
-when the draw is made.
+Clients, batches and direction seeds are drawn a window of rounds at a
+time: the first round outside the current window draws it, in one
+sample_clients and one draw_batch call over all its rounds
+(build_simulation draws nothing), and derives the seeds of the rounds'
+Gaussian directions as one uint64 table: hosfl's P perturbation seeds and
+zosfl's client and server seeds per sampled client (sfl draws none). A
+window holds as many rounds as both their (K, B) batch rows, in the
+smallest unsigned type that holds a dataset row index, and their seeds fit
+WINDOW_BYTES, and at least one round; each pool the draw shuffles is
+bounded by the same bytes. Every draw and seed is a pure function of (root
+seed, round, client id), and each seed is the one a round drawn alone
+derives, so a window changes no value, only when the draw is made.
 
 The server half runs once per round for all K clients: their activations
 (and, for zosfl, the 2K perturbed server halves) cross it as one stack, and
@@ -26,10 +29,12 @@ The server broadcasts the aggregated scalars, from which every client (and
 a canonical server-held copy) reconstructs the identical update.
 
 The hybrid and zeroth-order rounds fill the Gaussian memo with one block
-of their directions the moment they derive the seeds (prefetch_gaussians,
-which generates nothing when the block would not fit the memo), so each
-later perturb_fn call for them is served from the memo; every call still
-happens and every value is unchanged.
+of their directions before they ask for any (prefetch_gaussians, which
+generates nothing when the block would not fit the memo): hosfl's P
+directions at d_c, and zosfl's K client directions at d_c with its K server
+directions at d_s, rows of one block cut to their dims. Each later
+perturb_fn call for them is served from the memo; every call still happens
+and every value is unchanged.
 
 Stragglers never download parameters: they replay missed rounds from the
 stored (seeds, scalars) history at the run's learning rate, applying the
@@ -232,7 +237,7 @@ class Simulation:
     clients: dict
     ledger: TrafficLedger
     root_seed: int
-    # (start, clients, rows): the draws of upcoming rounds (_round_draws)
+    # (start, clients, rows, seeds): the draws of upcoming rounds (_round_draws)
     window: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -240,10 +245,13 @@ class Simulation:
 # Sampling and batching
 # -----------------------------------------------------------------------------
 
-# Bytes a window of drawn rounds holds, its (rounds, K, B) batch rows, and
-# the most any pool of items being shuffled holds while it draws (a pool of
-# one row may be larger). 32 KiB is 512 rounds at K=2, B=16 on a dataset of
-# fewer than 65,536 rows, whose row indices are held as uint16.
+# Bytes each table of a window of drawn rounds holds: its (rounds, K, B)
+# batch rows, and apart from them its uint64 direction seeds, (rounds, P)
+# for hosfl and (rounds, K, 2) for zosfl. Also the most any pool of items
+# being shuffled holds while it draws (a pool of one row may be larger).
+# 32 KiB is 512 rounds at K=2, B=16 on a dataset of fewer than 65,536 rows,
+# whose row indices are held as uint16; the seeds of 512 rounds fit it too
+# for hosfl at P <= 8 and zosfl at K <= 4.
 WINDOW_BYTES = 32 * 1024
 
 
@@ -319,37 +327,62 @@ def draw_batch(shards: list, batch_size: int, seeds, dtype=np.int64) -> np.ndarr
     return rows
 
 
-def _round_draws(sim: Simulation, t: int):
-    """Round t's sorted client ids and their (K, B) batch rows.
+# the zosfl seed coordinate of a client's half: its client direction, then
+# its server direction
+_HALVES = np.array([1, 2], dtype=np.uint64)
 
-    They are read from sim.window, (start, clients, rows) for rounds start,
-    start + 1, ...; a round outside it draws a new window from round t in
-    one sample_clients and one draw_batch call. The window is as many
-    rounds as their (K, B) batch rows fit WINDOW_BYTES, and at least one,
-    each row held in the smallest unsigned type that holds every dataset
-    row index. It ends before any later round that samples a client with
-    an empty shard, so draw_batch's ProtocolViolationError comes from the
-    round that samples it. Every seed is the one a round drawn alone derives,
-    (root, STREAM_SAMPLING, t) and (root, STREAM_BATCH, t, cid).
+
+def _direction_seeds(sim: Simulation, ts: np.ndarray, clients: np.ndarray):
+    """The seeds of rounds ts' Gaussian directions, one row per round: hosfl's
+    (rounds, P) perturbation seeds (root, STREAM_PERTURBATION, t, p) for
+    p = 1..P, zosfl's (rounds, K, 2) seeds (root, STREAM_SPSA, t, cid, half)
+    for half 1 (client) and 2 (server), and None for sfl."""
+    if sim.protocol == "hosfl":
+        prefix = derive_stream(sim.root_seed, prng.STREAM_PERTURBATION, ts)
+        return extend_stream(prefix[:, None], np.arange(1, sim.hp.zo.P + 1, dtype=np.uint64))
+    if sim.protocol == "zosfl":
+        prefix = derive_stream(sim.root_seed, prng.STREAM_SPSA, ts)
+        return extend_stream(prefix[:, None, None], clients[:, :, None], _HALVES)
+    return None
+
+
+def _round_draws(sim: Simulation, t: int):
+    """Round t's sorted client ids, their (K, B) batch rows and its row of
+    direction seeds (_direction_seeds; None for sfl).
+
+    They are read from sim.window, (start, clients, rows, seeds) for rounds
+    start, start + 1, ...; a round outside it draws a new window from round
+    t in one sample_clients and one draw_batch call and one seed table. The
+    window is as many rounds as both their (K, B) batch rows and their seeds
+    fit WINDOW_BYTES, and at least one, each row held in the smallest
+    unsigned type that holds every dataset row index. It ends before any
+    later round that samples a client with an empty shard, so draw_batch's
+    ProtocolViolationError comes from the round that samples it. Every seed
+    is the one a round drawn alone derives, (root, STREAM_SAMPLING, t) and
+    (root, STREAM_BATCH, t, cid) for the draws.
     """
-    start, clients, rows = sim.window or (t, (), None)
+    start, clients, rows, seeds = sim.window or (t, (), None, None)
     if not 0 <= t - start < len(clients):
-        sim.window = rows = None  # freed first, so the new rows can reuse its memory
+        sim.window = rows = seeds = None  # freed first, so the new tables can reuse its memory
         hp, root, start = sim.hp, sim.root_seed, t
         index = np.min_scalar_type(sim.dataset.size - 1)  # holds every dataset row index
-        rounds = max(1, WINDOW_BYTES // (index.itemsize * hp.K * hp.batch_size))
+        seed_count = {"hosfl": hp.zo.P, "zosfl": 2 * hp.K}.get(sim.protocol, 0)
+        round_bytes = max(index.itemsize * hp.K * hp.batch_size, 8 * seed_count)
+        rounds = max(1, WINDOW_BYTES // round_bytes)
         ts = np.arange(t, t + rounds, dtype=np.uint64)
         clients = sample_clients(hp.M, hp.K, derive_stream(root, prng.STREAM_SAMPLING, ts))
         shards = [sim.clients[cid].shard for cid in clients.ravel().tolist()]
         lengths = list(map(len, shards))
         if 0 in lengths:
             rounds = max(1, lengths.index(0) // hp.K)
-            clients, shards = clients[:rounds], shards[:rounds * hp.K]
-        seeds = extend_stream(derive_stream(root, prng.STREAM_BATCH, ts[:rounds])[:, None],
-                              clients)
-        rows = draw_batch(shards, hp.batch_size, seeds.ravel(), index).reshape(rounds, hp.K, -1)
-        sim.window = start, clients, rows
-    return clients[t - start].tolist(), rows[t - start]
+            clients, shards, ts = clients[:rounds], shards[:rounds * hp.K], ts[:rounds]
+        batch_seeds = extend_stream(derive_stream(root, prng.STREAM_BATCH, ts)[:, None], clients)
+        rows = draw_batch(shards, hp.batch_size, batch_seeds.ravel(), index).reshape(
+            rounds, hp.K, -1)
+        seeds = _direction_seeds(sim, ts, clients)
+        sim.window = start, clients, rows, seeds
+    i = t - start
+    return clients[i].tolist(), rows[i], None if seeds is None else seeds[i]
 
 
 # -----------------------------------------------------------------------------
@@ -462,11 +495,11 @@ def _local_steps_and_average(sim: Simulation, selected, grads) -> float:
     return float(np.linalg.norm(ordered_mean(grads)))
 
 
-def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
-    """Hybrid: server first-order, clients seeded zeroth-order from broadcast scalars."""
+def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
+    """Hybrid: server first-order, clients seeded zeroth-order from broadcast
+    scalars; seeds is the round's (P,) row of perturbation seeds."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
-    prefix = derive_stream(sim.root_seed, prng.STREAM_PERTURBATION, t)
-    seeds = tuple(extend_stream(prefix, p) for p in range(1, hp.zo.P + 1))
+    seeds = tuple(seeds.tolist())
     prefetch_gaussians(seeds, cfg.d_c)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
@@ -511,7 +544,7 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     return losses, float(np.linalg.norm(g_hat[hp.K]))
 
 
-def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
+def _sfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     """First-order baseline: client backprop via feedback, then model averaging.
 
     The K clients' backward passes run as one stacked call on the pulled
@@ -534,7 +567,7 @@ def _sfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
-def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
+def _zosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     """Backprop-free baseline: full-model two-point estimation per client.
 
     Client m perturbs its half along u_c and uploads both perturbed
@@ -544,17 +577,14 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, perturb_fn):
     their own perturbation scaled by that shared scalar, and client models
     are averaged as in the first-order baseline.
 
-    The server evaluates all 2K perturbed halves in one stacked pass, after
+    seeds is the round's (K, 2) row of each client's (u_c, u_s) seeds. The
+    server evaluates all 2K perturbed halves in one stacked pass, after
     every upload: theta_s + mu * u_s * (+1.0 or -1.0) has the bits of
     theta_s + mu * u_s and theta_s - mu * u_s.
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
-    prefix = derive_stream(sim.root_seed, prng.STREAM_SPSA, t)
-    per_client = [extend_stream(prefix, cid) for cid in selected]
-    seeds_c = [extend_stream(h, 1) for h in per_client]
-    seeds_s = [extend_stream(h, 2) for h in per_client]
-    prefetch_gaussians(seeds_c, cfg.d_c)
-    prefetch_gaussians(seeds_s, cfg.d_s)
+    seeds_c, seeds_s = seeds.T.tolist()
+    prefetch_gaussians(seeds_c + seeds_s, [cfg.d_c] * len(seeds_c) + [cfg.d_s] * len(seeds_s))
     directions_c, directions_s, z, labels = [], [], [], []
     for cid, seed_c, seed_s in zip(selected, seeds_c, seeds_s):
         theta_c, batch = _pull_model(sim, cid), batches[cid]
@@ -589,10 +619,10 @@ def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
     if protocol_round is None:
         raise ValueError(f"unknown protocol {sim.protocol!r}")
     hp, t, dataset = sim.hp, sim.server.round, sim.dataset
-    selected, rows = _round_draws(sim, t)
+    selected, rows, seeds = _round_draws(sim, t)
     batches = {cid: model.Batch(dataset.inputs[idx], dataset.labels[idx])
                for cid, idx in zip(selected, rows)}
-    losses, grad_norm = protocol_round(sim, t, selected, batches, perturb_fn)
+    losses, grad_norm = protocol_round(sim, t, selected, batches, seeds, perturb_fn)
     sim.server.round = t + 1
     return RoundMetrics(t, sim.protocol, ordered_mean_scalar(losses), grad_norm,
                         hp.K * hp.batch_size)

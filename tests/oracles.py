@@ -171,8 +171,8 @@ def client_jacobian_reference(theta_c, batch, cfg: SplitModelConfig):
 
 # -----------------------------------------------------------------------------
 # Reference spellings of the per-round helpers: the seed chain, the swap
-# loop, one round's clients and batches, the optimizer run, the mean and the
-# ledger snapshot
+# loop, one round's clients, batches and direction seeds, the optimizer run,
+# the mean and the ledger snapshot
 # -----------------------------------------------------------------------------
 
 MASK64 = (1 << 64) - 1
@@ -219,6 +219,21 @@ def round_draws_reference(sim, t: int):
                                  derive_stream_reference(root, prng.STREAM_BATCH, t, cid))
             for cid in selected]
     return selected, rows
+
+
+def direction_seeds_reference(sim, t: int, selected) -> list | None:
+    """Round t's direction seeds by scalar chains from a prefix derived for
+    the round: hosfl's P perturbation seeds, zosfl's [client, server] seed
+    pair per selected client, in order, and None for sfl."""
+    root = sim.root_seed
+    if sim.protocol == "hosfl":
+        prefix = prng.derive_stream(root, prng.STREAM_PERTURBATION, t)
+        return [prng.extend_stream(prefix, p) for p in range(1, sim.hp.zo.P + 1)]
+    if sim.protocol == "zosfl":
+        prefix = prng.derive_stream(root, prng.STREAM_SPSA, t)
+        per_client = [prng.extend_stream(prefix, cid) for cid in selected]
+        return [[prng.extend_stream(h, 1), prng.extend_stream(h, 2)] for h in per_client]
+    return None
 
 
 def opt_step_reference(optimizer: str, state, theta: np.ndarray, grads: np.ndarray,

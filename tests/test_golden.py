@@ -142,6 +142,42 @@ def test_stragglers_adam_combined_checksum():
         "combined_sha256=886b2bc02a4da0d04d217622efa4781a5f4cd7fa7ca45d247d4c57139ca38317")
 
 
+def _stragglers(cfg: dict):
+    cfg["hp"].update(M=32, optimizer="adam", eta=0.01)
+    cfg["partition"] = {"mode": "iid"}
+    cfg["data"].update(n=4000, eval_fraction=0.075)
+
+
+# the benchmark workloads at the shipped root seed, built from the shipped
+# config as perfbench/run.py builds them: name -> (protocol, rounds, edit,
+# combined_sha256). Each run crosses two to four draw windows
+WORKLOADS = {
+    "blobs-hosfl": ("hosfl", 2000, None,
+                    "9c6897a1851616439f15e5bbbf4a2f3b5c42736e2594117aab4cfe99ebbde708"),
+    "blobs-sfl": ("sfl", 2000, None,
+                  "6d001db09db7739fe41a8fb25c266eea9f3e6f323bd38431351f9b9bc32213ca"),
+    "blobs-zosfl": ("zosfl", 2000, None,
+                    "3a09fb703717ea96e955eaa9b57a40da2389511e5fb6708c69d8b7e95537f5b0"),
+    "stragglers-hosfl": ("hosfl", 1000, _stragglers,
+                         "53fcfc04c7886ae0c4408b4f24042eb78b7167e05b83c642258a48c24b6af142"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_combined_checksum(name):
+    proto, rounds, edit, digest = WORKLOADS[name]
+    cfg = yaml.safe_load(SHIPPED.read_text())
+    cfg["protocol"] = proto
+    if edit is not None:
+        edit(cfg)
+    cfg["root_seed"] = 20260808
+    cfg["sample_budget"] = rounds * cfg["hp"]["K"] * cfg["hp"]["batch_size"]
+    result = runner.run_experiment(parse_config(yaml.safe_dump(cfg, sort_keys=False)))
+    assert len(result.records) == rounds
+    assert runner.checksum_lines(result)[2] == f"combined_sha256={digest}"
+    assert len(result.sim.window[1]) == 512  # rounds a window holds on every workload
+
+
 # config_sha256 in every metrics.jsonl header
 CONFIG_DIGEST = {
     "shipped": "fb862f55093f82a332e8f62437ed873c9fc72d96dbb4562e2b34cac82757a5bc",

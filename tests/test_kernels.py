@@ -3,14 +3,14 @@
 The layer plan, the softmax reductions and the accuracy count are rewritten
 for fewer numpy calls per pass, and so are the per-round helpers outside
 the model passes: the shared seed prefixes, the seed chain over arrays, the
-swap indices, a window of rounds' clients and batches, the optimizer run,
-ordered_mean and the ledger snapshot. Each must give exactly the bytes
-of the reference in tests/oracles.py, and so must the backward passes,
-which read relu's mask from the layer output and leave the cut feedback to
-their caller. The server passes and the client backward also take a stack
-of clients, and each slice must give exactly the bytes of the solo call.
-Both sides run on the same host, so these checks hold wherever the suite
-runs, unlike the golden pins.
+swap indices, a window of rounds' clients, batches and direction seeds,
+the optimizer run, ordered_mean and the ledger snapshot. Each must give
+exactly the bytes of the reference in tests/oracles.py, and so must the
+backward passes, which read relu's mask from the layer output and leave
+the cut feedback to their caller. The server passes and the client
+backward also take a stack of clients, and each slice must give exactly
+the bytes of the solo call. Both sides run on the same host, so these
+checks hold wherever the suite runs, unlike the golden pins.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from splitsim import data as data_mod
 from splitsim import model, prng, protocol, runner
 from splitsim.config import parse_config
-from splitsim.errors import DimensionMismatchError, NumericalError
+from splitsim.errors import DimensionMismatchError, NumericalError, ProtocolViolationError
 from splitsim.model import ACTIVATIONS, LOSSES, Batch, SplitModelConfig
 from splitsim.traffic import MessageKind, TrafficLedger
 
@@ -36,11 +36,13 @@ from oracles import (
     client_backward_reference,
     client_jacobian_reference,
     derive_stream_reference,
+    direction_seeds_reference,
     loss_and_grad_reference,
     opt_step_reference,
     ordered_mean_reference,
     partial_shuffle_reference,
     round_draws_reference,
+    sample_clients_reference,
     server_forward_backward_reference,
     snapshot_reference,
     unpack_reference,
@@ -467,45 +469,113 @@ def test_swap_draws_match_reference(n, seed, data):
     assert pool.tolist() == want_pool  # the same swaps, in place
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.data())
-def test_window_draws_match_round_by_round(m, data):
-    # rounds drawn a window at a time give each round's clients and batch
-    # rows as the round drawn alone does; windows of w rounds, from an
-    # unaligned round, across at least two window boundaries
+def _drawing_sim(proto, m, data, shards=None):
+    """A Simulation of m clients that _round_draws can draw from, with iid
+    or dirichlet shards of about b rows unless shards are given; returns
+    it and the dtype of its row indices."""
     k = data.draw(st.integers(1, m))
     b = data.draw(st.integers(1, 12))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    # iid shards of b - 1, b or b + 1 rows; dirichlet shards spread wider
-    n = m * b + data.draw(st.integers(-(m - 1), m - 1))
-    if data.draw(st.booleans()):
-        shards = data_mod.iid_partition(max(n, m), m, seed)
+    if shards is None:
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        # iid shards of b - 1, b or b + 1 rows; dirichlet shards spread wider
+        n = max(m, m * b + data.draw(st.integers(-(m - 1), m - 1)))
+        if data.draw(st.booleans()):
+            shards = data_mod.iid_partition(n, m, seed)
+        else:
+            labels = _rng(seed).integers(0, 3, n)
+            shards = data_mod.dirichlet_partition(labels, m, 1.0, seed)
+        assume(all(len(shard) for shard in shards))
     else:
-        labels = _rng(seed).integers(0, 3, max(n, m))
-        shards = data_mod.dirichlet_partition(labels, m, 1.0, seed)
-    assume(all(len(shard) for shard in shards))
+        n = sum(map(len, shards))
     clients = {cid: protocol.ClientState(cid, np.zeros(1), shard)
                for cid, shard in enumerate(shards, start=1)}
-    hp = protocol.HyperParams(eta=0.1, M=m, K=k, batch_size=b)
+    zo = protocol.ZoConfig(P=data.draw(st.integers(1, 12)))
+    hp = protocol.HyperParams(eta=0.1, M=m, K=k, batch_size=b, zo=zo)
     # rows beyond the shards' make the row indices uint8, uint16 or uint32
-    size = max(n, m) + data.draw(st.sampled_from([0, 300, 70_000]))
+    size = n + data.draw(st.sampled_from([0, 300, 70_000]))
     dataset = Batch(np.zeros((size, 1)), np.zeros(size, dtype=np.int64))
-    sim = protocol.Simulation("sfl", None, hp, dataset, None, None, clients, None,
+    sim = protocol.Simulation(proto, None, hp, dataset, None, None, clients, None,
                               data.draw(st.integers(0, 2**64 - 1)))
-    index = np.min_scalar_type(size - 1)
+    return sim, np.min_scalar_type(size - 1)
+
+
+def _round_bytes(sim, index) -> int:
+    """Bytes of one round in the larger of a window's two tables."""
+    hp = sim.hp
+    seeds = {"hosfl": hp.zo.P, "zosfl": 2 * hp.K}.get(sim.protocol, 0)
+    return max(index.itemsize * hp.K * hp.batch_size, 8 * seeds)
+
+
+def _assert_round_matches(sim, t, index):
+    """Round t's draws and direction seeds from the window are those of
+    the round drawn alone."""
+    selected, rows, seeds = protocol._round_draws(sim, t)
+    want_selected, want_rows = round_draws_reference(sim, t)
+    assert selected == want_selected
+    assert rows.dtype == index and rows.tolist() == want_rows
+    want_seeds = direction_seeds_reference(sim, t, selected)
+    if want_seeds is None:
+        assert seeds is None
+    else:
+        assert seeds.dtype == np.uint64 and seeds.tolist() == want_seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["hosfl", "sfl", "zosfl"]), st.integers(1, 12), st.data())
+def test_window_draws_match_round_by_round(proto, m, data):
+    # rounds drawn a window at a time give each round's clients, batch rows
+    # and direction seeds as the round drawn alone does; windows of w
+    # rounds, from an unaligned round, across at least two window boundaries
+    sim, index = _drawing_sim(proto, m, data)
     w = data.draw(st.integers(1, 4))
     t0 = data.draw(st.integers(1, 10**6))
-    one_round = index.itemsize * k * b
+    one_round = _round_bytes(sim, index)
     window_bytes = one_round * w + data.draw(st.integers(0, one_round - 1))
     starts = set()
     with mock.patch.object(protocol, "WINDOW_BYTES", window_bytes):
         for t in range(t0, t0 + 2 * w + 1 + data.draw(st.integers(0, 3))):
-            selected, rows = protocol._round_draws(sim, t)
-            want_selected, want_rows = round_draws_reference(sim, t)
-            assert selected == want_selected
-            assert rows.dtype == index and rows.tolist() == want_rows
+            _assert_round_matches(sim, t, index)
             starts.add(sim.window[0])
+            assert len(sim.window[1]) == w
     assert len(starts) >= 3 and max(starts) >= t0 + 2 * w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["hosfl", "sfl", "zosfl"]), st.integers(2, 8), st.data())
+def test_window_cut_by_an_empty_shard(proto, m, data):
+    # the window ends before the first round that samples a client with an
+    # empty shard, its seed table with it, and that round raises
+    shards = [np.arange(8 * cid - 8, 8 * cid) for cid in range(1, m + 1)]
+    sim, index = _drawing_sim(proto, m, data, shards)
+    assume(sim.hp.K < m)
+    w = data.draw(st.integers(2, 8))
+    t0 = data.draw(st.integers(0, 10**6))
+    picks = [sample_clients_reference(m, sim.hp.K, derive_stream_reference(
+        sim.root_seed, prng.STREAM_SAMPLING, t)) for t in range(t0, t0 + w)]
+    first = {}
+    for i, row in enumerate(picks):
+        for cid in row:
+            first.setdefault(cid, i)
+    cut, cid = max((i, cid) for cid, i in first.items())
+    assume(cut > 0)
+    sim.clients[cid].shard = np.arange(0)
+    with mock.patch.object(protocol, "WINDOW_BYTES", _round_bytes(sim, index) * w):
+        for t in range(t0, t0 + cut):
+            _assert_round_matches(sim, t, index)
+            start, clients, rows, seeds = sim.window
+            assert (start, len(clients), len(rows)) == (t0, cut, cut)
+            assert seeds is None if proto == "sfl" else len(seeds) == cut
+        with pytest.raises(ProtocolViolationError, match="empty data shard"):
+            protocol._round_draws(sim, t0 + cut)
+
+
+def test_round_record_seeds_are_python_ints():
+    result = runner.run_experiment(parse_config(SHIPPED.read_text()))
+    history = result.sim.server.history
+    assert history
+    for record in history.values():
+        assert type(record.seeds) is tuple
+        assert all(type(seed) is int for seed in record.seeds)
 
 
 @settings(max_examples=150, deadline=None)

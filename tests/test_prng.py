@@ -1,7 +1,11 @@
 """Deterministic stream derivation, Gaussian sampling, fixed-order arithmetic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import prng
 from splitsim.errors import DimensionMismatchError
@@ -236,6 +240,76 @@ class TestGaussianMemo:
             prefetch_gaussians([1], -1)
         with pytest.raises(ValueError):
             gaussian_block([1], -1)
+
+
+class TestMixedDims:
+    """A block at the widest dim, each row cut to its own dim, gives every
+    (seed, dim) the bytes gaussian_vector gives it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, MASK), min_size=1, max_size=6), st.integers(1, 41))
+    def test_row_cut_is_the_vector_of_its_dim(self, seeds, wide):
+        block = gaussian_block(seeds, wide)
+        with mock.patch.object(prng, "_MEMO", prng._GaussianMemo()):
+            for seed, row in zip(seeds, block):
+                for dim in range(1, wide + 1):  # odd and even, up to the block's
+                    want = gaussian_vector(seed, dim).tobytes()
+                    assert row[:dim].tobytes() == want == _uncached(seed, dim).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 40)), min_size=1, max_size=12))
+    def test_mixed_dim_prefetch_serves_the_bytes_of_a_miss(self, pairs):
+        # a seed may come at several dims, and a pair more than once
+        keys = [(derive_stream(33, i), dim) for i, dim in pairs]
+        blocks = []
+        real_block = prng.gaussian_block
+
+        def counting_block(seeds, dim):
+            blocks.append((len(seeds), dim))
+            return real_block(seeds, dim)
+
+        with mock.patch.object(prng, "_MEMO", prng._GaussianMemo()), \
+                mock.patch.object(prng, "gaussian_block", counting_block):
+            memo = prng._MEMO
+            prefetch_gaussians([seed for seed, _ in keys], [dim for _, dim in keys])
+            distinct = list(dict.fromkeys(keys))
+            assert blocks == [(len(distinct), max(dim for _, dim in keys))]
+            assert list(memo.entries) == distinct
+            for seed, dim in keys:
+                vec = gaussian_vector(seed, dim)
+                assert vec is memo.entries[(seed, dim)] and vec.base is None
+                assert vec.tobytes() == _uncached(seed, dim).tobytes()
+            # a repeat, in another order, generates nothing and counts
+            # nothing twice
+            held = memo.held
+            prefetch_gaussians([seed for seed, _ in keys[::-1]], [dim for _, dim in keys[::-1]])
+            assert len(blocks) == 1
+            assert memo.held == held == sum(v.nbytes for v in memo.entries.values())
+            assert memo.held == 8 * sum(dim for _, dim in distinct)
+
+    def test_part_held_prefetch_generates_only_the_rest(self, monkeypatch):
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        seeds = [derive_stream(34, i) for i in range(4)]
+        prefetch_gaussians(seeds[:2], 144)
+        blocks = []
+        real_block = prng.gaussian_block
+
+        def counting_block(seeds, dim):
+            blocks.append((list(seeds), dim))
+            return real_block(seeds, dim)
+
+        monkeypatch.setattr(prng, "gaussian_block", counting_block)
+        prefetch_gaussians(seeds, [144, 144, 144, 10])
+        assert blocks == [(seeds[2:], 144)]
+        memo = prng._MEMO
+        assert memo.held == sum(v.nbytes for v in memo.entries.values()) == 8 * (3 * 144 + 10)
+        assert memo.entries[(seeds[3], 10)].tobytes() == _uncached(seeds[3], 10).tobytes()
+
+    def test_dims_must_match_seeds(self):
+        with pytest.raises(ValueError):
+            prefetch_gaussians([1, 2], [3])
+        with pytest.raises(ValueError):
+            prefetch_gaussians([1, 2], [3, -1])
 
 
 class TestVectorOps:

@@ -481,13 +481,19 @@ class TestDrawWindow:
             run_round(sim)
         assert sim.server.round == first
 
-    def test_one_draw_call_per_window(self, monkeypatch):
-        cfg = parse_config(BASE_CONFIG)
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_one_draw_call_per_window(self, proto, monkeypatch):
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
         hp = cfg.hp
         sim = runner.build_simulation(cfg)
         assert sim.window is None  # nothing is drawn before the first round
         index = np.min_scalar_type(sim.dataset.size - 1)
-        monkeypatch.setattr(protocol, "WINDOW_BYTES", index.itemsize * hp.K * hp.batch_size * 5)
+        # 5 rounds of the larger table: batch rows, or hosfl's P and zosfl's
+        # 2K seeds (uint64) a round
+        seeds = {"hosfl": hp.zo.P, "sfl": 0, "zosfl": 2 * hp.K}[proto]
+        assert 8 * seeds != index.itemsize * hp.K * hp.batch_size
+        monkeypatch.setattr(protocol, "WINDOW_BYTES",
+                            5 * max(index.itemsize * hp.K * hp.batch_size, 8 * seeds))
         calls = {"sample_clients": 0, "draw_batch": 0}
         for name in calls:  # looked up in protocol's namespace, as the benchmark's hooks are
             def counting(*args, _real=getattr(protocol, name), _name=name):
@@ -497,7 +503,9 @@ class TestDrawWindow:
         for _ in range(12):
             run_round(sim)
         assert calls == {"sample_clients": 3, "draw_batch": 3}
-        assert sim.window[0] == 10
+        start, clients, rows, window_seeds = sim.window
+        assert (start, len(clients), len(rows)) == (10, 5, 5)
+        assert window_seeds is None if proto == "sfl" else len(window_seeds) == 5
 
     @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
     def test_window_size_changes_no_value(self, proto, monkeypatch):
@@ -513,19 +521,21 @@ class TestDrawWindow:
         monkeypatch.setattr(protocol, "WINDOW_BYTES", 1)  # one round a window
         assert run() == whole
 
-    def test_window_memory_is_bounded(self):
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_window_memory_is_bounded(self, proto):
         # M=5000, K=64, B=256 on 4,000 rows (uint16 indices): one round's
         # rows fill the window's bytes, so a window is one round, and its
         # pools are shuffled a few rows at a time. The peak is that round,
         # the pool of 5,000 client ids and one pool chunk; this round's
-        # shards end to end are 0.9 MB, and its uniforms alone 128 KiB
+        # shards end to end are 0.9 MB, and its uniforms alone 128 KiB.
+        # The round's seeds, 5 (hosfl) or 128 (zosfl), fit the bytes too
         m_cl, k, b = 5000, 64, 256
         base = np.arange(4000)
         clients = {cid: ClientState(cid, np.zeros(1), base[:100 + 37 * (cid % 100)])
                    for cid in range(1, m_cl + 1)}
         hp = HyperParams(eta=0.1, M=m_cl, K=k, batch_size=b)
         dataset = m.Batch(np.zeros((4000, 1)), np.zeros(4000, dtype=np.int64))
-        sim = Simulation("sfl", None, hp, dataset, None, None, clients, None, 11)
+        sim = Simulation(proto, None, hp, dataset, None, None, clients, None, 11)
         protocol._round_draws(sim, 0)  # the counter tables, built once
         tracemalloc.start()
         try:
@@ -533,11 +543,28 @@ class TestDrawWindow:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        start, clients, rows = sim.window
+        start, clients, rows, seeds = sim.window
         one_round = 2 * k * b
         assert (start, len(clients), rows.nbytes) == (1, 1, one_round)
         assert one_round == protocol.WINDOW_BYTES
+        if proto == "sfl":
+            assert seeds is None
+        else:
+            assert len(seeds) == 1 and seeds.nbytes <= protocol.WINDOW_BYTES
         assert peak <= 6 * protocol.WINDOW_BYTES
+
+    def test_seeds_bound_the_window(self):
+        # zosfl at K=64, B=1 on 100 rows: a round's rows are 64 bytes
+        # (uint8) and its 128 seeds 1 KiB, so the seeds fix the window at
+        # 32 rounds, each table within the bytes
+        clients = {cid: ClientState(cid, np.zeros(1), np.arange(100)) for cid in range(1, 65)}
+        hp = HyperParams(eta=0.1, M=64, K=64, batch_size=1)
+        dataset = m.Batch(np.zeros((100, 1)), np.zeros(100, dtype=np.int64))
+        sim = Simulation("zosfl", None, hp, dataset, None, None, clients, None, 12)
+        protocol._round_draws(sim, 0)
+        start, clients, rows, seeds = sim.window
+        assert (len(clients), rows.nbytes) == (32, 32 * 64)
+        assert seeds.shape == (32, 64, 2) and seeds.nbytes == protocol.WINDOW_BYTES
 
 
 class TestCallCounts:
@@ -577,6 +604,27 @@ class TestCallCounts:
         assert (len(forwards), len(gaussians)) == want
         if proto == "hosfl":
             assert replayed > 0
+
+
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_one_gaussian_block_per_round(self, proto, monkeypatch):
+        # a round generates its directions as one block (zosfl's at d_c and
+        # d_s together), and catch-up finds the rounds it replays held
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+        sim = runner.build_simulation(cfg)
+        blocks = []
+        real_block = prng.gaussian_block
+
+        def counting_block(seeds, dim):
+            blocks[-1] += 1
+            return real_block(seeds, dim)
+
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        monkeypatch.setattr(prng, "gaussian_block", counting_block)
+        for _ in range(planned_rounds(cfg.hp, cfg.sample_budget)):
+            blocks.append(0)
+            run_round(sim)
+        assert blocks == [0 if proto == "sfl" else 1] * 40
 
 
 class TestTrafficLaws:
