@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # an exception with no text, such as MemoryError(), is named by its class
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return RUNTIME_ERROR
 
 

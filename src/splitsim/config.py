@@ -89,6 +89,13 @@ class ExperimentConfig:
                 f"splits each class across clients, and {self.model.loss} targets "
                 f"have no classes; use partition.mode iid"
             )
+        train_rows = self.data.n - int(self.data.n * self.data.eval_fraction)
+        if self.hp.M > train_rows:
+            raise ConfigError(
+                f"hp.M {self.hp.M} exceeds the {train_rows} training rows (data.n less "
+                f"its eval_fraction), so some client's data shard would be empty; "
+                f"raise data.n, or lower hp.M"
+            )
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,16 @@ once), and one optimizer pass applies a run of transitions, bit for bit as
 one at a time. The history keeps only the rounds some client can still
 replay, those from the stalest client's t_sync on (ServerState, SyncCounts).
 
+Every client synced to a round holds the same (theta_c, opt_state) bit for
+bit, the server copy's at that round, so clients share it instead of
+copying it. Optimizer state is a value (a frozen AdamState with read-only
+arrays), _opt_step writes nothing it is given, and a replay binds the client
+to new objects. Each hosfl round checks every sampled client, once synced,
+against the server copy (a ProtocolViolationError names a client that
+differs), steps the copy once, marks its theta_c read-only and hands its
+new objects to the K clients; memory holds one client state per distinct
+t_sync, not one per client.
+
 All cross-client reductions consume inputs in ascending client id with
 left-to-right accumulation, so results do not depend on completion order.
 """
@@ -90,11 +100,19 @@ class HyperParams:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
+    """adam's moments after step transitions. A value, so many parties can
+    hold one: its fields are frozen and its arrays read-only, and _opt_step
+    makes a new one."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+
+    def __post_init__(self):
+        self.m.setflags(write=False)
+        self.v.setflags(write=False)
 
 
 def _subtract_run(theta: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -115,9 +133,11 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, eta: 
     """A run of optimizer transitions at learning rate eta, one per row of grads.
 
     Returns (new_theta, new_state), bitwise equal to taking the rows one step
-    at a time. sgd subtracts eta * g for each row g in turn. adam computes
-    the terms that depend only on g, the bias corrections and the steps for
-    all rows at once, runs the m/v recurrences row by row, in order, then
+    at a time. It is pure: it writes nothing it is given, and the theta and
+    AdamState it returns are new (sgd has no state and returns state as
+    given). sgd subtracts eta * g for each row g in turn. adam computes the
+    terms that depend only on g, the bias corrections and the steps for all
+    rows at once, runs the m/v recurrences row by row, in order, then
     subtracts its steps in turn. Both subtract through _subtract_run.
     """
     if optimizer == "sgd":
@@ -132,7 +152,7 @@ def _opt_step(optimizer: str, state, theta: np.ndarray, grads: np.ndarray, eta: 
         v_row += ADAM_BETA2 * v
         m, v = m_row, v_row
     steps = range(state.step + 1, state.step + len(grads) + 1)
-    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(grads)
+    state = AdamState(m.copy(), v.copy(), state.step + len(grads))
     # per row: the two bias corrections (Python float powers), as columns
     ms /= np.array([1.0 - ADAM_BETA1 ** step for step in steps])[:, None]
     vs /= np.array([1.0 - ADAM_BETA2 ** step for step in steps])[:, None]
@@ -150,7 +170,15 @@ class RoundRecord:
 @dataclass
 class ClientState:
     """One client. theta_c, t_sync and opt_state belong to the hosfl client;
-    a baseline (sfl/zosfl) client reads only its shard."""
+    a baseline (sfl/zosfl) client reads only its shard.
+
+    theta_c and opt_state are values, never written in place: a hosfl
+    client holds the server copy's (theta_c_global, opt_state_c) objects of
+    its t_sync round, shared with every client synced to that round, and a
+    fresh build_simulation gives every client and the server copy one
+    read-only init theta_c. client_sync binds a client to new objects and
+    writes none it held.
+    """
 
     client_id: int
     theta_c: np.ndarray
@@ -198,6 +226,12 @@ class SyncCounts:
 class ServerState:
     """The server half, the canonical copy of the client half, and the
     catch-up history.
+
+    (theta_c_global, opt_state_c) is the state every hosfl client synced to
+    the current round holds: each hosfl round checks that its synced
+    clients equal it bit for bit, steps it once, and hands the new objects
+    to the round's K clients. So memory holds one client state per distinct
+    t_sync, not one per client.
 
     history maps round -> RoundRecord and holds only the rounds a client
     can still replay: after each hosfl round it runs from sync.floor, the
@@ -399,7 +433,8 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     untouched. The rounds are then replayed in chunks whose P directions fit
     the Gaussian memo (prng.MEMO_BYTES), at least one round each: one
     prefetch_gaussians call, one stacked reconstruction and one optimizer
-    pass per chunk.
+    pass per chunk. Each pass binds the client to new theta_c and opt_state
+    objects; the ones it held, which other clients may share, are not written.
 
     Replay costs no bytes. Every client hears every SeedDown and ScalarDown
     broadcast, which the ledger charges once per round, so the history it
@@ -439,6 +474,27 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
             hp.optimizer, client.opt_state, client.theta_c, grads, hp.eta)
         client.t_sync += len(chunk)
     return client
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or a.tobytes() == b.tobytes()
+
+
+def _adopt_server_copy(client: ClientState, server: ServerState, t: int):
+    """The catch-up invariant, checked: client, synced to round t, holds the
+    server copy's theta_c and optimizer state bit for bit (adam's m, v and
+    step). It then holds the copy's own objects, so nothing of its replay
+    is kept. A ProtocolViolationError names the client and round if not."""
+    mine, copy = client.opt_state, server.opt_state_c
+    same_state = mine is copy or (
+        mine is not None and copy is not None and mine.step == copy.step
+        and _same_bits(mine.m, copy.m) and _same_bits(mine.v, copy.v))
+    if not (same_state and _same_bits(client.theta_c, server.theta_c_global)):
+        raise ProtocolViolationError(
+            f"client {client.client_id} differs from the server copy after catch-up "
+            f"to round {t}"
+        )
+    client.theta_c, client.opt_state = server.theta_c_global, server.opt_state_c
 
 
 # -----------------------------------------------------------------------------
@@ -506,6 +562,7 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     activations = []
     for cid in selected:
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
+        _adopt_server_copy(client, server, t)
         activations.append(model.client_forward(client.theta_c, batches[cid], cfg))
         _upload(sim, cid, activations[-1].size)
     losses, lams = _server_first_order(sim, selected, activations, batches)
@@ -522,22 +579,25 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
     ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
     server.history[t] = RoundRecord(seeds, v_bar)
-    # the K clients and the server copy rebuild the same g_hat: one stacked
-    # call of K+1 rows, then each party takes its own optimizer step
+    # g_hat for the K clients and the server copy: one stacked call of K+1
+    # rows, all with the same bits. The K client rows stand for each
+    # client's own rebuild (perfbench pins the (2K+1)P direction requests a
+    # round makes); only the server copy's row is applied, in one step whose
+    # result the K clients take
     g_hat = reconstruct_gradient([v_bar] * (hp.K + 1), [seeds] * (hp.K + 1), hp.zo, cfg.d_c,
                                  perturb_fn)
-    if server.sync is None:
-        server.sync = SyncCounts(sim.clients)
-    for row, cid in enumerate(selected):
-        client = sim.clients[cid]
-        client.theta_c, client.opt_state = _opt_step(
-            hp.optimizer, client.opt_state, client.theta_c, g_hat[row:row + 1], hp.eta
-        )
-        client.t_sync = t + 1
-        server.sync.move(cid, t + 1)
     server.theta_c_global, server.opt_state_c = _opt_step(
         hp.optimizer, server.opt_state_c, server.theta_c_global, g_hat[hp.K:], hp.eta
     )
+    # the K clients share the new theta_c: a write to it in place raises
+    server.theta_c_global.setflags(write=False)
+    if server.sync is None:
+        server.sync = SyncCounts(sim.clients)
+    for cid in selected:
+        client = sim.clients[cid]
+        client.theta_c, client.opt_state = server.theta_c_global, server.opt_state_c
+        client.t_sync = t + 1
+        server.sync.move(cid, t + 1)
     # no client replays a round below the stalest t_sync: drop those records
     for tau in server.sync.raise_floor():
         server.history.pop(tau, None)

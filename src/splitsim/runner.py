@@ -65,7 +65,10 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> model.Batch:
 
 
 def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
-    """Deterministically construct dataset, shards, and initial states."""
+    """Deterministically construct dataset, shards, and initial states.
+
+    The server copy and all M clients hold one read-only init theta_c, under
+    every protocol, so setup memory does not grow with M x d_c."""
     root = cfg.root_seed
     full = _build_dataset(cfg, prng.derive_stream(root, prng.STREAM_DATA))
     if not np.all(np.isfinite(full.inputs)):
@@ -79,19 +82,22 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
 
     shards = partition_dataset(train, cfg.partition, cfg.hp.M,
                                prng.derive_stream(root, prng.STREAM_PARTITION))
+    # the config rejects M above the training rows, so only dirichlet can
+    # leave a shard empty
     empty = [cid for cid, shard in enumerate(shards, start=1) if len(shard) == 0]
     if empty:
-        grow = "partition.alpha or data.n" if cfg.partition.mode == "dirichlet" else "data.n"
         raise ConfigError(
             f"partition leaves client {empty[0]} with an empty data shard "
-            f"({len(empty)} of {cfg.hp.M} empty); raise {grow}, or lower hp.M"
+            f"({len(empty)} of {cfg.hp.M} empty); raise partition.alpha or data.n, "
+            f"or lower hp.M"
         )
 
     theta = model.init_params(cfg.model, root)
     theta_c, theta_s = theta[: cfg.model.d_c], theta[cfg.model.d_c:]
-    server = protocol.ServerState(theta_s=theta_s.copy(), theta_c_global=theta_c.copy())
+    theta_c.setflags(write=False)
+    server = protocol.ServerState(theta_s=theta_s, theta_c_global=theta_c)
     clients = {
-        cid: protocol.ClientState(client_id=cid, theta_c=theta_c.copy(), shard=shards[cid - 1])
+        cid: protocol.ClientState(client_id=cid, theta_c=theta_c, shard=shards[cid - 1])
         for cid in range(1, cfg.hp.M + 1)
     }
     return protocol.Simulation(

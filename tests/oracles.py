@@ -255,7 +255,7 @@ def opt_step_reference(optimizer: str, state, theta: np.ndarray, grads: np.ndarr
         m, v = m_row, v_row
     steps = range(state.step + 1, state.step + len(grads) + 1)
     coef = np.array([(1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step) for step in steps])
-    state.m, state.v, state.step = m.copy(), v.copy(), state.step + len(coef)
+    state = AdamState(m.copy(), v.copy(), state.step + len(coef))
     ms /= coef[:, 0:1]
     vs /= coef[:, 1:2]
     for delta in eta * ms / (np.sqrt(vs) + ADAM_EPS):

@@ -121,6 +121,12 @@ class TestParsing:
         reg = parse_config(REGRESSION.replace("[8, 4, 2]", "[5, 4, 3]"))
         assert runner.build_simulation(reg).dataset.labels.shape[1] == 3
 
+    def test_clients_up_to_the_training_rows(self):
+        # GOOD's 200 rows less its 20 % eval split leave 160 training rows
+        assert parse_config(GOOD.replace("M: 4", "M: 160")).hp.M == 160
+        with pytest.raises(ConfigError, match=r"hp.M 161 exceeds the 160 training rows"):
+            parse_config(GOOD.replace("M: 4", "M: 161"))
+
     @pytest.mark.parametrize("width,n", [(1, 200), (3, 2)])
     def test_blob_class_count_rejected(self, width, n):
         # one class, or fewer samples than classes, cannot make blobs
@@ -434,21 +440,38 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("sub", ["run", "diagnose-estimator"])
-    @pytest.mark.parametrize("partition,n,hint", [
-        ("{mode: dirichlet, alpha: 0.01}", 200, "raise partition.alpha or data.n, or lower hp.M"),
-        # 16 training samples cannot fill 40 shards
-        ("{mode: iid}", 20, "raise data.n, or lower hp.M"),
-    ])
-    def test_empty_shard_is_usage_error(self, sub, partition, n, hint, tmp_path, capsys):
+    def test_empty_shard_is_usage_error(self, sub, tmp_path, capsys):
         path = tmp_path / "empty.yaml"
-        path.write_text(GOOD.replace("M: 4", "M: 40").replace("n: 200,", f"n: {n},").replace(
-            "partition: {mode: iid}", f"partition: {partition}"))
+        path.write_text(GOOD.replace("M: 4", "M: 40").replace(
+            "partition: {mode: iid}", "partition: {mode: dirichlet, alpha: 0.01}"))
         rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
         assert re.search(r"client \d+ with an empty data shard \(\d+ of 40 empty\); ", err)
-        assert err.endswith(hint + "\n")
+        assert err.endswith("raise partition.alpha or data.n, or lower hp.M\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["run", "diagnose-estimator"])
+    def test_more_clients_than_training_rows_is_usage_error(self, sub, tmp_path, capsys):
+        # 16 training samples cannot fill 40 shards: rejected as the config parses
+        path = tmp_path / "empty.yaml"
+        path.write_text(GOOD.replace("M: 4", "M: 40").replace("n: 200,", "n: 20,"))
+        rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "hp.M 40 exceeds the 16 training rows" in err
+        assert err.endswith("raise data.n, or lower hp.M\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_error_without_text_names_its_class(self, config_file, tmp_path, capsys,
+                                                monkeypatch):
+        def out_of_memory(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(runner, "run_experiment", out_of_memory)
+        rc = cli.main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
 
     @pytest.mark.parametrize("path,value,message", [
         ("data.n", 1, "data: n must be at least 2, got 1"),

@@ -45,7 +45,14 @@ def experiment_configs(draw) -> ExperimentConfig:
         loss=loss,
         bias=draw(st.booleans()),
     )
-    M = draw(counts)
+    data = DataConfig(
+        # blobs need at least one sample per class
+        n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)),
+        separation=draw(finite) if blobs else None,
+        eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
+    )
+    # every client needs a training row
+    M = draw(st.integers(1, data.n - int(data.n * data.eval_fraction)))
     hp = HyperParams(
         eta=draw(positive), M=M, K=draw(st.integers(1, M)), batch_size=draw(counts),
         zo=ZoConfig(P=draw(counts), mu=draw(st.floats(min_value=1e-12, max_value=0.999))),
@@ -55,12 +62,6 @@ def experiment_configs(draw) -> ExperimentConfig:
     # separation and alpha are drawn only where they are read
     partition = PartitionSpec(mode=mode,
                               alpha=draw(positive) if mode == "dirichlet" else None)
-    data = DataConfig(
-        # blobs need at least one sample per class
-        n=draw(st.integers(model.n_out if blobs else 2, 1 << 20)),
-        separation=draw(finite) if blobs else None,
-        eval_fraction=draw(st.floats(min_value=0.0, max_value=0.99)),
-    )
     return ExperimentConfig(
         protocol=protocol, model=model, hp=hp, partition=partition, data=data,
         sample_budget=draw(st.integers(0, 1 << 40)),

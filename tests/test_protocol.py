@@ -289,6 +289,155 @@ class TestDeterminismAndReplay:
                         sim.server.round)
 
 
+def _state_bytes(theta_c, opt_state):
+    """A client state's bytes: theta_c, and adam's m, v and step."""
+    if opt_state is None:
+        return theta_c.tobytes(), None
+    return theta_c.tobytes(), opt_state.m.tobytes(), opt_state.v.tobytes(), opt_state.step
+
+
+def _sampled(sim, t):
+    return sample_clients(sim.hp.M, sim.hp.K, [
+        prng.derive_stream(sim.root_seed, prng.STREAM_SAMPLING, t)])[0].tolist()
+
+
+class TestSharedClientState:
+    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+    def test_fresh_clients_hold_the_server_copy(self, proto):
+        sim = runner.build_simulation(
+            parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")))
+        theta_c = sim.server.theta_c_global
+        assert not theta_c.flags.writeable
+        assert all(c.theta_c is theta_c for c in sim.clients.values())
+
+    def test_setup_memory_does_not_grow_with_clients(self):
+        # 500 copies of this theta_c (d_c = 9,216) would hold 36.9 MB
+        cfg = parse_config(BASE_CONFIG.replace("M: 6", "M: 500").replace(
+            "[6, 4, 2]", "[8, 1024, 2]").replace("n: 240", "n: 700"))
+        tracemalloc.start()
+        try:
+            sim = runner.build_simulation(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.clients) == 500 and cfg.model.d_c == 9216
+        assert held < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_clients_synced_to_a_round_share_one_state(self, optimizer):
+        cfg = parse_config(BASE_CONFIG.replace("batch_size: 4,",
+                                               f"batch_size: 4, optimizer: {optimizer},"))
+        sim = runner.run_experiment(cfg).sim
+        by_round = {}
+        for client in sim.clients.values():
+            by_round.setdefault(client.t_sync, []).append(client)
+        assert any(len(group) > 1 for t, group in by_round.items() if t > 0)
+        for group in by_round.values():
+            assert all(c.theta_c is group[0].theta_c for c in group)
+            assert all(c.opt_state is group[0].opt_state for c in group)
+        assert len({id(c.theta_c) for c in sim.clients.values()}) <= len(by_round)
+        current = by_round[sim.server.round]
+        assert current[0].theta_c is sim.server.theta_c_global
+        assert current[0].opt_state is sim.server.opt_state_c
+        if optimizer == "adam":
+            assert sim.server.opt_state_c.step == sim.server.round
+
+    def test_sync_of_a_stale_client_writes_nothing_shared(self):
+        cfg = parse_config(BASE_CONFIG.replace("batch_size: 4,",
+                                               "batch_size: 4, optimizer: adam,"))
+        sim = runner.build_simulation(cfg)
+        server = sim.server
+
+        def stale_and_shared():
+            # a client behind the server copy, whose state another client holds too
+            return [c for c in sim.clients.values() if 0 < c.t_sync < server.round
+                    and any(o is not c and o.opt_state is c.opt_state
+                            for o in sim.clients.values())]
+
+        for _ in range(40):
+            run_round(sim)
+            if stale_and_shared():
+                break
+        stale = stale_and_shared()[0]
+        held = stale.theta_c, stale.opt_state
+        held_bytes = _state_bytes(*held)
+        others = {cid: _state_bytes(c.theta_c, c.opt_state)
+                  for cid, c in sim.clients.items() if c is not stale}
+        copy = _state_bytes(server.theta_c_global, server.opt_state_c)
+        client_sync(stale, server.history, cfg.hp, cfg.model.d_c, server.round)
+        assert _state_bytes(stale.theta_c, stale.opt_state) == copy
+        assert stale.theta_c is not held[0] and stale.opt_state is not held[1]
+        assert _state_bytes(*held) == held_bytes
+        assert _state_bytes(server.theta_c_global, server.opt_state_c) == copy
+        assert {cid: _state_bytes(c.theta_c, c.opt_state)
+                for cid, c in sim.clients.items() if c is not stale} == others
+
+    def test_one_client_step_a_round(self, monkeypatch):
+        # all three clients take part in every round, so none replays: the
+        # client half is stepped once a round, on the server copy
+        sim = _hand_built(3, 3)
+        d_c, steps = sim.model_cfg.d_c, []
+        real_step = protocol._opt_step
+
+        def counting_step(optimizer, state, theta, grads, eta):
+            steps.append(len(theta) == d_c)
+            return real_step(optimizer, state, theta, grads, eta)
+
+        monkeypatch.setattr(protocol, "_opt_step", counting_step)
+        for _ in range(4):
+            run_round(sim)
+        assert steps == [False, True] * 4  # the server half, then the client half
+
+    def test_client_one_ulp_off_is_a_violation(self):
+        sim = _hand_built(2, 2)
+        run_round(sim)
+        theta_c = sim.clients[2].theta_c.copy()
+        theta_c[0] = np.nextafter(theta_c[0], np.inf)
+        sim.clients[2].theta_c = theta_c
+        with pytest.raises(ProtocolViolationError,
+                           match="client 2 differs from the server copy .* round 1"):
+            run_round(sim)
+
+    def test_adam_client_at_another_step_is_a_violation(self):
+        sim = _hand_built(2, 2, "adam")
+        run_round(sim)
+        state = sim.clients[1].opt_state
+        sim.clients[1].opt_state = AdamState(state.m, state.v, state.step + 1)
+        with pytest.raises(ProtocolViolationError,
+                           match="client 1 differs from the server copy .* round 1"):
+            run_round(sim)
+
+    def test_tampered_stale_record_is_a_violation(self):
+        sim = runner.build_simulation(parse_config(BASE_CONFIG))
+        history, t = sim.server.history, 0
+        while not any(sim.clients[cid].t_sync < t for cid in _sampled(sim, t)):
+            run_round(sim)
+            t += 1
+        lagger = next(sim.clients[cid] for cid in _sampled(sim, t)
+                      if sim.clients[cid].t_sync < t)
+        record = history[lagger.t_sync]
+        history[lagger.t_sync] = RoundRecord(record.seeds,
+                                             tuple(v + 1.0 for v in record.v_bar))
+        with pytest.raises(ProtocolViolationError,
+                           match=f"client {lagger.client_id} differs .* round {t}"):
+            run_round(sim)
+
+    def test_shared_state_is_read_only(self):
+        cfg = parse_config(BASE_CONFIG.replace("batch_size: 4,",
+                                               "batch_size: 4, optimizer: adam,"))
+        sim = runner.build_simulation(cfg)
+        with pytest.raises(ValueError, match="read-only"):
+            sim.clients[1].theta_c[0] = 0.0
+        for _ in range(3):
+            run_round(sim)
+        client = sim.clients[_sampled(sim, 2)[0]]
+        for array in (client.theta_c, client.opt_state.m, client.opt_state.v):
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+        with pytest.raises(AttributeError):
+            client.opt_state.step = 0
+
+
 def _floats(n):
     return st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)
 
@@ -321,6 +470,21 @@ class TestBlockReplay:
             assert got_state.m.tobytes() == want_state.m.tobytes()
             assert got_state.v.tobytes() == want_state.v.tobytes()
             assert got_state.step == want_state.step == step0 + n
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_opt_step_writes_nothing_it_is_given(self, optimizer):
+        rng = np.random.default_rng(8)
+        theta, grads, m0, v0 = (rng.standard_normal(shape) for shape in (5, (3, 5), 5, 5))
+        state = AdamState(m0, np.abs(v0), 7) if optimizer == "adam" else None
+        given_arrays = [theta, grads] + ([] if state is None else [state.m, state.v])
+        for array in given_arrays:
+            array.flags.writeable = False
+        given_bytes = [array.tobytes() for array in given_arrays]
+        new_state = _opt_step(optimizer, state, theta, grads, 0.1)[1]
+        assert [array.tobytes() for array in given_arrays] == given_bytes
+        if optimizer == "adam":
+            assert state.step == 7 and new_state.step == 10
+            assert not (new_state.m.flags.writeable or new_state.v.flags.writeable)
 
     @settings(max_examples=25, deadline=None)
     @given(optimizer=st.sampled_from(["sgd", "adam"]), rounds=st.integers(2, 30),
