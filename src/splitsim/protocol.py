@@ -1,26 +1,32 @@
 """Round orchestration for the three training protocols.
 
-run_round is the one round skeleton: it samples clients, draws their
+run_round is the one round skeleton: it samples clients, gathers their
 batches and advances the round. A small per-protocol function does the
 rest, from shared phases: activation upload, server first-order step,
-model pull, local step and ordered average.
+model pull, local step and ordered average. A round's K batches are one
+gathered block, (K, B, n_in) inputs and (K, B) or (K, B, C) labels, and
+client i's passes read its row i.
 
 Clients, batches and direction seeds are drawn a window of rounds at a
 time: the first round outside the current window draws it, in one
 sample_clients and one draw_batch call over all its rounds
 (build_simulation draws nothing), and derives the seeds of the rounds'
 Gaussian directions as one uint64 table: hosfl's P perturbation seeds and
-zosfl's client and server seeds per sampled client (sfl draws none). A
-window holds as many rounds as both their (K, B) batch rows, in the
-smallest unsigned type that holds a dataset row index, and their seeds fit
-WINDOW_BYTES, and at least one round; each pool the draw shuffles is
-bounded by the same bytes. Every draw and seed is a pure function of (root
-seed, round, client id), and each seed is the one a round drawn alone
-derives, so a window changes no value, only when the draw is made.
+zosfl's client and server seeds per sampled client (sfl draws none). Both
+draws run one chunked partial Fisher-Yates (_draw_rows). A window holds as
+many rounds as both their (K, B) batch rows, in the smallest unsigned type
+that holds a dataset row index, and their seeds fit WINDOW_BYTES, and at
+least one round, but none past the run's last (Simulation.rounds); each
+pool the draw shuffles is bounded by the same bytes. Every draw and seed is
+a pure function of (root seed, round, client id), and each seed is the one
+a round drawn alone derives, so a window changes no value, only when the
+draw is made.
 
 The server half runs once per round for all K clients: their activations
 (and, for zosfl, the 2K perturbed server halves) cross it as one stack, and
-each client's slice has the bits of its own solo pass.
+each client's slice has the bits of its own solo pass. The baselines'
+K local sgd steps are one array expression, each row with the bits of
+that client's own step.
 
 The hybrid protocol runs four phases per round. Synchronized clients
 upload cut activations. The server backpropagates and returns per-client
@@ -43,7 +49,7 @@ bit-exact. That path works on blocks: one stacked reconstruction rebuilds
 g_hat for a run of rounds (or for the K live clients and the server copy at
 once), and one optimizer pass applies a run of transitions, bit for bit as
 one at a time. The history keeps only the rounds some client can still
-replay, those from the stalest client's t_sync on (ServerState, SyncCounts).
+replay, those from the stalest counted t_sync on (ServerState.sync).
 
 Every client synced to a round holds the same (theta_c, opt_state) bit for
 bit, the server copy's at that round, so clients share it instead of
@@ -61,7 +67,7 @@ left-to-right accumulation, so results do not depend on completion order.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,41 +193,6 @@ class ClientState:
     opt_state: AdamState | None = None
 
 
-class SyncCounts:
-    """How many clients are counted at each t_sync, and the smallest such
-    t_sync: the catch-up floor, below which no client reads a RoundRecord.
-
-    Each client is counted at one position: its t_sync when the count was
-    made, then the t_sync each live round it takes part in gives it. Code
-    outside a round that moves a client on (a client_sync between rounds)
-    leaves it counted where it was, and its next round moves it from there.
-    So the floor lags the true smallest t_sync, which keeps records longer,
-    and never passes it, as a client's t_sync only moves forward.
-    """
-
-    def __init__(self, clients: dict):
-        self.at = {cid: client.t_sync for cid, client in clients.items()}
-        self.count = Counter(self.at.values())
-        self.floor = min(self.count, default=0)
-
-    def move(self, cid: int, t_sync: int):
-        """Count client cid at t_sync instead of where it was counted."""
-        old = self.at[cid]
-        self.count[old] -= 1
-        if not self.count[old]:
-            del self.count[old]
-        self.at[cid] = t_sync
-        self.count[t_sync] += 1
-
-    def raise_floor(self) -> range:
-        """Move the floor up to the smallest counted t_sync; returns the
-        rounds it passed, each once over a run (amortized O(1) a round)."""
-        low = self.floor
-        while self.floor not in self.count:
-            self.floor += 1
-        return range(low, self.floor)
-
-
 @dataclass
 class ServerState:
     """The server half, the canonical copy of the client half, and the
@@ -233,11 +204,16 @@ class ServerState:
     to the round's K clients. So memory holds one client state per distinct
     t_sync, not one per client.
 
-    history maps round -> RoundRecord and holds only the rounds a client
-    can still replay: after each hosfl round it runs from sync.floor, the
-    stalest counted t_sync, to that round. sync is the SyncCounts the first
-    hosfl round makes of every client in Simulation.clients, so a client
-    registered later is not counted and may find its rounds gone.
+    sync maps client id -> counted t_sync, least recently synced first. The
+    first hosfl round builds it from every client in Simulation.clients,
+    sorted by t_sync; each round then counts its K clients at the t_sync it
+    gives them and moves them to the end. A client moved on outside a round
+    (a client_sync between rounds) stays counted where its last round left
+    it, so the first value, the catch-up floor, may lag the smallest t_sync
+    but never passes it. history maps round -> RoundRecord and holds only the
+    rounds a client can still replay: after each hosfl round it runs from
+    the floor to that round. A client registered after the first hosfl
+    round is not counted and may find its rounds gone.
     """
 
     theta_s: np.ndarray
@@ -246,7 +222,7 @@ class ServerState:
     history: dict = field(default_factory=dict)
     opt_state_s: AdamState | None = None
     opt_state_c: AdamState | None = None
-    sync: SyncCounts | None = field(default=None, repr=False, compare=False)
+    sync: OrderedDict | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -271,6 +247,8 @@ class Simulation:
     clients: dict
     ledger: TrafficLedger
     root_seed: int
+    # the run's planned round count (build_simulation); None draws full windows
+    rounds: int | None = None
     # (start, clients, rows, seeds): the draws of upcoming rounds (_round_draws)
     window: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -329,18 +307,25 @@ def _partial_shuffle(pools: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.
     return pools[np.where(full, swap_i, starts + offsets)]
 
 
+def _draw_rows(pools: list, k: int, seeds, dtype) -> np.ndarray:
+    """_partial_shuffle's k draws from each of pools, row r on
+    uniform_stream(seeds[r], k): (len(pools), k) of dtype, the rows taken in
+    _pool_chunks runs, each run's pools copied end to end and shuffled."""
+    sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    drawn = np.empty((len(pools), k), dtype=dtype)
+    for lo, hi in _pool_chunks(sizes):
+        u = prng.uniform_stream(seeds[lo:hi], k)
+        drawn[lo:hi] = _partial_shuffle(np.concatenate(pools[lo:hi]), sizes[lo:hi], u)
+    return drawn
+
+
 def sample_clients(m: int, k: int, seeds) -> np.ndarray:
     """K distinct client ids from 1..M per seed, uniform without replacement:
     (len(seeds), K), one sorted row per seed."""
     if k > m:
         raise ValueError("cannot sample more clients than exist")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    sizes = np.full(len(seeds), m)
-    picks = np.empty((len(seeds), k), dtype=np.int64)
-    for lo, hi in _pool_chunks(sizes):
-        pools = np.tile(np.arange(1, m + 1), hi - lo)
-        u = prng.uniform_stream(seeds[lo:hi], k)
-        picks[lo:hi] = _partial_shuffle(pools, sizes[lo:hi], u)
+    picks = _draw_rows([np.arange(1, m + 1)] * len(seeds), k, seeds, np.int64)
     picks.sort(axis=1)
     return picks
 
@@ -349,16 +334,9 @@ def draw_batch(shards: list, batch_size: int, seeds, dtype=np.int64) -> np.ndarr
     """Dataset row indices of one batch per seed: (len(seeds), batch_size)
     of dtype, row r drawn from the shard shards[r] (a shard may repeat),
     without replacement when the shard has batch_size rows or more."""
-    sizes = np.array([len(shard) for shard in shards], dtype=np.int64)
-    if not sizes.all():
+    if not all(map(len, shards)):
         raise ProtocolViolationError("sampled client has an empty data shard")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    rows = np.empty((len(sizes), batch_size), dtype=dtype)
-    for lo, hi in _pool_chunks(sizes):
-        pools = np.concatenate(shards[lo:hi])
-        u = prng.uniform_stream(seeds[lo:hi], batch_size)
-        rows[lo:hi] = _partial_shuffle(pools, sizes[lo:hi], u)
-    return rows
+    return _draw_rows(shards, batch_size, seeds, dtype)
 
 
 # the zosfl seed coordinate of a client's half: its client direction, then
@@ -389,7 +367,8 @@ def _round_draws(sim: Simulation, t: int):
     t in one sample_clients and one draw_batch call and one seed table. The
     window is as many rounds as both their (K, B) batch rows and their seeds
     fit WINDOW_BYTES, and at least one, each row held in the smallest
-    unsigned type that holds every dataset row index. It ends before any
+    unsigned type that holds every dataset row index. It holds no round past
+    sim.rounds, when that is set, but round t itself. It ends before any
     later round that samples a client with an empty shard, so draw_batch's
     ProtocolViolationError comes from the round that samples it. Every seed
     is the one a round drawn alone derives, (root, STREAM_SAMPLING, t) and
@@ -402,7 +381,8 @@ def _round_draws(sim: Simulation, t: int):
         index = np.min_scalar_type(sim.dataset.size - 1)  # holds every dataset row index
         seed_count = {"hosfl": hp.zo.P, "zosfl": 2 * hp.K}.get(sim.protocol, 0)
         round_bytes = max(index.itemsize * hp.K * hp.batch_size, 8 * seed_count)
-        rounds = max(1, WINDOW_BYTES // round_bytes)
+        last = np.inf if sim.rounds is None else sim.rounds  # no round past the run's last
+        rounds = max(1, min(WINDOW_BYTES // round_bytes, last - t))
         ts = np.arange(t, t + rounds, dtype=np.uint64)
         clients = sample_clients(hp.M, hp.K, derive_stream(root, prng.STREAM_SAMPLING, ts))
         shards = [sim.clients[cid].shard for cid in clients.ravel().tolist()]
@@ -443,9 +423,9 @@ def client_sync(client: ClientState, history: dict, hp: HyperParams, d_c: int,
     A run's server.history holds the rounds from the stalest counted
     t_sync on (ServerState), so any client of the run can be synced to
     any round up to the current one, between rounds or after the last.
-    A client this call moves between rounds stays counted at the t_sync
-    its last round gave it (SyncCounts), so the run keeps those rounds
-    until the client is sampled again.
+    This call moves nothing in server.sync: a client it moves between
+    rounds stays counted at the t_sync its last round gave it, so the run
+    keeps those rounds until the client is sampled again.
     """
     if client.t_sync > target_round:
         raise ProtocolViolationError(
@@ -517,12 +497,11 @@ def _server_step(sim: Simulation, grad: np.ndarray):
     )
 
 
-def _server_first_order(sim: Simulation, selected, activations, batches):
+def _server_first_order(sim: Simulation, selected, activations, labels):
     """One stacked server backward for the K clients, feedback downlink, one
     averaged server step. Returns the K losses and the (K, B, D) feedback."""
     losses, server_grads, lams = model.server_forward_backward(
-        sim.server.theta_s, np.asarray(activations),
-        np.array([batches[cid].labels for cid in selected]), sim.model_cfg)
+        sim.server.theta_s, np.asarray(activations), labels, sim.model_cfg)
     for cid in selected:
         sim.ledger.record(MessageKind.GRAD_DOWN, lams[0].size * FLOAT_BYTES,
                           "server", f"client:{cid}")
@@ -537,21 +516,20 @@ def _pull_model(sim: Simulation, cid: int) -> np.ndarray:
     return sim.server.theta_c_global
 
 
-def _local_steps_and_average(sim: Simulation, selected, grads) -> float:
-    """Each client steps the pulled model along its row of grads (in
-    selected order) and uploads it; the uploads become the global model.
-    Returns |mean grad|."""
-    hp, theta_c = sim.hp, sim.server.theta_c_global
-    updated = []
-    for cid, grad in zip(selected, grads):
-        updated.append(_opt_step(hp.optimizer, None, theta_c, grad[None], hp.eta)[0])
+def _local_steps_and_average(sim: Simulation, selected, grads: np.ndarray) -> float:
+    """Each client takes one sgd step from the pulled model along its row of
+    grads (in selected order) and uploads it; the uploads become the global
+    model. The K steps are one array expression, each row with the bits of
+    that client's one-row _opt_step. Returns |mean grad|."""
+    for cid in selected:
         sim.ledger.record(MessageKind.MODEL_UP, sim.model_cfg.d_c * FLOAT_BYTES,
                           f"client:{cid}", "server")
+    updated = sim.server.theta_c_global - np.float64(sim.hp.eta) * grads
     sim.server.theta_c_global = ordered_mean(updated)
     return float(np.linalg.norm(ordered_mean(grads)))
 
 
-def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
+def _hosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, perturb_fn):
     """Hybrid: server first-order, clients seeded zeroth-order from broadcast
     scalars; seeds is the round's (P,) row of perturbation seeds."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
@@ -560,17 +538,17 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
 
     activations = []
-    for cid in selected:
+    for cid, x in zip(selected, inputs):
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
         _adopt_server_copy(client, server, t)
-        activations.append(model.client_forward(client.theta_c, batches[cid], cfg))
+        activations.append(model.client_forward(client.theta_c, x, cfg))
         _upload(sim, cid, activations[-1].size)
-    losses, lams = _server_first_order(sim, selected, activations, batches)
+    losses, lams = _server_first_order(sim, selected, activations, labels)
 
     projections = []
-    for cid, lam, z in zip(selected, lams, activations):
-        projections.append(zo_scalars(sim.clients[cid].theta_c, lam, z,
-                                      batches[cid], seeds, hp.zo, cfg, perturb_fn))
+    for cid, x, lam, z in zip(selected, inputs, lams, activations):
+        projections.append(zo_scalars(sim.clients[cid].theta_c, lam, z, x, seeds, hp.zo, cfg,
+                                      perturb_fn))
         ledger.record(MessageKind.SCALAR_UP, hp.zo.P * FLOAT_BYTES, f"client:{cid}", "server")
 
     # per perturbation, the scalars of all clients in ascending client id
@@ -592,19 +570,21 @@ def _hosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     # the K clients share the new theta_c: a write to it in place raises
     server.theta_c_global.setflags(write=False)
     if server.sync is None:
-        server.sync = SyncCounts(sim.clients)
+        server.sync = OrderedDict(sorted(((cid, c.t_sync) for cid, c in sim.clients.items()),
+                                         key=lambda counted: counted[1]))
     for cid in selected:
         client = sim.clients[cid]
         client.theta_c, client.opt_state = server.theta_c_global, server.opt_state_c
-        client.t_sync = t + 1
-        server.sync.move(cid, t + 1)
-    # no client replays a round below the stalest t_sync: drop those records
-    for tau in server.sync.raise_floor():
+        client.t_sync = server.sync[cid] = t + 1
+        server.sync.move_to_end(cid)
+    # sync's first value is the stalest counted t_sync, and no client
+    # replays a round below it: drop those records
+    for tau in range(next(iter(server.history)), next(iter(server.sync.values()))):
         server.history.pop(tau, None)
     return losses, float(np.linalg.norm(g_hat[hp.K]))
 
 
-def _sfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
+def _sfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, perturb_fn):
     """First-order baseline: client backprop via feedback, then model averaging.
 
     The K clients' backward passes run as one stacked call on the pulled
@@ -612,14 +592,13 @@ def _sfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     the K activations the clients uploaded, so no client forward reruns."""
     cfg = sim.model_cfg
     activations = []
-    for cid in selected:
-        activations.append(model.client_forward(_pull_model(sim, cid), batches[cid], cfg))
+    for cid, x in zip(selected, inputs):
+        activations.append(model.client_forward(_pull_model(sim, cid), x, cfg))
         _upload(sim, cid, activations[-1].size)
     activations = np.array(activations)
-    losses, lams = _server_first_order(sim, selected, activations, batches)
-    grads = model.client_backward_from_lambda(
-        sim.server.theta_c_global, np.array([batches[cid].inputs for cid in selected]),
-        lams, cfg, activations)
+    losses, lams = _server_first_order(sim, selected, activations, labels)
+    grads = model.client_backward_from_lambda(sim.server.theta_c_global, inputs, lams, cfg,
+                                              activations)
     return losses, _local_steps_and_average(sim, selected, grads)
 
 
@@ -627,7 +606,7 @@ def _sfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
-def _zosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
+def _zosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, perturb_fn):
     """Backprop-free baseline: full-model two-point estimation per client.
 
     Client m perturbs its half along u_c and uploads both perturbed
@@ -640,34 +619,31 @@ def _zosfl_round(sim: Simulation, t: int, selected, batches, seeds, perturb_fn):
     seeds is the round's (K, 2) row of each client's (u_c, u_s) seeds. The
     server evaluates all 2K perturbed halves in one stacked pass, after
     every upload: theta_s + mu * u_s * (+1.0 or -1.0) has the bits of
-    theta_s + mu * u_s and theta_s - mu * u_s.
+    theta_s + mu * u_s and theta_s - mu * u_s. The K losses, central
+    differences and gradients are array expressions, each row with the bits
+    of that client's scalar arithmetic.
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
     seeds_c, seeds_s = seeds.T.tolist()
     prefetch_gaussians(seeds_c + seeds_s, [cfg.d_c] * len(seeds_c) + [cfg.d_s] * len(seeds_s))
-    directions_c, directions_s, z, labels = [], [], [], []
-    for cid, seed_c, seed_s in zip(selected, seeds_c, seeds_s):
-        theta_c, batch = _pull_model(sim, cid), batches[cid]
+    directions_c, directions_s, z = [], [], []
+    for cid, x, seed_c, seed_s in zip(selected, inputs, seeds_c, seeds_s):
+        theta_c = _pull_model(sim, cid)
         u_c, u_s = perturb_fn(seed_c, cfg.d_c), perturb_fn(seed_s, cfg.d_s)
-        z.append(model.client_forward(theta_c + mu * u_c, batch, cfg))
-        z.append(model.client_forward(theta_c - mu * u_c, batch, cfg))
+        z.append(model.client_forward(theta_c + mu * u_c, x, cfg))
+        z.append(model.client_forward(theta_c - mu * u_c, x, cfg))
         _upload(sim, cid, 2 * z[-1].size)
         directions_c.append(u_c)
         directions_s.append(u_s)
-        labels += [batch.labels, batch.labels]
-    halves = server.theta_s + (mu * np.array(directions_s))[:, None] * _PLUS_MINUS
-    pair_losses = model.server_loss(halves.reshape(-1, cfg.d_s), np.array(z),
-                                    np.array(labels), cfg).reshape(-1, 2).tolist()
-    losses, server_grads, client_grads = [], [], []
-    for cid, (loss_plus, loss_minus), u_c, u_s in zip(selected, pair_losses,
-                                                       directions_c, directions_s):
+    directions_c, directions_s = np.array(directions_c), np.array(directions_s)
+    halves = server.theta_s + (mu * directions_s)[:, None] * _PLUS_MINUS
+    plus, minus = model.server_loss(halves.reshape(-1, cfg.d_s), np.array(z),
+                                    np.repeat(labels, 2, axis=0), cfg).reshape(-1, 2).T
+    for cid in selected:
         sim.ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
-        losses.append(0.5 * (loss_plus + loss_minus))
-        diff = (loss_plus - loss_minus) / (2.0 * mu)
-        server_grads.append(diff * u_s)
-        client_grads.append(diff * u_c)
-    _server_step(sim, ordered_mean(server_grads))
-    return losses, _local_steps_and_average(sim, selected, client_grads)
+    diff = ((plus - minus) / (2.0 * mu))[:, None]
+    _server_step(sim, ordered_mean(diff * directions_s))
+    return 0.5 * (plus + minus), _local_steps_and_average(sim, selected, diff * directions_c)
 
 
 _ROUNDS = {"hosfl": _hosfl_round, "sfl": _sfl_round, "zosfl": _zosfl_round}
@@ -675,14 +651,16 @@ _ROUNDS = {"hosfl": _hosfl_round, "sfl": _sfl_round, "zosfl": _zosfl_round}
 
 def run_round(sim: Simulation, perturb_fn=gaussian_vector) -> RoundMetrics:
     """One round of sim.protocol; the protocols differ only in their phases after batching."""
+    hp, t, dataset = sim.hp, sim.server.round, sim.dataset
     protocol_round = _ROUNDS.get(sim.protocol)
     if protocol_round is None:
         raise ValueError(f"unknown protocol {sim.protocol!r}")
-    hp, t, dataset = sim.hp, sim.server.round, sim.dataset
+    if hp.optimizer != "sgd" and sim.protocol != "hosfl":
+        raise ValueError(f"hp.optimizer {hp.optimizer!r} is supported by hosfl only; "
+                         f"{sim.protocol} steps with sgd")
     selected, rows, seeds = _round_draws(sim, t)
-    batches = {cid: model.Batch(dataset.inputs[idx], dataset.labels[idx])
-               for cid, idx in zip(selected, rows)}
-    losses, grad_norm = protocol_round(sim, t, selected, batches, seeds, perturb_fn)
+    losses, grad_norm = protocol_round(sim, t, selected, dataset.inputs[rows],
+                                       dataset.labels[rows], seeds, perturb_fn)
     sim.server.round = t + 1
     return RoundMetrics(t, sim.protocol, ordered_mean_scalar(losses), grad_norm,
                         hp.K * hp.batch_size)

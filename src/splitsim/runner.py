@@ -68,7 +68,9 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
     """Deterministically construct dataset, shards, and initial states.
 
     The server copy and all M clients hold one read-only init theta_c, under
-    every protocol, so setup memory does not grow with M x d_c."""
+    every protocol, so setup memory does not grow with M x d_c. The
+    simulation knows its planned round count, so no draw window reaches
+    past the last round."""
     root = cfg.root_seed
     full = _build_dataset(cfg, prng.derive_stream(root, prng.STREAM_DATA))
     if not np.all(np.isfinite(full.inputs)):
@@ -104,6 +106,7 @@ def build_simulation(cfg: ExperimentConfig) -> protocol.Simulation:
         protocol=cfg.protocol, model_cfg=cfg.model, hp=cfg.hp, dataset=train,
         eval_batch=eval_batch, server=server, clients=clients,
         ledger=TrafficLedger(), root_seed=root,
+        rounds=protocol.planned_rounds(cfg.hp, cfg.sample_budget),
     )
 
 
@@ -113,7 +116,7 @@ def run_experiment(cfg: ExperimentConfig,
     sim = build_simulation(cfg)
     records = []
     samples = 0
-    for _ in range(protocol.planned_rounds(cfg.hp, cfg.sample_budget)):
+    for _ in range(sim.rounds):
         rm = protocol.run_round(sim, perturb_fn)
         traffic = sim.ledger.close_round()
         samples += rm.samples

@@ -18,6 +18,8 @@ from splitsim import cli, model, runner
 from splitsim.config import parse_config
 from splitsim.errors import ConfigError
 
+from test_kernels import ROUNDS, _shape_config
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = CONFIGS / "blobs_hosfl.yaml"
 
@@ -175,7 +177,48 @@ def test_benchmark_workload_combined_checksum(name):
     result = runner.run_experiment(parse_config(yaml.safe_dump(cfg, sort_keys=False)))
     assert len(result.records) == rounds
     assert runner.checksum_lines(result)[2] == f"combined_sha256={digest}"
-    assert len(result.sim.window[1]) == 512  # rounds a window holds on every workload
+    # a window holds 512 rounds on every workload, and the last one stops at
+    # the run's last round
+    assert len(result.sim.window[1]) == (rounds - 1) % 512 + 1
+
+
+# test_kernels.py's SHAPES at ROUNDS rounds, per protocol: float (K, B, C)
+# labels, K=3, B=1, 12 classes and a cut at 2, which no pin above holds
+SHAPE_PINS = {
+    "batch-of-one": {
+        "hosfl": "127a526ba875508d6f554eb28e27eb60391ce1eed36a045cf75882a5d88ff959",
+        "sfl": "a629bb61571eb929b0e64df085c671f6905848bc28dc1c3c80b65ced4eff9232",
+        "zosfl": "2f2169ed0449bbb2a6a5fa080fdf642bc839846b8aec963936310384a9abb0e6",
+    },
+    "relu-cut-2": {
+        "hosfl": "eb94b51bc1f0d6fe092decc9c9801635d67d65e7234c0bdfa4cf07c5ede4eb80",
+        "sfl": "bc0fa4c6a9cd8f68b34e8b9477d433a6aecf9344fb84f071592906e784da4e5f",
+        "zosfl": "db93c3dc9ce0069d57df00e784712d0528f67ed3f4b2c037ac08fc2063da8c88",
+    },
+    "squared-error": {
+        "hosfl": "c6a4825a6d1b9fc3bd6da75973931c4bef50e3a8dab72ae821f29f5e27ae60f0",
+        "sfl": "8298b3de3a1bce11103ae5fecf9ecc39c5e7687a85089831a1f670f9e1712fd2",
+        "zosfl": "01c6416e51b4c6ce968405f7d9a147d61a9ac411ac2a1bd7b85f37dfaf3e6719",
+    },
+    "three-clients": {
+        "hosfl": "8acc6fdd2ce16d2532be0b0c2b083222412a33d1d2f5480d1548b14469e73e6d",
+        "sfl": "cfcd787c0bd57cad53b19b1e871a0b4e1124dc164b0f21634b7271edd472d101",
+        "zosfl": "79aa1bcd872f7671e0a8e00767ec754c31024b9c52e07b426fea161fd275df93",
+    },
+    "twelve-classes": {
+        "hosfl": "f2fa6d368bb534ceb475f2ea6d44449847e93d019fdccd713cd3a6601198538e",
+        "sfl": "22fe24532252fdb7ed2f35aab0a6bbf397e8b1e9f98496ec7f71fbb2c47e1ef2",
+        "zosfl": "07ec49da0206eaee6730d660218aac0349690d480a14f2dd5316329f006bb1a9",
+    },
+}
+
+
+@pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
+@pytest.mark.parametrize("shape", sorted(SHAPE_PINS))
+def test_kernel_shape_combined_checksum(shape, proto):
+    result = runner.run_experiment(_shape_config(shape, proto))
+    assert len(result.records) == ROUNDS
+    assert runner.checksum_lines(result)[2] == f"combined_sha256={SHAPE_PINS[shape][proto]}"
 
 
 # config_sha256 in every metrics.jsonl header

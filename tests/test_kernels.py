@@ -607,6 +607,27 @@ def test_opt_step_matches_row_by_row(optimizer, n, d, step0, seed, data):
         assert got_state is want_state is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 300), st.floats(1e-4, 50.0), st.integers(0, 2**32 - 1),
+       st.data())
+def test_baseline_steps_match_one_row_steps(k, d_c, eta, seed, data):
+    # the K local sgd steps of a baseline round, one array expression, then
+    # their mean: each row has the bits of that client's one-row step
+    rng = _rng(seed)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    theta, grads = _tied(data.draw, rng, d_c, scale), _tied(data.draw, rng, (k, d_c), scale)
+    cfg = SplitModelConfig((1, d_c, 1), "identity", 1, "squared_error", bias=False)
+    hp = protocol.HyperParams(eta=eta, M=k, K=k, batch_size=1)
+    server = protocol.ServerState(theta_s=np.zeros(1), theta_c_global=theta)
+    sim = protocol.Simulation("sfl", cfg, hp, None, None, server, {}, TrafficLedger(), 0)
+    norm = protocol._local_steps_and_average(sim, list(range(1, k + 1)), grads)
+    want = ordered_mean_reference([opt_step_reference("sgd", None, theta, grads[i:i + 1], eta)[0]
+                                   for i in range(k)])
+    assert sim.server.theta_c_global.tobytes() == want.tobytes()
+    assert norm == float(np.linalg.norm(ordered_mean_reference(grads)))
+    assert sim.ledger.totals[MessageKind.MODEL_UP] == k * 8 * d_c
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
 def test_ordered_mean_matches_zero_started_sum(count, d, seed, data):

@@ -262,6 +262,39 @@ class TestDeterminismAndReplay:
             assert sorted(sim.server.history) == list(range(floor, t + 1))
         _assert_caught_up(sim)
 
+    @settings(max_examples=25, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adam"]), m_cl=st.integers(1, 7),
+           start=st.integers(1, 12), rounds=st.integers(1, 15),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_history_floor_from_mixed_t_sync(self, optimizer, m_cl, start, rounds, seed, data):
+        # a run that starts at round `start` with its clients at mixed t_sync,
+        # each holding its replay of a random history, and the history from
+        # the stalest of them on: after every round the history runs from
+        # the stalest t_sync, and every client still catches up bit for bit
+        sim = _hand_built(m_cl, data.draw(st.integers(1, m_cl), label="K"), optimizer, seed)
+        hp, d_c, server = sim.hp, sim.model_cfg.d_c, sim.server
+        history = _random_history(np.random.default_rng(seed), start, hp.zo.P)
+        t_syncs = data.draw(st.lists(st.integers(0, start), min_size=m_cl, max_size=m_cl),
+                            label="t_sync")
+
+        def replayed(t_sync):
+            return client_sync(ClientState(0, server.theta_c_global, np.arange(1)), history,
+                               hp, d_c, t_sync)
+
+        for client, t_sync in zip(sim.clients.values(), t_syncs):
+            caught_up = replayed(t_sync)
+            client.theta_c, client.opt_state = caught_up.theta_c, caught_up.opt_state
+            client.t_sync = t_sync
+        copy = replayed(start)
+        server.theta_c_global, server.opt_state_c, server.round = (
+            copy.theta_c, copy.opt_state, start)
+        server.history = {tau: history[tau] for tau in range(min(t_syncs), start)}
+        for t in range(start, start + rounds):
+            run_round(sim)
+            floor = min(c.t_sync for c in sim.clients.values())
+            assert sorted(server.history) == list(range(floor, t + 1))
+        _assert_caught_up(sim)
+
     def test_outside_sync_between_rounds_keeps_every_needed_round(self):
         # a client synced between rounds stays counted where its last round
         # left it: the history keeps its old rounds, never drops another's
@@ -855,3 +888,16 @@ class TestTrafficLaws:
             run_round(sim)
         assert {cid: (c.theta_c.tobytes(), c.t_sync, c.opt_state)
                 for cid, c in sim.clients.items()} == before
+
+    @pytest.mark.parametrize("proto", ["sfl", "zosfl"])
+    def test_baseline_round_rejects_adam(self, proto):
+        # the config rejects adam for a baseline; a hand-built Simulation is
+        # rejected by its first round, before anything is drawn or stepped
+        sim = _hand_built(3, 2, "adam")
+        sim.protocol = proto
+        theta = sim.server.theta_c_global.tobytes(), sim.server.theta_s.tobytes()
+        with pytest.raises(ValueError, match="'adam' is supported by hosfl only; "
+                                             f"{proto} steps with sgd"):
+            run_round(sim)
+        assert sim.window is None and sim.server.round == 0
+        assert (sim.server.theta_c_global.tobytes(), sim.server.theta_s.tobytes()) == theta
