@@ -26,7 +26,8 @@ The server half runs once per round for all K clients: their activations
 (and, for zosfl, the 2K perturbed server halves) cross it as one stack, and
 each client's slice has the bits of its own solo pass. The baselines'
 K local sgd steps are one array expression, each row with the bits of
-that client's own step.
+that client's own step. A round records each message kind in the ledger
+once, with the bytes of all K clients, sized from those stacked arrays.
 
 The hybrid protocol runs four phases per round. Synchronized clients
 upload cut activations. The server backpropagates and returns per-client
@@ -481,13 +482,11 @@ def _adopt_server_copy(client: ClientState, server: ServerState, t: int):
 # Protocol rounds
 # -----------------------------------------------------------------------------
 
-def _upload(sim: Simulation, cid: int, n_floats: int):
-    """Client cid sends n_floats cut activations and its batch labels."""
-    sim.ledger.record(MessageKind.ACTIVATION_UP, n_floats * FLOAT_BYTES,
-                      f"client:{cid}", "server")
+def _upload(sim: Simulation, activations: np.ndarray):
+    """The K clients send their stacked cut activations and batch labels."""
+    sim.ledger.record(MessageKind.ACTIVATION_UP, activations.size * FLOAT_BYTES)
     sim.ledger.record(MessageKind.LABEL_UP,
-                      label_payload_bytes(sim.hp.batch_size, sim.model_cfg),
-                      f"client:{cid}", "server")
+                      sim.hp.K * label_payload_bytes(sim.hp.batch_size, sim.model_cfg))
 
 
 def _server_step(sim: Simulation, grad: np.ndarray):
@@ -497,33 +496,28 @@ def _server_step(sim: Simulation, grad: np.ndarray):
     )
 
 
-def _server_first_order(sim: Simulation, selected, activations, labels):
+def _server_first_order(sim: Simulation, activations: np.ndarray, labels):
     """One stacked server backward for the K clients, feedback downlink, one
     averaged server step. Returns the K losses and the (K, B, D) feedback."""
     losses, server_grads, lams = model.server_forward_backward(
-        sim.server.theta_s, np.asarray(activations), labels, sim.model_cfg)
-    for cid in selected:
-        sim.ledger.record(MessageKind.GRAD_DOWN, lams[0].size * FLOAT_BYTES,
-                          "server", f"client:{cid}")
+        sim.server.theta_s, activations, labels, sim.model_cfg)
+    sim.ledger.record(MessageKind.GRAD_DOWN, lams.size * FLOAT_BYTES)
     _server_step(sim, ordered_mean(server_grads))
     return losses, lams
 
 
-def _pull_model(sim: Simulation, cid: int) -> np.ndarray:
-    """Client cid downloads the current global client model."""
-    sim.ledger.record(MessageKind.MODEL_DOWN, sim.model_cfg.d_c * FLOAT_BYTES,
-                      "server", f"client:{cid}")
+def _pull_model(sim: Simulation) -> np.ndarray:
+    """The K clients download the current global client model."""
+    sim.ledger.record(MessageKind.MODEL_DOWN, sim.hp.K * sim.model_cfg.d_c * FLOAT_BYTES)
     return sim.server.theta_c_global
 
 
-def _local_steps_and_average(sim: Simulation, selected, grads: np.ndarray) -> float:
+def _local_steps_and_average(sim: Simulation, grads: np.ndarray) -> float:
     """Each client takes one sgd step from the pulled model along its row of
-    grads (in selected order) and uploads it; the uploads become the global
-    model. The K steps are one array expression, each row with the bits of
-    that client's one-row _opt_step. Returns |mean grad|."""
-    for cid in selected:
-        sim.ledger.record(MessageKind.MODEL_UP, sim.model_cfg.d_c * FLOAT_BYTES,
-                          f"client:{cid}", "server")
+    grads (in ascending client id) and uploads it; the uploads become the
+    global model. The K steps are one array expression, each row with the
+    bits of that client's one-row _opt_step. Returns |mean grad|."""
+    sim.ledger.record(MessageKind.MODEL_UP, grads.size * FLOAT_BYTES)
     updated = sim.server.theta_c_global - np.float64(sim.hp.eta) * grads
     sim.server.theta_c_global = ordered_mean(updated)
     return float(np.linalg.norm(ordered_mean(grads)))
@@ -535,27 +529,26 @@ def _hosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, pertu
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
     seeds = tuple(seeds.tolist())
     prefetch_gaussians(seeds, cfg.d_c)
-    ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES, "server", "clients:*")
+    ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES)
 
     activations = []
     for cid, x in zip(selected, inputs):
         client = client_sync(sim.clients[cid], server.history, hp, cfg.d_c, t, perturb_fn)
         _adopt_server_copy(client, server, t)
         activations.append(model.client_forward(client.theta_c, x, cfg))
-        _upload(sim, cid, activations[-1].size)
-    losses, lams = _server_first_order(sim, selected, activations, labels)
+    activations = np.array(activations)
+    _upload(sim, activations)
+    losses, lams = _server_first_order(sim, activations, labels)
 
-    projections = []
-    for cid, x, lam, z in zip(selected, inputs, lams, activations):
-        projections.append(zo_scalars(sim.clients[cid].theta_c, lam, z, x, seeds, hp.zo, cfg,
-                                      perturb_fn))
-        ledger.record(MessageKind.SCALAR_UP, hp.zo.P * FLOAT_BYTES, f"client:{cid}", "server")
+    projections = [zo_scalars(sim.clients[cid].theta_c, lam, z, x, seeds, hp.zo, cfg, perturb_fn)
+                   for cid, x, lam, z in zip(selected, inputs, lams, activations)]
+    ledger.record(MessageKind.SCALAR_UP, hp.K * hp.zo.P * FLOAT_BYTES)
 
     # per perturbation, the scalars of all clients in ascending client id
     v_bar = tuple(ordered_mean_scalar(column) for column in zip(*projections))
     if not all(np.isfinite(v_bar)):
         raise NumericalError(f"round {t} aborted: non-finite aggregated scalar")
-    ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES, "server", "clients:*")
+    ledger.record(MessageKind.SCALAR_DOWN, hp.zo.P * FLOAT_BYTES)
     server.history[t] = RoundRecord(seeds, v_bar)
     # g_hat for the K clients and the server copy: one stacked call of K+1
     # rows, all with the same bits. The K client rows stand for each
@@ -591,15 +584,12 @@ def _sfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, perturb
     model, each slice with the bits of that client's own pass; it is handed
     the K activations the clients uploaded, so no client forward reruns."""
     cfg = sim.model_cfg
-    activations = []
-    for cid, x in zip(selected, inputs):
-        activations.append(model.client_forward(_pull_model(sim, cid), x, cfg))
-        _upload(sim, cid, activations[-1].size)
-    activations = np.array(activations)
-    losses, lams = _server_first_order(sim, selected, activations, labels)
-    grads = model.client_backward_from_lambda(sim.server.theta_c_global, inputs, lams, cfg,
-                                              activations)
-    return losses, _local_steps_and_average(sim, selected, grads)
+    theta_c = _pull_model(sim)
+    activations = np.array([model.client_forward(theta_c, x, cfg) for x in inputs])
+    _upload(sim, activations)
+    losses, lams = _server_first_order(sim, activations, labels)
+    grads = model.client_backward_from_lambda(theta_c, inputs, lams, cfg, activations)
+    return losses, _local_steps_and_average(sim, grads)
 
 
 # the two signs of a zosfl client's perturbed server halves, plus then minus
@@ -626,24 +616,24 @@ def _zosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, pertu
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
     seeds_c, seeds_s = seeds.T.tolist()
     prefetch_gaussians(seeds_c + seeds_s, [cfg.d_c] * len(seeds_c) + [cfg.d_s] * len(seeds_s))
+    theta_c = _pull_model(sim)
     directions_c, directions_s, z = [], [], []
-    for cid, x, seed_c, seed_s in zip(selected, inputs, seeds_c, seeds_s):
-        theta_c = _pull_model(sim, cid)
+    for x, seed_c, seed_s in zip(inputs, seeds_c, seeds_s):
         u_c, u_s = perturb_fn(seed_c, cfg.d_c), perturb_fn(seed_s, cfg.d_s)
         z.append(model.client_forward(theta_c + mu * u_c, x, cfg))
         z.append(model.client_forward(theta_c - mu * u_c, x, cfg))
-        _upload(sim, cid, 2 * z[-1].size)
         directions_c.append(u_c)
         directions_s.append(u_s)
+    z = np.array(z)
+    _upload(sim, z)
     directions_c, directions_s = np.array(directions_c), np.array(directions_s)
     halves = server.theta_s + (mu * directions_s)[:, None] * _PLUS_MINUS
-    plus, minus = model.server_loss(halves.reshape(-1, cfg.d_s), np.array(z),
+    plus, minus = model.server_loss(halves.reshape(-1, cfg.d_s), z,
                                     np.repeat(labels, 2, axis=0), cfg).reshape(-1, 2).T
-    for cid in selected:
-        sim.ledger.record(MessageKind.SCALAR_DOWN, FLOAT_BYTES, "server", f"client:{cid}")
+    sim.ledger.record(MessageKind.SCALAR_DOWN, sim.hp.K * FLOAT_BYTES)
     diff = ((plus - minus) / (2.0 * mu))[:, None]
     _server_step(sim, ordered_mean(diff * directions_s))
-    return 0.5 * (plus + minus), _local_steps_and_average(sim, selected, diff * directions_c)
+    return 0.5 * (plus + minus), _local_steps_and_average(sim, diff * directions_c)
 
 
 _ROUNDS = {"hosfl": _hosfl_round, "sfl": _sfl_round, "zosfl": _zosfl_round}

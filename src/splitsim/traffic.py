@@ -1,8 +1,9 @@
-"""Message-level byte accounting and breakdown reports.
+"""Per-kind byte accounting and breakdown reports.
 
 Payload sizing: 8 bytes per float or seed, 4 bytes per class label; framing
 headers are ignored. Broadcasts are counted once as server egress, while
-per-client unicasts (activation feedback, model pushes) count per recipient.
+per-client unicasts (activation feedback, model pushes) count per recipient:
+a round charges each kind once, with the bytes of all its recipients.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ class MessageKind(str, Enum):
         return "up" if self.value.endswith("Up") else "down"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One in-process transmission: kind, payload size, logical endpoints."""
-
-    kind: MessageKind
-    n_bytes: int
-    sender: str
-    receiver: str
-
-
 # snapshot keys, in MessageKind order
 _KIND_NAMES = tuple(kind.value for kind in MessageKind)
 
@@ -49,26 +40,21 @@ _KIND_NAMES = tuple(kind.value for kind in MessageKind)
 class TrafficLedger:
     """Cumulative byte counts keyed by message kind; monotone by construction.
 
-    With trace=True every transmission is also kept as a Message record.
     totals holds every kind from the start, in MessageKind order, and record
-    only updates it, so its values line up with _KIND_NAMES.
+    only updates it, so its values line up with _KIND_NAMES (a key it lacks
+    raises KeyError and counts nothing). A round records each kind once,
+    with the bytes of all its clients.
     """
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.totals = {kind: 0 for kind in MessageKind}
         self.per_round = []
-        self.messages = [] if trace else None
 
-    def record(self, kind: MessageKind, nbytes: int, sender: str = "",
-               receiver: str = ""):
+    def record(self, kind: MessageKind, nbytes: int):
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("byte counts must be non-negative")
-        if not isinstance(kind, MessageKind):
-            kind = MessageKind(kind)  # a kind's value names it; anything else raises
         self.totals[kind] += nbytes
-        if self.messages is not None:
-            self.messages.append(Message(kind, nbytes, sender, receiver))
 
     def close_round(self) -> dict:
         """Append and return a cumulative snapshot for the round just finished."""

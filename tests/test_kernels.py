@@ -620,7 +620,7 @@ def test_baseline_steps_match_one_row_steps(k, d_c, eta, seed, data):
     hp = protocol.HyperParams(eta=eta, M=k, K=k, batch_size=1)
     server = protocol.ServerState(theta_s=np.zeros(1), theta_c_global=theta)
     sim = protocol.Simulation("sfl", cfg, hp, None, None, server, {}, TrafficLedger(), 0)
-    norm = protocol._local_steps_and_average(sim, list(range(1, k + 1)), grads)
+    norm = protocol._local_steps_and_average(sim, grads)
     want = ordered_mean_reference([opt_step_reference("sgd", None, theta, grads[i:i + 1], eta)[0]
                                    for i in range(k)])
     assert sim.server.theta_c_global.tobytes() == want.tobytes()
@@ -652,12 +652,12 @@ def test_ordered_mean_of_negative_zero_is_positive_zero():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(list(MessageKind)), st.integers(0, 2**40),
-                          st.booleans()), max_size=30))
+@given(st.lists(st.tuples(st.sampled_from(list(MessageKind)), st.integers(0, 2**40)),
+                max_size=30))
 def test_snapshot_matches_reference(records):
     ledger = TrafficLedger()
-    for kind, nbytes, by_name in records:
-        ledger.record(kind.value if by_name else kind, nbytes)
+    for kind, nbytes in records:
+        ledger.record(kind, nbytes)
     got = ledger.snapshot()
     want = snapshot_reference(ledger)
     assert got == want and list(got) == list(want)

@@ -80,6 +80,35 @@ class TestGaussian:
     def test_empty(self):
         assert gaussian_vector(42, 0).shape == (0,)
 
+    def test_uniform_stream_known_bits(self):
+        # integer mixing and exact int-to-float steps: these bits on any host
+        want = {
+            0: ["0x1.c4415072f63bap-1", "0x1.b9e279aa86e59p-2", "0x1.b117462002510p-6",
+                "0x1.f1177150e4990p-1", "0x1.b39896a51a874p-4"],
+            12345678901234567890: ["0x1.f2b3a8c6ad5fap-1", "0x1.1dc97ad918e5ap-1",
+                                   "0x1.590efb9064ac5p-2", "0x1.fa4b5798760c2p-3",
+                                   "0x1.b00a52f9ac625p-2"],
+        }
+        for seed, hexes in want.items():
+            assert prng.uniform_stream(seed, 5).tolist() == [float.fromhex(h) for h in hexes]
+
+    def test_gaussian_known_values(self):
+        # Box-Muller's log, cos and sin may move the last bits from host to
+        # host, so these hold within a relative 1e-12, not bit for bit
+        want = {
+            0: [-0.45275774021745807, 0.20776603893419174, 2.65060581207967,
+                -0.49042282539864784, -0.9886041246243277, 1.8721013803315416,
+                0.25246272415061405],
+            42: [0.41471975043153037, 0.6526812221519428, -0.8918862136277568,
+                 1.326833562814106, 1.7295930879374035, -1.8834167889028148,
+                 0.5456204361828662],
+            MASK: [0.4038981710442082, -0.24716992988021766, -1.5578114857296328,
+                   0.7785844988254427, 0.37761973024997203, -0.7449161591522393,
+                   -0.003086482783938146],
+        }
+        for seed, values in want.items():
+            np.testing.assert_allclose(gaussian_vector(seed, 7), values, rtol=1e-12, atol=0)
+
     def test_odd_dim_prefix_of_even(self):
         assert np.array_equal(gaussian_vector(9, 5), gaussian_vector(9, 6)[:5])
 

@@ -29,6 +29,8 @@ from splitsim.protocol import (
 from splitsim.traffic import MessageKind, TrafficLedger, closed_form_traffic
 from splitsim.zo import ZoConfig
 
+from test_kernels import SHAPES, _shape_config
+
 BASE_CONFIG = """
 protocol: hosfl
 root_seed: 4242
@@ -185,6 +187,19 @@ class TestWorkedRound:
             with pytest.raises(NumericalError, match="non-finite aggregated scalar"):
                 run_round(sim)
         assert sim.server.history == {}
+
+    def test_scalar_mean_sums_clients_left_to_right(self):
+        # the i-th zo_scalars call is the i-th sampled client in ascending
+        # id; 1.0 + 1e16 - 1e16 is 0.0 summed left to right and 1.0 right
+        # to left, so each column's mean shows the order its K=3 terms took;
+        # the unsampled fourth client stays at t_sync 0, so round 0's record is kept
+        sim = _hand_built(4, 3)
+        scalars = [(1.0, -1e16), (1e16, 1e16), (-1e16, 1.0)]
+        with mock.patch("splitsim.protocol.zo_scalars", side_effect=scalars):
+            run_round(sim)
+        want = tuple(prng.ordered_mean_scalar(column) for column in zip(*scalars))
+        assert want != tuple(prng.ordered_mean_scalar(column[::-1]) for column in zip(*scalars))
+        assert sim.server.history[0].v_bar == want
 
 
 class TestDeterminismAndReplay:
@@ -825,9 +840,14 @@ class TestCallCounts:
 
 
 class TestTrafficLaws:
-    @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
-    def test_ledger_matches_closed_form_exactly(self, proto):
-        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+    # BASE_CONFIG, then test_kernels' shapes: float (K, B, C) labels, K=3,
+    # B=1, twelve classes and a second client layer
+    @pytest.mark.parametrize("shape, proto", [
+        pytest.param(shape, proto, id=proto if shape is None else f"{shape}-{proto}")
+        for shape in [None, *sorted(SHAPES)] for proto in ["hosfl", "sfl", "zosfl"]])
+    def test_ledger_matches_closed_form_exactly(self, shape, proto):
+        cfg = (parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+               if shape is None else _shape_config(shape, proto))
         result = runner.run_experiment(cfg)
         per_round = closed_form_traffic(cfg.hp, cfg.model, proto)
         for kind in MessageKind:
