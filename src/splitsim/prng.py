@@ -8,16 +8,20 @@ uniform_stream an array of seeds: one seed, or one row of uniforms, per
 element, each with the bits of the scalar call on that element.
 
 gaussian_block is the one Gaussian generator. gaussian_vector reads a memo
-of its rows: a round fills the memo with one block for all the directions
-it will ask for (prefetch_gaussians), and a miss is filled with a one-row
-block. A block holds directions of several dims as rows of the widest, each
-cut to its own dim: the first d normals of a row are the d of
+of its rows, and a miss is filled with a one-row block. A round whose
+directions the memo does not hold (gaussians_held) fills it with one block
+of them and of the next rounds' directions, as many rounds as fit
+protocol.LOOKAHEAD_BYTES of block and at least its own
+(prefetch_gaussians); a replay chunk fills it with one block of the rounds
+it replays. A block holds directions of several dims as rows of the
+widest, each cut to its own dim: the first d normals of a row are the d of
 gaussian_vector(seed, d), as they read counters 1..2*ceil(d/2) only. Since
-every row is a pure function of (seed, dim), the memo changes no value. It
-is bounded in bytes (MEMO_BYTES): entries leave in fill order, and a hit
+every row is a pure function of (seed, dim), the memo changes no value, and
+a row drawn rounds ahead has the bits of one drawn when it is used. It is
+bounded in bytes (MEMO_BYTES): entries leave in fill order, and a hit
 reorders nothing; prefetch_gaussians marks its whole set most recently
-used, and every round and replay chunk prefetches before it reads. The
-vectors it returns are read-only because callers share them.
+used, and every replay chunk and every round not held prefetches before it
+reads. The vectors it returns are read-only because callers share them.
 
 Normal variates come from a Box-Muller transform applied to 53-bit uniforms
 read off the counter stream. This transform is part of the on-disk/replay
@@ -111,15 +115,17 @@ def extend_stream(prefix, *parts):
 # -----------------------------------------------------------------------------
 
 # Bytes of Gaussian output the memo keeps. The hybrid protocol fills it
-# with one block of P directions per round, then asks for the same P
-# directions again and again: K projections and K+1 reconstructions in the
-# live round, then once more for every round a straggler replays. Catch-up
-# replay prefetches the seeds of the rounds it replays and is chunked by
-# this budget: each chunk is as many rounds as their directions fit in it,
-# one block each. A prefetch that does not fit is skipped (one round's
-# P=5 directions at d_c > 13,107), and each direction is then generated
-# on its first use as a one-row block. 512 KiB holds about 90 rounds of
-# P=5 directions at d_c=144. The bound is on bytes, not entries, so memory
+# with one block of P directions per round, or of a few rounds' when their
+# block fits protocol.LOOKAHEAD_BYTES, so the memo also holds up to that
+# many bytes of upcoming rounds. A round then asks for its P directions
+# again and again: K projections and K+1 reconstructions in the live round,
+# then once more for every round a straggler replays. Catch-up replay
+# prefetches the seeds of the rounds it replays and is chunked by this
+# budget: each chunk is as many rounds as their directions fit in it, one
+# block each. A prefetch that does not fit is skipped (one round's P=5
+# directions at d_c > 13,107), and each direction is then generated on its
+# first use as a one-row block. 512 KiB holds about 90 rounds of P=5
+# directions at d_c=144. The bound is on bytes, not entries, so memory
 # stays bounded at any d_c (512 entries at d_c=200k would be about 800 MB).
 MEMO_BYTES = 512 * 1024
 
@@ -265,6 +271,13 @@ def prefetch_gaussians(seeds, dim):
     seeds = [s & _MASK for s in seeds]
     dims = [dim] * len(seeds) if isinstance(dim, (int, np.integer)) else dim
     _MEMO.fill(zip(seeds, dims, strict=True))
+
+
+def gaussians_held(seeds, dims) -> bool:
+    """True if the gaussian_vector memo holds every (seed, dims[i]) pair.
+    Reads the memo only: no entry is generated or marked used."""
+    entries = _MEMO.entries
+    return all((seed & _MASK, dim) in entries for seed, dim in zip(seeds, dims, strict=True))
 
 
 def uniform_stream(seed, n: int) -> np.ndarray:

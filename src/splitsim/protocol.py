@@ -35,13 +35,16 @@ activation feedback. Clients project P seeded perturbations into scalars.
 The server broadcasts the aggregated scalars, from which every client (and
 a canonical server-held copy) reconstructs the identical update.
 
-The hybrid and zeroth-order rounds fill the Gaussian memo with one block
-of their directions before they ask for any (prefetch_gaussians, which
-generates nothing when the block would not fit the memo): hosfl's P
-directions at d_c, and zosfl's K client directions at d_c with its K server
-directions at d_s, rows of one block cut to their dims. Each later
-perturb_fn call for them is served from the memo; every call still happens
-and every value is unchanged.
+The hybrid and zeroth-order rounds draw their Gaussian directions a few
+rounds ahead (_prefetch_directions): a round whose directions the memo does
+not hold fills it with one block of them and of the next rounds' in the
+draw window, as many rounds as fit LOOKAHEAD_BYTES of block and at least
+its own (prefetch_gaussians, which generates nothing when the block would
+not fit the memo). A round's directions are hosfl's P at d_c, and zosfl's K
+client directions at d_c with its K server directions at d_s, rows of one
+block cut to their dims. Each later perturb_fn call for them is served from
+the memo; every call still happens and every value is unchanged, as each
+row is a pure function of its (seed, dim).
 
 Stragglers never download parameters: they replay missed rounds from the
 stored (seeds, scalars) history at the run's learning rate, applying the
@@ -75,7 +78,7 @@ import numpy as np
 
 from . import model, prng
 from .errors import NumericalError, ProtocolViolationError, StalenessError
-from .prng import (derive_stream, extend_stream, gaussian_vector, ordered_mean,
+from .prng import (derive_stream, extend_stream, gaussian_vector, gaussians_held, ordered_mean,
                    ordered_mean_scalar, prefetch_gaussians)
 from .traffic import FLOAT_BYTES, SEED_BYTES, MessageKind, TrafficLedger, label_payload_bytes
 from .zo import ZoConfig, reconstruct_gradient, zo_scalars
@@ -523,12 +526,43 @@ def _local_steps_and_average(sim: Simulation, grads: np.ndarray) -> float:
     return float(np.linalg.norm(ordered_mean(grads)))
 
 
+# Bytes of the Gaussian block a round draws when the memo does not hold its
+# directions: its own rows and those of as many next rounds of the draw
+# window as fit, and at least its own. A larger block costs its round more
+# and the rounds it covers less, so it trades tail for median. 16 KiB is 3
+# rounds of zosfl's 4 rows (K=2) and 2 of hosfl's P=5 at d_c=144, and one
+# round from a widest direction of 257 (zosfl, K=2) or d_c=205 (hosfl, P=5) on.
+LOOKAHEAD_BYTES = 16 * 1024
+
+
+def _prefetch_directions(sim: Simulation, t: int):
+    """Fill the Gaussian memo with round t's directions, unless it holds
+    them, and with those of the rounds after t in sim.window, as one block
+    of as many rounds as fit LOOKAHEAD_BYTES and at least round t. A block
+    is as wide as a round's widest direction, and its rows run round by
+    round: hosfl's P seeds at d_c, zosfl's K client seeds at d_c then its K
+    server seeds at d_s."""
+    start, _, _, seeds = sim.window
+    cfg, k = sim.model_cfg, sim.hp.K
+    if sim.protocol == "zosfl":
+        seeds = seeds.swapaxes(1, 2)  # a round's (2, K): client seeds, then server seeds
+        dims = [cfg.d_c] * k + [cfg.d_s] * k
+    else:
+        dims = [cfg.d_c] * sim.hp.zo.P
+    i = t - start
+    if gaussians_held(seeds[i].ravel().tolist(), dims):
+        return
+    rounds = max(1, LOOKAHEAD_BYTES // (8 * len(dims) * max(dims)))
+    ahead = seeds[i:i + rounds]  # no row past the window's last
+    prefetch_gaussians(ahead.ravel().tolist(), dims * len(ahead))
+
+
 def _hosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, perturb_fn):
     """Hybrid: server first-order, clients seeded zeroth-order from broadcast
     scalars; seeds is the round's (P,) row of perturbation seeds."""
     hp, cfg, server, ledger = sim.hp, sim.model_cfg, sim.server, sim.ledger
     seeds = tuple(seeds.tolist())
-    prefetch_gaussians(seeds, cfg.d_c)
+    _prefetch_directions(sim, t)
     ledger.record(MessageKind.SEED_DOWN, hp.zo.P * SEED_BYTES)
 
     activations = []
@@ -615,7 +649,7 @@ def _zosfl_round(sim: Simulation, t: int, selected, inputs, labels, seeds, pertu
     """
     cfg, server, mu = sim.model_cfg, sim.server, sim.hp.zo.mu
     seeds_c, seeds_s = seeds.T.tolist()
-    prefetch_gaussians(seeds_c + seeds_s, [cfg.d_c] * len(seeds_c) + [cfg.d_s] * len(seeds_s))
+    _prefetch_directions(sim, t)
     theta_c = _pull_model(sim)
     directions_c, directions_s, z = [], [], []
     for x, seed_c, seed_s in zip(inputs, seeds_c, seeds_s):

@@ -41,9 +41,10 @@ class TrafficLedger:
     """Cumulative byte counts keyed by message kind; monotone by construction.
 
     totals holds every kind from the start, in MessageKind order, and record
-    only updates it, so its values line up with _KIND_NAMES (a key it lacks
-    raises KeyError and counts nothing). A round records each kind once,
-    with the bytes of all its clients.
+    only updates it, so its values line up with _KIND_NAMES. record takes a
+    MessageKind member only: anything else, its name as a str too, raises
+    KeyError and counts nothing. A round records each kind once, with the
+    bytes of all its clients.
     """
 
     def __init__(self):
@@ -51,6 +52,10 @@ class TrafficLedger:
         self.per_round = []
 
     def record(self, kind: MessageKind, nbytes: int):
+        # a str equal to a kind's value hashes as the kind, so totals alone
+        # would count it
+        if type(kind) is not MessageKind:
+            raise KeyError(kind)
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("byte counts must be non-negative")

@@ -236,6 +236,19 @@ class TestGaussianMemo:
         prefetch_gaussians(seeds[:2], 144)
         assert list(prng._MEMO.entries)[-2:] == [(seed, 144) for seed in seeds[:2]]
 
+    def test_held_reads_without_touching(self, monkeypatch):
+        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+        seeds = [derive_stream(35, i) for i in range(3)]
+        prefetch_gaussians(seeds, [144, 144, 10])
+        order = list(prng._MEMO.entries)
+        assert prng.gaussians_held(seeds[::-1], [10, 144, 144])
+        assert prng.gaussians_held([seeds[0] - (1 << 64)], [144])  # taken mod 2**64
+        assert not prng.gaussians_held(seeds, [144, 144, 144])  # held at dim 10 only
+        assert not prng.gaussians_held(seeds + [derive_stream(36)], [144, 144, 10, 144])
+        assert list(prng._MEMO.entries) == order
+        with pytest.raises(ValueError):
+            prng.gaussians_held(seeds, [144])
+
     def test_fill_after_eviction(self):
         dim = 144
         seeds = [derive_stream(27, i) for i in range(5)]

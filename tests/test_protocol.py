@@ -71,6 +71,21 @@ def _hand_built(m_cl, k, optimizer="sgd", seed=5):
     return Simulation("hosfl", cfg, hp, ds, None, server, clients, TrafficLedger(), seed)
 
 
+def _count_blocks(monkeypatch) -> list:
+    """Give the Gaussian memo a fresh start and log the seeds of every
+    gaussian_block call, as a set, in the returned list."""
+    blocks = []
+    real_block = prng.gaussian_block
+
+    def counting_block(seeds, dim):
+        blocks.append({int(seed) for seed in seeds})
+        return real_block(seeds, dim)
+
+    monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
+    monkeypatch.setattr(prng, "gaussian_block", counting_block)
+    return blocks
+
+
 def _assert_caught_up(sim):
     """Every client syncs to the current round, equal to the server copy."""
     server = sim.server
@@ -819,24 +834,104 @@ class TestCallCounts:
 
 
     @pytest.mark.parametrize("proto", ["hosfl", "sfl", "zosfl"])
-    def test_one_gaussian_block_per_round(self, proto, monkeypatch):
-        # a round generates its directions as one block (zosfl's at d_c and
-        # d_s together), and catch-up finds the rounds it replays held
+    def test_gaussian_blocks_per_round(self, proto, monkeypatch):
+        # a round draws its directions and the next rounds' as one block
+        # (zosfl's at d_c and d_s together), as many rounds as fit
+        # LOOKAHEAD_BYTES; the rounds it covers and catch-up draw none
         cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
         sim = runner.build_simulation(cfg)
-        blocks = []
-        real_block = prng.gaussian_block
+        blocks = _count_blocks(monkeypatch)
+        in_sync = []
+        real_sync = protocol.client_sync
 
-        def counting_block(seeds, dim):
-            blocks[-1] += 1
-            return real_block(seeds, dim)
+        def counting_sync(*args):
+            before = len(blocks)
+            client = real_sync(*args)
+            in_sync.append(len(blocks) - before)
+            return client
 
-        monkeypatch.setattr(prng, "_MEMO", prng._GaussianMemo())
-        monkeypatch.setattr(prng, "gaussian_block", counting_block)
+        monkeypatch.setattr(protocol, "client_sync", counting_sync)
+        per_round = []
         for _ in range(planned_rounds(cfg.hp, cfg.sample_budget)):
-            blocks.append(0)
+            before = len(blocks)
             run_round(sim)
-        assert blocks == [0 if proto == "sfl" else 1] * 40
+            per_round.append(len(blocks) - before)
+        assert sim.window[0] == 0 and len(sim.window[1]) == 40  # one window, all rounds
+        if proto == "sfl":
+            assert per_round == [0] * 40
+            return
+        k, p, d_c, d_s = cfg.hp.K, cfg.hp.zo.P, cfg.model.d_c, cfg.model.d_s
+        rows, width = {"hosfl": (p, d_c), "zosfl": (2 * k, max(d_c, d_s))}[proto]
+        ahead = protocol.LOOKAHEAD_BYTES // (8 * rows * width)
+        assert 1 < ahead < 40
+        assert per_round == [int(t % ahead == 0) for t in range(40)]
+        assert all(len(seeds) == rows * min(ahead, 40 - t)
+                   for t, seeds in zip(range(0, 40, ahead), blocks))
+        if proto == "hosfl":
+            assert len(in_sync) == 80 and not any(in_sync)
+
+    @pytest.mark.parametrize("proto, optimizer", [
+        ("hosfl", "sgd"), ("hosfl", "adam"), ("zosfl", "sgd")])
+    def test_lookahead_changes_no_byte(self, proto, optimizer, monkeypatch, tmp_path):
+        # LOOKAHEAD_BYTES = 0 draws one round a block, the schedule of one
+        # prefetch per round: the files and every perturb_fn call match
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}")
+                           .replace("batch_size: 4,", f"batch_size: 4, optimizer: {optimizer},"))
+
+        def run(out):
+            blocks = _count_blocks(monkeypatch)
+            calls = []
+
+            def perturb(seed, dim):
+                calls.append((seed, dim))
+                return prng.gaussian_vector(seed, dim)
+
+            paths = runner.write_outputs(runner.run_experiment(cfg, perturb), out)
+            return {name: path.read_bytes() for name, path in paths.items()}, calls, len(blocks)
+
+        ahead = run(tmp_path / "ahead")
+        monkeypatch.setattr(protocol, "LOOKAHEAD_BYTES", 0)
+        one = run(tmp_path / "one")
+        assert ahead[:2] == one[:2] and set(ahead[0]) == {"metrics", "traffic", "checksum"}
+        assert ahead[1]  # every direction request is in both sequences
+        init = len(cfg.model.layer_dims) - 1  # init_params draws one row a layer
+        assert one[2] == init + 40 and ahead[2] < one[2]
+
+    @pytest.mark.parametrize("proto", ["hosfl", "zosfl"])
+    def test_block_ends_with_the_window(self, proto, monkeypatch):
+        # a window of 5 rounds and blocks of 3: the block drawn at round 3
+        # covers rounds 3-4 only, and round 5 draws a new window and block
+        cfg = parse_config(BASE_CONFIG.replace("protocol: hosfl", f"protocol: {proto}"))
+        hp, d_c, d_s = cfg.hp, cfg.model.d_c, cfg.model.d_s
+        sim = runner.build_simulation(cfg)
+        index = np.min_scalar_type(sim.dataset.size - 1)
+        seed_count = {"hosfl": hp.zo.P, "zosfl": 2 * hp.K}[proto]
+        monkeypatch.setattr(protocol, "WINDOW_BYTES",
+                            5 * max(index.itemsize * hp.K * hp.batch_size, 8 * seed_count))
+        width = d_c if proto == "hosfl" else max(d_c, d_s)
+        monkeypatch.setattr(protocol, "LOOKAHEAD_BYTES", 3 * 8 * seed_count * width)
+        blocks = _count_blocks(monkeypatch)
+        drawn_at = {}
+        for t in range(12):
+            before = len(blocks)
+            run_round(sim)
+            if len(blocks) > before:
+                drawn_at[t] = blocks[before:]
+        assert list(drawn_at) == [0, 3, 5, 8, 10]
+        assert all(len(b) == 1 for b in drawn_at.values())
+
+        def round_seeds(tau):
+            if proto == "hosfl":
+                return {prng.derive_stream(cfg.root_seed, prng.STREAM_PERTURBATION, tau, p)
+                        for p in range(1, hp.zo.P + 1)}
+            picks = sample_clients(hp.M, hp.K, [
+                prng.derive_stream(cfg.root_seed, prng.STREAM_SAMPLING, tau)])[0].tolist()
+            return {prng.derive_stream(cfg.root_seed, prng.STREAM_SPSA, tau, cid, half)
+                    for cid in picks for half in (1, 2)}
+
+        assert drawn_at[3][0] == round_seeds(3) | round_seeds(4)
+        assert len(drawn_at[3][0]) == 2 * seed_count
+        assert drawn_at[0][0] == round_seeds(0) | round_seeds(1) | round_seeds(2)
 
 
 class TestTrafficLaws:

@@ -65,6 +65,13 @@ class TestLedger:
             led.record("Bogus", 8)
         assert led.total_bytes == 0
 
+    def test_kind_given_by_name_rejected(self):
+        # MessageKind is a str Enum: "GradDown" == MessageKind.GRAD_DOWN
+        led = TrafficLedger()
+        with pytest.raises(KeyError):
+            led.record("GradDown", 8)
+        assert led.total_bytes == 0
+
     def test_snapshot_keys_in_kind_order(self):
         led = TrafficLedger()
         for kind in reversed(MessageKind):
