@@ -543,10 +543,10 @@ def _prefetch_directions(sim: Simulation, t: int):
     round: hosfl's P seeds at d_c, zosfl's K client seeds at d_c then its K
     server seeds at d_s."""
     start, _, _, seeds = sim.window
-    cfg, k = sim.model_cfg, sim.hp.K
+    cfg = sim.model_cfg
     if sim.protocol == "zosfl":
         seeds = seeds.swapaxes(1, 2)  # a round's (2, K): client seeds, then server seeds
-        dims = [cfg.d_c] * k + [cfg.d_s] * k
+        dims = [cfg.d_c] * sim.hp.K + [cfg.d_s] * sim.hp.K
     else:
         dims = [cfg.d_c] * sim.hp.zo.P
     i = t - start
